@@ -43,7 +43,7 @@ from .simulation import (
     simulate_random,
     truncation_comparison,
 )
-from .statkernels import PValuePair, binomial_pmf, gamma_cdf, normal_cdf, one_sided_p
+from .statkernels import PValuePair, binomial_pmf, normal_cdf, one_sided_p
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "delta_bound",
     "fe_r_value",
     "fixed_effect_meta",
-    "gamma_cdf",
     "heterogeneity",
     "inconsistency_probability",
     "leave_one_out",

@@ -22,11 +22,12 @@ from dataclasses import replace
 from . import __version__
 from .forest import format_number, render_forest
 from .meta import leave_one_out
-from .replicability import TruncationConfig, delta_bound, partial_conjunction_p
+from .replicability import TruncationConfig, _leading_rejections, _PCCurve, delta_bound
 from .report import (
     AnalysisRequest,
     StudyFileError,
     analyze,
+    directional_pvalues,
     parse_studies,
     partial_conjunction_summary,
     summary_sentence,
@@ -38,7 +39,6 @@ from .simulation import (
     run_points,
     write_power_csv,
 )
-from .statkernels import one_sided_p
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -278,29 +278,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     studies = parse_studies(args.input, args.measure)
-    if len(studies) < 2:
-        raise ValueError("bounds need at least two studies")
     cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
-    pairs = [one_sided_p(s.theta_hat, s.se) for s in studies]
-    left = [p.left for p in pairs]
-    right = [p.right for p in pairs]
+    # AnalysisRequest rejects fewer than two studies.
+    request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, truncation=cfg)
+    left, right = (_PCCurve(ps, cfg.t) for ps in directional_pvalues(request))
     level = args.alpha / 2.0
     table = []
-    u_max_left = u_max_right = 0
-    left_alive = right_alive = True
     for u in range(1, len(studies) + 1):
-        r_l = partial_conjunction_p(left, u, cfg)
-        r_r = partial_conjunction_p(right, u, cfg)
-        if left_alive and r_l <= level:
-            u_max_left = u
-        else:
-            left_alive = False
-        if right_alive and r_r <= level:
-            u_max_right = u
-        else:
-            right_alive = False
+        r_l = float(left(u)[0])
+        r_r = float(right(u)[0])
         table.append({"u": u, "r_left": r_l, "r_right": r_r,
                       "reject_left": r_l <= level, "reject_right": r_r <= level})
+    u_max_left = _leading_rejections(left, level)
+    u_max_right = _leading_rejections(right, level)
 
     if args.format == "json":
         payload = {

@@ -110,16 +110,15 @@ def _pmf_weights(length: int, t: float) -> tuple[float, ...]:
     return tuple(binomial_pmf(k, length, t) for k in range(1, length + 1))
 
 
-def _truncated_product_rows(p_rows: np.ndarray, t: float) -> np.ndarray:
+def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
     """Combination p-value for each row of a (rows, L) matrix of p-values.
 
-    Rows are sorted internally so the statistic is a canonical function of the
-    multiset of p-values, independent of input order.
+    Rows must be clipped to [LOG_FLOOR, LOG_CEIL] and sorted, which makes the
+    statistic a canonical function of the multiset of p-values.
     """
-    p_rows = np.sort(np.clip(np.asarray(p_rows, dtype=float), LOG_FLOOR, LOG_CEIL), axis=1)
-    length = p_rows.shape[1]
-    truncated = p_rows <= t
-    c_stat = -2.0 * np.sum(np.where(truncated, np.log(p_rows), 0.0), axis=1)
+    length = sorted_rows.shape[1]
+    truncated = sorted_rows <= t
+    c_stat = -2.0 * np.sum(np.where(truncated, np.log(sorted_rows), 0.0), axis=1)
     ks = np.arange(1, length + 1, dtype=float)
     weights = np.asarray(_pmf_weights(length, t))
     # Conditional on k truncated p-values, -log(product / t^k) is Gamma(k, 1);
@@ -133,12 +132,41 @@ def _truncated_product_rows(p_rows: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _partial_conjunction_rows(p_rows: np.ndarray, u: int, t: float) -> np.ndarray:
-    """Row-wise partial-conjunction p-values via the sorted shortcut."""
-    p_rows = np.asarray(p_rows, dtype=float)
-    if not 1 <= u <= p_rows.shape[1]:
-        raise ValueError(f"u must be in [1, {p_rows.shape[1]}], got {u}")
-    return _truncated_product_rows(np.sort(p_rows, axis=1)[:, u - 1 :], t)
+class _PCCurve:
+    """r(1), r(2), ... for each row of a p-value matrix; a sequence is one row.
+
+    r(u), the p-value of "at least u of the row's studies have an effect", is
+    the truncated-product p-value of the row's n-u+1 largest values. Rows are
+    clipped and sorted once, here, and each r(u) is computed on first use. For
+    u > n the suffix is empty and r(u) is 1: fewer than u cannot establish u.
+    """
+
+    def __init__(self, p_rows: np.ndarray, t: float) -> None:
+        rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
+        self._sorted = np.clip(rows, LOG_FLOOR, LOG_CEIL)
+        self._sorted.sort(axis=1)
+        self._t = t
+        self._values: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._sorted.shape[1]
+
+    def __call__(self, u: int) -> np.ndarray:
+        if u not in self._values:
+            self._values[u] = _truncated_product_rows(self._sorted[:, u - 1 :], self._t)
+        return self._values[u]
+
+
+def _leading_rejections(curve: _PCCurve, level: float) -> int:
+    """Largest u with r(1), ..., r(u) all at or below level, for a one-row curve.
+
+    The walk stops at the first non-rejection, which keeps the bound well
+    defined although the curve need not be monotone in u (at t=1 it is not).
+    """
+    u = 0
+    while u < len(curve) and curve(u + 1)[0] <= level:
+        u += 1
+    return u
 
 
 def truncated_product_p(p_values: Sequence[float], cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
@@ -151,7 +179,7 @@ def truncated_product_p(p_values: Sequence[float], cfg: TruncationConfig = DEFAU
     arr = _validate_pvalues(p_values)
     if arr.size == 0:
         raise ValueError("p_values must be nonempty")
-    return float(_truncated_product_rows(arr[None, :], cfg.t)[0])
+    return float(_PCCurve(arr, cfg.t)(1)[0])
 
 
 def partial_conjunction_p(
@@ -168,7 +196,7 @@ def partial_conjunction_p(
         raise ValueError("p_one_sided must be nonempty")
     if not 1 <= u <= arr.size:
         raise ValueError(f"u must be in [1, {arr.size}], got {u}")
-    return float(_partial_conjunction_rows(arr[None, :], u, cfg.t)[0])
+    return float(_PCCurve(arr, cfg.t)(u)[0])
 
 
 def _check_pairing(left: np.ndarray, right: np.ndarray) -> None:
@@ -202,18 +230,6 @@ def r_value(
     )
 
 
-def _sequential_bound(ps: np.ndarray, level: float, cfg: TruncationConfig) -> int:
-    # Walk u upward, stopping at the first non-rejection; this keeps the bound
-    # well defined even if the p-value curve were not monotone in u.
-    bound = 0
-    for u in range(1, ps.size + 1):
-        if partial_conjunction_p(ps, u, cfg) <= level:
-            bound = u
-        else:
-            break
-    return bound
-
-
 def confidence_bounds(
     left_ps: Sequence[float],
     right_ps: Sequence[float],
@@ -228,7 +244,10 @@ def confidence_bounds(
     right = _validate_pvalues(right_ps)
     _check_pairing(left, right)
     level = cfg.alpha / 2.0
-    return _sequential_bound(left, level, cfg), _sequential_bound(right, level, cfg)
+    return (
+        _leading_rejections(_PCCurve(left, cfg.t), level),
+        _leading_rejections(_PCCurve(right, cfg.t), level),
+    )
 
 
 def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:

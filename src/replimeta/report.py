@@ -27,9 +27,10 @@ from .meta import (
 from .replicability import (
     ReplicabilityReport,
     TruncationConfig,
+    _leading_rejections,
+    _PCCurve,
     classify_consistency,
     conditional_p_transform,
-    partial_conjunction_p,
 )
 from .statkernels import one_sided_p
 
@@ -90,7 +91,8 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
     if measure not in _MEASURES:
         raise StudyFileError(f"measure must be one of {_MEASURES}, got {measure!r}")
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        # utf-8-sig drops the byte-order mark that Excel writes.
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             rows = list(csv.reader(handle))
     else:
         rows = list(csv.reader(source))
@@ -156,14 +158,6 @@ def directional_pvalues(request: AnalysisRequest) -> tuple[list[float], list[flo
     return left, right
 
 
-def _side_p(ps: Sequence[float], u: int, cfg: TruncationConfig) -> float:
-    # A side whose (possibly filtered) list is too short cannot establish u
-    # studies; the weakest p-value stands in.
-    if len(ps) < u:
-        return 1.0
-    return partial_conjunction_p(ps, u, cfg)
-
-
 def partial_conjunction_summary(request: AnalysisRequest, u: int) -> dict:
     """Directional and combined p-values at level u for the request's studies.
 
@@ -172,27 +166,15 @@ def partial_conjunction_summary(request: AnalysisRequest, u: int) -> dict:
     """
     if not 1 <= u <= len(request.studies):
         raise ValueError(f"u must be in [1, {len(request.studies)}], got {u}")
-    left, right = directional_pvalues(request)
-    cfg = request.truncation
-    r_left = _side_p(left, u, cfg)
-    r_right = _side_p(right, u, cfg)
+    t = request.truncation.t
+    r_left, r_right = (float(_PCCurve(ps, t)(u)[0]) for ps in directional_pvalues(request))
     return {
         "u": u,
         "r_left": r_left,
         "r_right": r_right,
         "r": min(1.0, 2.0 * min(r_left, r_right)),
-        "t": cfg.t,
+        "t": t,
     }
-
-
-def _side_bound(ps: Sequence[float], level: float, cfg: TruncationConfig) -> int:
-    bound = 0
-    for u in range(1, len(ps) + 1):
-        if partial_conjunction_p(ps, u, cfg) <= level:
-            bound = u
-        else:
-            break
-    return bound
 
 
 def analyze(
@@ -217,10 +199,10 @@ def analyze(
     else:
         meta_result = random_effects_meta(studies, alpha)
 
-    left, right = directional_pvalues(request)
-    r2 = min(1.0, 2.0 * min(_side_p(left, 2, cfg), _side_p(right, 2, cfg)))
-    u_max_left = _side_bound(left, alpha / 2.0, cfg)
-    u_max_right = _side_bound(right, alpha / 2.0, cfg)
+    left, right = (_PCCurve(ps, cfg.t) for ps in directional_pvalues(request))
+    r2 = min(1.0, 2.0 * min(float(left(2)[0]), float(right(2)[0])))
+    u_max_left = _leading_rejections(left, alpha / 2.0)
+    u_max_right = _leading_rejections(right, alpha / 2.0)
     report = ReplicabilityReport(
         u_max_left=u_max_left,
         u_max_right=u_max_right,

@@ -23,7 +23,7 @@ import numpy as np
 
 from scipy import special
 
-from .replicability import TruncationConfig, _partial_conjunction_rows
+from .replicability import TruncationConfig, _PCCurve
 
 __all__ = [
     "BENCHMARK_GROUP_SIZES",
@@ -55,13 +55,17 @@ BENCHMARK_GROUP_SIZES: tuple[tuple[int, int], ...] = (
     (15, 16),
 )
 
-KNOWN_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "H2n_fe", "inconsistency_detected")
 _H_TEST = re.compile(r"^H(\d+)n$")
 
 
 def _standard_errors(group_sizes: Sequence[tuple[int, int]]) -> np.ndarray:
     sizes = np.asarray(group_sizes, dtype=float)
     return np.sqrt(1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
+
+
+def _check_finite(name: str, *values: float | None) -> None:
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(repr, values))}")
 
 
 def _check_group_sizes(group_sizes: Sequence[tuple[int, int]]) -> None:
@@ -85,6 +89,8 @@ class FixedEffectsScenario:
             raise ValueError("theta and group_sizes must have the same length")
         if not self.theta:
             raise ValueError("at least one study is required")
+        _check_finite("theta", *self.theta)
+        _check_finite("param", self.param)
         _check_group_sizes(self.group_sizes)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
@@ -107,6 +113,9 @@ class RandomEffectsScenario:
     param: float | None = None
 
     def __post_init__(self) -> None:
+        _check_finite("mu", self.mu)
+        _check_finite("tau", self.tau)
+        _check_finite("param", self.param)
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
         if self.n != len(self.group_sizes):
@@ -190,18 +199,36 @@ def _fe_pc_u2_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 2.0 * np.minimum(r_left, r_right))
 
 
+def _curve_values(p_rows: np.ndarray, levels: set[int], t: float) -> dict[int, np.ndarray]:
+    # The curve, and with it the side's sorted matrix, is freed on return.
+    curve = _PCCurve(p_rows, t)
+    return {u: curve(u) for u in levels}
+
+
 def _evaluate_tests(
     theta_hat: np.ndarray,
     se: np.ndarray,
     tests: Sequence[str],
     cfg: TruncationConfig,
 ) -> dict[str, np.ndarray]:
-    """Boolean rejection indicators per requested test, one entry per replication."""
+    """Boolean rejection indicators per requested test, one entry per replication.
+
+    The H-tests and inconsistency_detected read one partial-conjunction curve
+    per side, at every u any of them needs. The left side is finished before
+    the right side is sorted, so one side's sorted matrix is alive at a time.
+    """
     n = theta_hat.shape[1]
     alpha = cfg.alpha
-    z = theta_hat / se[None, :]
-    left = special.ndtr(z)
-    right = special.ndtr(-z)
+    levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
+    levels = {u for u in levels if 1 <= u <= n}
+    if "inconsistency_detected" in tests:
+        levels.add(1)
+    r_left: dict[int, np.ndarray] = {}
+    r_right: dict[int, np.ndarray] = {}
+    if levels:
+        z = theta_hat / se[None, :]
+        r_left = _curve_values(special.ndtr(z), levels, cfg.t)
+        r_right = _curve_values(special.ndtr(-z), levels, cfg.t)
     out: dict[str, np.ndarray] = {}
     for test_id in tests:
         if test_id == "meta_fe":
@@ -215,9 +242,7 @@ def _evaluate_tests(
                 raise ValueError("H2n_fe requires at least two studies")
             out[test_id] = _fe_pc_u2_rows(theta_hat, se) <= alpha
         elif test_id == "inconsistency_detected":
-            r_left_1 = _partial_conjunction_rows(left, 1, cfg.t)
-            r_right_1 = _partial_conjunction_rows(right, 1, cfg.t)
-            out[test_id] = (r_left_1 <= alpha / 2.0) & (r_right_1 <= alpha / 2.0)
+            out[test_id] = (r_left[1] <= alpha / 2.0) & (r_right[1] <= alpha / 2.0)
         else:
             match = _H_TEST.match(test_id)
             if match is None:
@@ -225,9 +250,7 @@ def _evaluate_tests(
             u = int(match.group(1))
             if not 1 <= u <= n:
                 raise ValueError(f"test {test_id!r} needs u in [1, {n}]")
-            r_l = _partial_conjunction_rows(left, u, cfg.t)
-            r_r = _partial_conjunction_rows(right, u, cfg.t)
-            out[test_id] = np.minimum(1.0, 2.0 * np.minimum(r_l, r_r)) <= alpha
+            out[test_id] = np.minimum(1.0, 2.0 * np.minimum(r_left[u], r_right[u])) <= alpha
     return out
 
 
@@ -497,7 +520,8 @@ def parse_scenario_config(
     are comments. Returns (scenario, tests, truncation threshold).
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that Excel and some editors write.
+        with open(source, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     else:
         text = source.read()

@@ -11,15 +11,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from scipy import special
-
 __all__ = [
     "LOG_CEIL",
     "LOG_FLOOR",
     "PValuePair",
     "binomial_pmf",
-    "clamp_probability",
-    "gamma_cdf",
     "normal_cdf",
     "one_sided_p",
 ]
@@ -49,15 +45,6 @@ def normal_cdf(z: float) -> float:
     if math.isnan(z):
         raise ValueError("z must not be NaN")
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def gamma_cdf(x: float, shape: float) -> float:
-    """CDF of the gamma distribution with the given shape and unit scale."""
-    if math.isnan(x) or x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if math.isnan(shape) or shape <= 0:
-        raise ValueError(f"shape must be > 0, got {shape}")
-    return float(special.gammainc(shape, x))
 
 
 def binomial_pmf(k: int, trials: int, prob: float) -> float:
@@ -96,7 +83,3 @@ def one_sided_p(theta_hat: float, se: float, shift: float = 0.0) -> PValuePair:
     z = (theta_hat - shift) / se
     return PValuePair(left=normal_cdf(z), right=normal_cdf(-z))
 
-
-def clamp_probability(p: float) -> float:
-    """Clamp a probability into (0, 1) so its log is finite."""
-    return min(max(p, LOG_FLOOR), LOG_CEIL)

@@ -167,6 +167,20 @@ class TestSimulateCommand:
         assert base != overridden
         assert overridden.splitlines()[1].endswith(",99")
 
+    @pytest.mark.parametrize("key, line", [
+        ("theta", "theta = nan 0 0"),
+        ("mu", "mu = nan\ntau = 0.3"),
+        ("tau", "mu = 0.2\ntau = nan"),
+        ("param", "theta = 1 0 0\nparam = inf"),
+    ])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, key, line):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"{line}\nnc = 25 25 25\nnt = 25 25 25\nreplications = 50\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key} must be finite" in captured.err
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["simulate"]) == 1
         assert main(["simulate", "--scenario", "mixed-signs", "--config", "x.cfg"]) == 1

@@ -1,0 +1,179 @@
+"""Property tests for the partial-conjunction curve and everything read from it.
+
+r(u), the directional bounds, the ``bounds`` table and the simulation H-tests
+all come from one curve per direction; these tests check that curve against
+exhaustive oracles and check that the readers agree with each other.
+"""
+
+import json
+import os
+import tempfile
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
+
+from replimeta.cli import main
+from replimeta.meta import StudySummary
+from replimeta.replicability import (
+    TruncationConfig,
+    _leading_rejections,
+    _PCCurve,
+    confidence_bounds,
+    partial_conjunction_p,
+    r_value,
+    truncated_product_p,
+)
+from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
+from replimeta.simulation import _evaluate_tests
+
+THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
+ALPHAS = st.sampled_from([0.05, 0.2])
+# Mostly small p-values, so that the truncation and the walk have work to do,
+# plus whatever edge values hypothesis picks from the whole unit interval.
+P_VALUES = st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 0.1), st.floats(0.0, 1.0))
+STUDIES = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 2.0)), min_size=2, max_size=8
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def brute_force_pc(ps, u, cfg):
+    """Independent oracle: explicit maximum over all (n-u+1)-subsets."""
+    n = len(ps)
+    return max(
+        truncated_product_p([ps[i] for i in subset], cfg)
+        for subset in combinations(range(n), n - u + 1)
+    )
+
+
+def reference_bound(ps, level, cfg):
+    """The u before the first u whose partial-conjunction p-value exceeds the level."""
+    for u in range(1, len(ps) + 1):
+        if partial_conjunction_p(ps, u, cfg) > level:
+            return u - 1
+    return len(ps)
+
+
+def _studies(pairs):
+    return tuple(StudySummary(f"s{i}", est, se) for i, (est, se) in enumerate(pairs))
+
+
+@PROPERTY
+@given(ps=st.lists(P_VALUES, min_size=1, max_size=7), t=THRESHOLDS)
+def test_curve_equals_subset_oracle(ps, t):
+    curve = _PCCurve(ps, t)
+    cfg = TruncationConfig(t=t)
+    for u in range(1, len(ps) + 1):
+        assert curve(u)[0] == pytest.approx(brute_force_pc(ps, u, cfg), rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(
+    ps=st.lists(P_VALUES, min_size=1, max_size=9),
+    t=THRESHOLDS,
+    alpha=st.sampled_from([0.05, 0.2, 0.9]),
+)
+# At t=1 the curve is not monotone: here r(1) > 0.45 >= r(2), so the walk
+# must stop at 0 although u=2 alone would be rejected.
+@example(ps=[0.44, 0.44], t=1.0, alpha=0.9)
+def test_walk_equals_first_non_rejection(ps, t, alpha):
+    cfg = TruncationConfig(t=t, alpha=alpha)
+    level = alpha / 2.0
+    assert _leading_rejections(_PCCurve(ps, t), level) == reference_bound(ps, level, cfg)
+    right = [1.0 - p for p in ps]
+    assert confidence_bounds(ps, right, cfg) == (
+        reference_bound(ps, level, cfg),
+        reference_bound(right, level, cfg),
+    )
+
+
+@PROPERTY
+@given(pairs=STUDIES, t=THRESHOLDS, alpha=ALPHAS)
+def test_analyze_agrees_with_bounds_table(pairs, t, alpha):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "studies.csv")
+        out = os.path.join(tmp, "bounds.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("label,estimate,se\n")
+            handle.writelines(f"s{i},{est!r},{se!r}\n" for i, (est, se) in enumerate(pairs))
+        argv = ["bounds", "--input", path, "--format", "json", "--output", out,
+                "--alpha", repr(alpha), "--truncation", repr(t)]
+        assert main(argv) == 0
+        with open(out, "r", encoding="utf-8") as handle:
+            table = json.load(handle)
+        studies = tuple(parse_studies(path))
+    request = AnalysisRequest(studies=studies, alpha=alpha, truncation=TruncationConfig(t, alpha))
+    _, report, _ = analyze(request)
+    assert (report.u_max_left, report.u_max_right) == (table["u_max_left"], table["u_max_right"])
+    row = table["table"][1]
+    assert row["u"] == 2
+    assert report.r_value == min(1.0, 2.0 * min(row["r_left"], row["r_right"]))
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    pairs=STUDIES,
+    t=THRESHOLDS,
+    threshold=st.sampled_from([None, 0.05, 0.5]),
+)
+def test_permuting_studies_changes_no_replicability_output(data, pairs, t, threshold):
+    permuted = data.draw(st.permutations(pairs))
+    cfg = TruncationConfig(t=t)
+    requests = [
+        AnalysisRequest(studies=_studies(p), truncation=cfg, conditional_threshold=threshold)
+        for p in (pairs, permuted)
+    ]
+    reports = [analyze(request)[1] for request in requests]
+    assert reports[0] == reports[1]
+    for u in range(1, len(pairs) + 1):
+        summaries = [partial_conjunction_summary(request, u) for request in requests]
+        assert summaries[0] == summaries[1]
+
+
+@PROPERTY
+@given(pairs=STUDIES, t=THRESHOLDS, alpha=ALPHAS)
+def test_swapping_directions_swaps_results(pairs, t, alpha):
+    cfg = TruncationConfig(t=t, alpha=alpha)
+    studies = _studies(pairs)
+    flipped = tuple(StudySummary(s.label, -s.theta_hat, s.se) for s in studies)
+    _, report, _ = analyze(AnalysisRequest(studies=studies, alpha=alpha, truncation=cfg))
+    _, mirror, _ = analyze(AnalysisRequest(studies=flipped, alpha=alpha, truncation=cfg))
+    assert (mirror.u_max_left, mirror.u_max_right) == (report.u_max_right, report.u_max_left)
+    assert mirror.r_value == report.r_value
+    assert mirror.consistency == report.consistency
+
+    z = np.array([est / se for est, se in pairs])
+    left, right = special.ndtr(z), special.ndtr(-z)
+    assert confidence_bounds(right, left, cfg) == confidence_bounds(left, right, cfg)[::-1]
+    for u in range(1, len(pairs) + 1):
+        forward, backward = r_value(left, right, u, cfg), r_value(right, left, u, cfg)
+        assert (backward.r_left, backward.r_right) == (forward.r_right, forward.r_left)
+        assert backward.r == forward.r
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 7),
+    t=THRESHOLDS,
+    scale=st.sampled_from([1.0, 2.0, 4.0]),
+)
+def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
+    rng = np.random.default_rng(seed)
+    se = rng.uniform(0.1, 1.5, size=n)
+    theta_hat = rng.normal(0.0, scale, size=(100, n)) * se
+    cfg = TruncationConfig(t=t)
+    tests = ("H1n", "H2n", "H3n", "inconsistency_detected")
+    out = _evaluate_tests(theta_hat, se, tests, cfg)
+    z = theta_hat / se[None, :]
+    for i in range(theta_hat.shape[0]):
+        left, right = special.ndtr(z[i]), special.ndtr(-z[i])
+        for u in (1, 2, 3):
+            assert out[f"H{u}n"][i] == (r_value(left, right, u, cfg).r <= cfg.alpha)
+        assert out["inconsistency_detected"][i] == (min(confidence_bounds(left, right, cfg)) >= 1)

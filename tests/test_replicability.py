@@ -16,7 +16,7 @@ from scipy.stats import chi2
 from replimeta.meta import StudySummary
 from replimeta.replicability import (
     TruncationConfig,
-    _partial_conjunction_rows,
+    _PCCurve,
     classify_consistency,
     conditional_p_transform,
     confidence_bounds,
@@ -144,9 +144,8 @@ class TestPartialConjunction:
         n = 6
         matrix = rng.uniform(size=(10_000, n))
         matrix[:3000] = np.minimum(matrix[:3000], rng.beta(0.2, 1.0, size=(3000, n)))
-        curves = np.column_stack(
-            [_partial_conjunction_rows(matrix, u, 0.05) for u in range(1, n + 1)]
-        )
+        curve = _PCCurve(matrix, 0.05)
+        curves = np.column_stack([curve(u) for u in range(1, n + 1)])
         drops = np.diff(curves, axis=1) < -1e-12
         bad_rows = np.nonzero(drops.any(axis=1))[0]
         counterexamples = [
@@ -399,7 +398,7 @@ def test_size_under_global_null_quick():
 
     lefts = ndtr(z)
     rights = ndtr(-z)
-    r_l = _partial_conjunction_rows(lefts, 2, 0.05)
-    r_r = _partial_conjunction_rows(rights, 2, 0.05)
+    r_l = _PCCurve(lefts, 0.05)(2)
+    r_r = _PCCurve(rights, 0.05)(2)
     rate = float((np.minimum(1.0, 2 * np.minimum(r_l, r_r)) <= 0.05).mean())
     assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / replications)

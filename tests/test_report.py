@@ -40,6 +40,13 @@ class TestParseStudies:
         assert studies[0] == StudySummary("A", 0.5, 0.2)
         assert [s.label for s in studies] == list("ABCDE")
 
+    def test_byte_order_mark(self, tmp_path):
+        # Excel writes UTF-8 CSV with a leading byte-order mark.
+        path = tmp_path / "excel.csv"
+        path.write_text("\ufefflabel,estimate,se\nA,0.5,0.2\nB,0.6,0.25\n", encoding="utf-8")
+        studies = parse_studies(str(path))
+        assert studies == [StudySummary("A", 0.5, 0.2), StudySummary("B", 0.6, 0.25)]
+
     def test_binary_file_with_zero_cell(self):
         text = (
             "label,events_t,total_t,events_c,total_c\n"

@@ -16,7 +16,7 @@ from replimeta.replicability import (
     TruncationConfig,
     fe_r_value,
     partial_conjunction_p,
-    _partial_conjunction_rows,
+    _PCCurve,
 )
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
@@ -56,8 +56,9 @@ class TestVectorizedAgainstScalar:
         matrix = rng.uniform(size=(60, 7))
         matrix[:20] = np.minimum(matrix[:20], rng.beta(0.2, 1.0, size=(20, 7)))
         for t in (0.05, 0.5, 1.0):
+            curve = _PCCurve(matrix, t)
             for u in (1, 2, 3, 7):
-                rows = _partial_conjunction_rows(matrix, u, t)
+                rows = curve(u)
                 cfg = TruncationConfig(t=t)
                 for i in range(matrix.shape[0]):
                     assert rows[i] == partial_conjunction_p(matrix[i], u, cfg)
@@ -351,6 +352,12 @@ class TestConfigAndCsv:
         scenario, tests, t = parse_scenario_config(str(path))
         assert isinstance(scenario, RandomEffectsScenario)
         assert scenario.mu == 0.2 and scenario.tau == 0.4 and scenario.n == 2
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffnc = 25 25\nnt = 25 25\nmu = 0.2\ntau = 0.4\n", encoding="utf-8")
+        scenario, _, _ = parse_scenario_config(str(path))
+        assert scenario.group_sizes == ((25, 25), (25, 25))
 
     def test_config_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from replimeta.statkernels import (
-    LOG_CEIL,
-    LOG_FLOOR,
     binomial_pmf,
-    clamp_probability,
-    gamma_cdf,
     normal_cdf,
     one_sided_p,
 )
@@ -44,42 +40,6 @@ class TestNormalCdf:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             normal_cdf(float("nan"))
-
-
-class TestGammaCdf:
-    def test_lower_limit(self):
-        assert gamma_cdf(0.0, 3.0) == 0.0
-
-    def test_exponential_case(self):
-        # shape 1 is Exp(1): F(log 5) = 1 - 1/5
-        assert abs(gamma_cdf(math.log(5.0), 1.0) - 0.8) < 1e-12
-
-    def test_shape_two_value(self):
-        # series oracle: 1 - 3*exp(-2) = 0.59399415029016192...
-        assert abs(gamma_cdf(2.0, 2.0) - 0.5939941502901619) < 1e-10
-
-    def test_poisson_sum_identity(self):
-        """For integer shape k, the survival side equals a Poisson(x) CDF at k-1."""
-        for k in (1, 2, 3, 5, 10, 25, 50):
-            for x in (0.1, 0.5, 1.0, 3.0, 10.0, 40.0):
-                term = math.exp(-x)
-                total = 0.0
-                for s in range(k):
-                    total += term
-                    term *= x / (s + 1)
-                assert abs(gamma_cdf(x, k) - (1.0 - total)) < 1e-10
-
-    def test_monotone_in_x(self):
-        values = [gamma_cdf(x, 3.5) for x in np.linspace(0, 20, 100)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gamma_cdf(-0.1, 2.0)
-        with pytest.raises(ValueError):
-            gamma_cdf(1.0, 0.0)
-        with pytest.raises(ValueError):
-            gamma_cdf(1.0, -2.0)
 
 
 class TestBinomialPmf:
@@ -144,9 +104,3 @@ class TestOneSidedP:
         with pytest.raises(ValueError):
             one_sided_p(1.0, -0.5)
 
-
-def test_clamp_probability():
-    assert clamp_probability(0.0) == LOG_FLOOR
-    assert clamp_probability(1.0) == LOG_CEIL
-    assert clamp_probability(0.3) == 0.3
-    assert math.isfinite(math.log(clamp_probability(0.0)))
