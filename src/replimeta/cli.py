@@ -22,12 +22,12 @@ from dataclasses import replace
 from . import __version__
 from .forest import format_number, render_forest
 from .meta import leave_one_out
-from .replicability import TruncationConfig, _leading_rejections, _PCCurve, delta_bound
+from .replicability import TruncationConfig, _leading_rejections, delta_bound
 from .report import (
     AnalysisRequest,
     StudyFileError,
+    _directional_curves,
     analyze,
-    directional_pvalues,
     parse_studies,
     partial_conjunction_summary,
     summary_sentence,
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     analyze_p.add_argument("--u", type=int, default=2,
                            help="replicability level to report alongside the default u=2")
     analyze_p.add_argument("--delta-bounds", action="store_true",
-                           help="also bound the effect magnitude established in u studies")
+                           help="also bound the effect magnitude established in at least two studies")
     analyze_p.add_argument("--conditional-threshold", type=float, default=None, metavar="P",
                            help="publication-bias guard: keep only p-values at or below P, rescaled")
     analyze_p.add_argument("--format", choices=("text", "json", "svg"), default="text")
@@ -132,8 +132,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         effect_measure=args.measure,
         conditional_threshold=args.conditional_threshold,
     )
-    meta_result, report, forest = analyze(request)
-    extra_pc = partial_conjunction_summary(request, args.u)
+    curves = _directional_curves(request)
+    meta_result, report, forest = analyze(request, curves)
+    extra_pc = partial_conjunction_summary(request, args.u, curves)
 
     deltas = None
     if args.delta_bounds:
@@ -281,7 +282,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
     # AnalysisRequest rejects fewer than two studies.
     request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, truncation=cfg)
-    left, right = (_PCCurve(ps, cfg.t) for ps in directional_pvalues(request))
+    left, right = _directional_curves(request)
     level = args.alpha / 2.0
     table = []
     for u in range(1, len(studies) + 1):

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
+import numpy as np
 from scipy import special
 
 from .statkernels import one_sided_p
@@ -74,38 +76,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _build_result(
-    model: str, pooled: float, se: float, alpha: float, q: float, i_squared: float, tau_squared: float
-) -> MetaAnalysisResult:
-    z_crit = float(special.ndtri(1.0 - alpha / 2.0))
-    pair = one_sided_p(pooled, se)
-    return MetaAnalysisResult(
-        model=model,
-        pooled=pooled,
-        se=se,
-        ci=(pooled - z_crit * se, pooled + z_crit * se),
-        p_two_sided=2.0 * min(pair.left, pair.right),
-        q=q,
-        i_squared=i_squared,
-        tau_squared=tau_squared,
-    )
-
-
 def fixed_effect_meta(studies: Sequence[StudySummary], alpha: float = 0.05) -> MetaAnalysisResult:
     """Inverse-variance pooled estimate under a common true effect."""
     studies = list(studies)
     if not studies:
         raise ValueError("at least one study is required")
     _check_alpha(alpha)
-    weights = [1.0 / s.se**2 for s in studies]
-    total = sum(weights)
-    pooled = sum(w * s.theta_hat for w, s in zip(weights, studies)) / total
-    se = 1.0 / math.sqrt(total)
-    if len(studies) >= 2:
-        q, i_squared = heterogeneity(studies)
-    else:
-        q, i_squared = 0.0, 0.0
-    return _build_result("fixed", pooled, se, alpha, q, i_squared, 0.0)
+    return _pool_studies(studies).result(0, "fixed", alpha)
 
 
 def random_effects_meta(studies: Sequence[StudySummary], alpha: float = 0.05) -> MetaAnalysisResult:
@@ -118,16 +95,7 @@ def random_effects_meta(studies: Sequence[StudySummary], alpha: float = 0.05) ->
     if len(studies) < 2:
         raise ValueError("random-effects model requires at least two studies")
     _check_alpha(alpha)
-    q, i_squared = heterogeneity(studies)
-    weights = [1.0 / s.se**2 for s in studies]
-    total = sum(weights)
-    c = total - sum(w * w for w in weights) / total
-    tau_squared = max(0.0, (q - (len(studies) - 1)) / c) if c > 0 else 0.0
-    re_weights = [1.0 / (s.se**2 + tau_squared) for s in studies]
-    re_total = sum(re_weights)
-    pooled = sum(w * s.theta_hat for w, s in zip(re_weights, studies)) / re_total
-    se = 1.0 / math.sqrt(re_total)
-    return _build_result("random", pooled, se, alpha, q, i_squared, tau_squared)
+    return _pool_studies(studies).result(0, "random", alpha)
 
 
 def heterogeneity(studies: Sequence[StudySummary]) -> tuple[float, float]:
@@ -139,12 +107,8 @@ def heterogeneity(studies: Sequence[StudySummary]) -> tuple[float, float]:
     studies = list(studies)
     if len(studies) < 2:
         raise ValueError("heterogeneity requires at least two studies")
-    weights = [1.0 / s.se**2 for s in studies]
-    total = sum(weights)
-    pooled = sum(w * s.theta_hat for w, s in zip(weights, studies)) / total
-    q = sum(w * (s.theta_hat - pooled) ** 2 for w, s in zip(weights, studies))
-    i_squared = max(0.0, (q - (len(studies) - 1)) / q) if q > 0 else 0.0
-    return q, i_squared
+    pooled = _pool_studies(studies)
+    return float(pooled.q[0]), float(pooled.i_squared[0])
 
 
 def q_test_p_value(q: float, n_studies: int) -> float:
@@ -154,23 +118,157 @@ def q_test_p_value(q: float, n_studies: int) -> float:
     return float(special.chdtrc(n_studies - 1, q))
 
 
+# leave_one_out pools at most this many estimates (an 8 MB matrix) per call,
+# so its working memory stays near 75 MB whatever the number of studies.
+_BLOCK_ELEMENTS = 1 << 20
+
+
 def leave_one_out(
     studies: Sequence[StudySummary], model: str = "fixed", alpha: float = 0.05
 ) -> list[MetaAnalysisResult]:
     """Refit the chosen model n times, omitting one study each time.
 
     Result i corresponds to the analysis without study i, in input order.
+    The n refits are the rows of pooling calls on blocks of leave-one-out
+    sets, each block of at most ``_BLOCK_ELEMENTS`` estimates.
     """
     studies = list(studies)
-    if len(studies) < 3:
+    n = len(studies)
+    if n < 3:
         raise ValueError("leave-one-out requires at least three studies")
-    if model == "fixed":
-        fit = fixed_effect_meta
-    elif model == "random":
-        fit = random_effects_meta
-    else:
+    if model not in ("fixed", "random"):
         raise ValueError(f"model must be 'fixed' or 'random', got {model!r}")
-    return [fit(studies[:i] + studies[i + 1 :], alpha) for i in range(len(studies))]
+    theta_hat, se = _study_rows(studies)
+    columns = np.arange(n - 1)
+    step = max(1, _BLOCK_ELEMENTS // (n - 1))
+    results = []
+    for first in range(0, n, step):
+        omitted = np.arange(first, min(first + step, n))
+        # Row i keeps every study but i, in input order.
+        keep = columns + (columns >= omitted[:, None])
+        pooled = _pool_rows(theta_hat[keep], se[keep])
+        results += [pooled.result(i, model, alpha) for i in range(len(omitted))]
+    return results
+
+
+def _ordered_sum(columns: Iterable) -> np.ndarray:
+    # Study order, as ``sum`` adds a list; pairwise np.sum and BLAS products
+    # add in other orders and change the last bits.
+    total = 0.0
+    for column in columns:
+        total = total + column
+    return total
+
+
+@dataclass(frozen=True, eq=False)
+class _Pooled:
+    """Per-row results of ``_pool_rows``; each array has one value per row.
+
+    ``_pool_rows`` computes the fixed-effect estimate and se. Q, I-squared,
+    tau-squared and the random-effects estimate and se are computed on first
+    use, so a caller that needs only the fixed-effect estimate pays for
+    nothing else. With a shared se row, ``total`` and ``fe_se`` depend on no
+    row and are scalars.
+    """
+
+    theta_hat: np.ndarray
+    var: np.ndarray
+    w: np.ndarray
+    total: np.ndarray
+    fe: np.ndarray
+    fe_se: np.ndarray
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Cochran's Q, 0 for one study."""
+        w, theta_hat, n = self.w, self.theta_hat, self.theta_hat.shape[1]
+        if n < 2:
+            return np.zeros_like(self.fe)
+        return _ordered_sum(
+            w[..., j] * np.float_power(theta_hat[:, j] - self.fe, 2.0) for j in range(n)
+        )
+
+    @cached_property
+    def i_squared(self) -> np.ndarray:
+        q, n = self.q, self.theta_hat.shape[1]
+        # fmax(x, 0.0) is max(0.0, x): negative values and NaN become 0.0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(q > 0.0, np.fmax((q - (n - 1)) / q, 0.0), 0.0)
+
+    @cached_property
+    def tau_squared(self) -> np.ndarray:
+        """The DerSimonian-Laird estimate, truncated at zero."""
+        w, total, n = self.w, self.total, self.theta_hat.shape[1]
+        c = total - _ordered_sum(w[..., j] * w[..., j] for j in range(n)) / total
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(c > 0.0, np.fmax((self.q - (n - 1)) / c, 0.0), 0.0)
+
+    @cached_property
+    def re(self) -> np.ndarray:
+        theta_hat = self.theta_hat
+        return _ordered_sum(
+            self._re_weight(j) * theta_hat[:, j] for j in range(theta_hat.shape[1])
+        ) / self._re_total
+
+    @property
+    def re_se(self) -> np.ndarray:
+        return 1.0 / np.sqrt(self._re_total)
+
+    @cached_property
+    def _re_total(self) -> np.ndarray:
+        return _ordered_sum(self._re_weight(j) for j in range(self.theta_hat.shape[1]))
+
+    def _re_weight(self, j: int) -> np.ndarray:
+        return 1.0 / (self.var[..., j] + self.tau_squared)
+
+    def result(self, row: int, model: str, alpha: float) -> MetaAnalysisResult:
+        """The fixed-effect or random-effects result of one row."""
+        if model == "fixed":
+            pooled, se, tau_squared = self.fe[row], self.fe_se[row], 0.0
+        else:
+            pooled, se, tau_squared = self.re[row], self.re_se[row], self.tau_squared[row]
+        pooled, se = float(pooled), float(se)
+        z_crit = float(special.ndtri(1.0 - alpha / 2.0))
+        pair = one_sided_p(pooled, se)
+        return MetaAnalysisResult(
+            model=model,
+            pooled=pooled,
+            se=se,
+            ci=(pooled - z_crit * se, pooled + z_crit * se),
+            p_two_sided=2.0 * min(pair.left, pair.right),
+            q=float(self.q[row]),
+            i_squared=float(self.i_squared[row]),
+            tau_squared=float(tau_squared),
+        )
+
+
+def _pool_rows(theta_hat: np.ndarray, se: np.ndarray) -> _Pooled:
+    """Inverse-variance pooling of every row of a (rows, n) estimate matrix.
+
+    ``se`` is one row of n standard errors shared by all rows, or a matrix of
+    ``theta_hat``'s shape. Per row: the fixed-effect estimate and se, Cochran's
+    Q and I-squared (both 0 for one study), the DerSimonian-Laird tau-squared
+    truncated at zero, and the random-effects estimate and se. Sums run in
+    study order and squares use libm ``pow`` (``np.square`` rounds
+    differently), so results equal the Python-float formulas bit for bit.
+    """
+    n = theta_hat.shape[1]
+    var = np.float_power(se, 2.0)
+    w = 1.0 / var
+    total = _ordered_sum(w[..., j] for j in range(n))
+    fe = _ordered_sum(w[..., j] * theta_hat[:, j] for j in range(n)) / total
+    return _Pooled(theta_hat, var, w, total, fe, 1.0 / np.sqrt(total))
+
+
+def _study_rows(studies: Sequence[StudySummary]) -> np.ndarray:
+    """A (2, n) array: the estimates, then the standard errors, in study order."""
+    return np.array([[s.theta_hat for s in studies], [s.se for s in studies]], dtype=float)
+
+
+def _pool_studies(studies: Sequence[StudySummary]) -> _Pooled:
+    """``_pool_rows`` called with the studies as its one row."""
+    theta_hat, se = _study_rows(studies)
+    return _pool_rows(theta_hat[None, :], se[None, :])
 
 
 def binary_to_log_effect(

@@ -20,7 +20,6 @@ from .meta import (
     StudySummary,
     binary_to_log_effect,
     fixed_effect_meta,
-    heterogeneity,
     q_test_p_value,
     random_effects_meta,
 )
@@ -158,48 +157,53 @@ def directional_pvalues(request: AnalysisRequest) -> tuple[list[float], list[flo
     return left, right
 
 
-def partial_conjunction_summary(request: AnalysisRequest, u: int) -> dict:
+def _directional_curves(request: AnalysisRequest) -> tuple[_PCCurve, _PCCurve]:
+    """The left and right partial-conjunction curves of the request's studies."""
+    left, right = (_PCCurve(ps, request.truncation.t) for ps in directional_pvalues(request))
+    return left, right
+
+
+def partial_conjunction_summary(
+    request: AnalysisRequest, u: int, curves: tuple[_PCCurve, _PCCurve] | None = None
+) -> dict:
     """Directional and combined p-values at level u for the request's studies.
 
     Uses the same (possibly conditionally filtered) p-value lists as analyze,
-    so the numbers are consistent with the main report.
+    so the numbers are consistent with the main report. ``curves`` are the
+    request's directional curves when the caller has them already.
     """
     if not 1 <= u <= len(request.studies):
         raise ValueError(f"u must be in [1, {len(request.studies)}], got {u}")
-    t = request.truncation.t
-    r_left, r_right = (float(_PCCurve(ps, t)(u)[0]) for ps in directional_pvalues(request))
+    r_left, r_right = (float(curve(u)[0]) for curve in curves or _directional_curves(request))
     return {
         "u": u,
         "r_left": r_left,
         "r_right": r_right,
         "r": min(1.0, 2.0 * min(r_left, r_right)),
-        "t": t,
+        "t": request.truncation.t,
     }
 
 
 def analyze(
-    request: AnalysisRequest,
+    request: AnalysisRequest, curves: tuple[_PCCurve, _PCCurve] | None = None
 ) -> tuple[MetaAnalysisResult, ReplicabilityReport, AnnotatedForest]:
     """Run the meta-analysis and the replicability add-ons for one request.
 
     ``model='auto'`` picks the random-effects model when the estimated
     heterogeneity fraction is positive and the fixed-effect model otherwise;
-    the resulting model is recorded on the returned result.
+    the resulting model is recorded on the returned result. ``curves`` are
+    the request's directional curves when the caller has them already.
     """
     studies = list(request.studies)
     alpha = request.alpha
-    cfg = request.truncation
 
     model = request.model
-    if model == "auto":
-        _, i_squared = heterogeneity(studies)
-        model = "random" if i_squared > 0 else "fixed"
-    if model == "fixed":
+    fit = fixed_effect_meta if model == "fixed" else random_effects_meta
+    meta_result = fit(studies, alpha)
+    if model == "auto" and meta_result.i_squared == 0.0:
         meta_result = fixed_effect_meta(studies, alpha)
-    else:
-        meta_result = random_effects_meta(studies, alpha)
 
-    left, right = (_PCCurve(ps, cfg.t) for ps in directional_pvalues(request))
+    left, right = curves or _directional_curves(request)
     r2 = min(1.0, 2.0 * min(float(left(2)[0]), float(right(2)[0])))
     u_max_left = _leading_rejections(left, alpha / 2.0)
     u_max_right = _leading_rejections(right, alpha / 2.0)

@@ -23,6 +23,7 @@ import numpy as np
 
 from scipy import special
 
+from .meta import _pool_rows
 from .replicability import TruncationConfig, _PCCurve
 
 __all__ = [
@@ -162,26 +163,6 @@ def _draw_random(scenario: RandomEffectsScenario) -> np.ndarray:
     return scenario.mu + noise * se_eff
 
 
-def _fe_meta_p_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
-    w = 1.0 / se**2
-    z = (theta_hat @ w) / math.sqrt(w.sum())
-    return 2.0 * special.ndtr(-np.abs(z))
-
-
-def _re_meta_p_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
-    n = theta_hat.shape[1]
-    w = 1.0 / se**2
-    total = w.sum()
-    pooled_fe = (theta_hat @ w) / total
-    q = ((theta_hat - pooled_fe[:, None]) ** 2) @ w
-    c = total - (w**2).sum() / total
-    tau2 = np.maximum(0.0, (q - (n - 1)) / c)
-    w_star = 1.0 / (se[None, :] ** 2 + tau2[:, None])
-    denom = w_star.sum(axis=1)
-    z = (theta_hat * w_star).sum(axis=1) / np.sqrt(denom)
-    return 2.0 * special.ndtr(-np.abs(z))
-
-
 def _fe_pc_u2_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Common-effect partial-conjunction p-value at u=2, per row.
 
@@ -197,6 +178,10 @@ def _fe_pc_u2_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
     r_right = special.ndtr(-z.min(axis=1))
     r_left = special.ndtr(z.max(axis=1))
     return np.minimum(1.0, 2.0 * np.minimum(r_left, r_right))
+
+
+def _two_sided_p(estimate: np.ndarray, se: np.ndarray) -> np.ndarray:
+    return 2.0 * special.ndtr(-np.abs(estimate / se))
 
 
 def _curve_values(p_rows: np.ndarray, levels: set[int], t: float) -> dict[int, np.ndarray]:
@@ -229,14 +214,15 @@ def _evaluate_tests(
         z = theta_hat / se[None, :]
         r_left = _curve_values(special.ndtr(z), levels, cfg.t)
         r_right = _curve_values(special.ndtr(-z), levels, cfg.t)
+    pooled = _pool_rows(theta_hat, se) if {"meta_fe", "meta_re"} & set(tests) else None
     out: dict[str, np.ndarray] = {}
     for test_id in tests:
         if test_id == "meta_fe":
-            out[test_id] = _fe_meta_p_rows(theta_hat, se) <= alpha
+            out[test_id] = _two_sided_p(pooled.fe, pooled.fe_se) <= alpha
         elif test_id == "meta_re":
             if n < 2:
                 raise ValueError("meta_re requires at least two studies")
-            out[test_id] = _re_meta_p_rows(theta_hat, se) <= alpha
+            out[test_id] = _two_sided_p(pooled.re, pooled.re_se) <= alpha
         elif test_id == "H2n_fe":
             if n < 2:
                 raise ValueError("H2n_fe requires at least two studies")
@@ -353,16 +339,11 @@ def calibrate_tau(
     n = len(se)
     if n < 2:
         raise ValueError("calibration requires at least two studies")
-    w = 1.0 / se**2
-    total = w.sum()
     noise = _rng(seed).standard_normal((replications, n))
 
     def median_i2(tau: float) -> float:
         theta_hat = mu + noise * np.sqrt(tau**2 + se**2)
-        pooled = (theta_hat @ w) / total
-        q = ((theta_hat - pooled[:, None]) ** 2) @ w
-        i2 = np.maximum(0.0, (q - (n - 1)) / np.maximum(q, 1e-300))
-        return float(np.median(i2))
+        return float(np.median(_pool_rows(theta_hat, se).i_squared))
 
     lo, hi = 0.0, 10.0 * float(se.max())
     if median_i2(hi) < target_i_squared:
@@ -508,6 +489,27 @@ def preset(name: str, replications: int = 10_000, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"expected a number, got {token!r}") from None
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {token!r}") from None
+
+
+def _group_size(token: str) -> int:
+    value = _number(token)
+    if not value.is_integer():
+        raise ValueError(f"expected a whole number of participants, got {token!r}")
+    return int(value)
+
+
 def parse_scenario_config(
     source: str | TextIO,
 ) -> tuple[FixedEffectsScenario | RandomEffectsScenario, tuple[str, ...], float]:
@@ -517,7 +519,8 @@ def parse_scenario_config(
     scenarios), ``mu`` and ``tau`` (random scenarios), ``nc`` and ``nt``
     (control/treatment group sizes), ``replications``, ``seed``, ``t``,
     ``tests`` (whitespace separated ids), ``param``. Lines starting with ``#``
-    are comments. Returns (scenario, tests, truncation threshold).
+    are comments. Returns (scenario, tests, truncation threshold). A value
+    that does not parse raises ValueError naming its key and line.
     """
     if isinstance(source, str):
         # utf-8-sig drops the byte-order mark that Excel and some editors write.
@@ -526,7 +529,7 @@ def parse_scenario_config(
     else:
         text = source.read()
 
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -534,30 +537,39 @@ def parse_scenario_config(
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().lower()] = value.strip()
+        values[key.strip().lower()] = (lineno, value.strip())
 
-    def vector(key: str) -> tuple[float, ...]:
-        return tuple(float(tok) for tok in values[key].replace(",", " ").split())
+    def read(key: str, convert: Callable[[str], object], default: object = None):
+        if key not in values:
+            return default
+        lineno, text = values[key]
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
+
+    def vector(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+        return lambda text: tuple(convert(tok) for tok in text.replace(",", " ").split())
 
     for required in ("nc", "nt"):
         if required not in values:
             raise ValueError(f"config is missing required key {required!r}")
-    nc = vector("nc")
-    nt = vector("nt")
+    nc = read("nc", vector(_group_size))
+    nt = read("nt", vector(_group_size))
     if len(nc) != len(nt):
         raise ValueError("nc and nt must list the same number of studies")
-    group_sizes = tuple((int(c), int(t)) for c, t in zip(nc, nt))
-    replications = int(values.get("replications", "10000"))
-    seed = int(values.get("seed", "0"))
-    t = float(values.get("t", "0.05"))
-    param = float(values["param"]) if "param" in values else None
-    tests = tuple(values["tests"].replace(",", " ").split()) if "tests" in values else DEFAULT_TESTS
+    group_sizes = tuple(zip(nc, nt))
+    replications = read("replications", _integer, 10_000)
+    seed = read("seed", _integer, 0)
+    t = read("t", _number, 0.05)
+    param = read("param", _number)
+    tests = read("tests", vector(str), DEFAULT_TESTS)
 
     if "theta" in values:
         if "mu" in values or "tau" in values:
             raise ValueError("give either theta (fixed) or mu/tau (random), not both")
         scenario: FixedEffectsScenario | RandomEffectsScenario = FixedEffectsScenario(
-            theta=vector("theta"),
+            theta=read("theta", vector(_number)),
             group_sizes=group_sizes,
             replications=replications,
             seed=seed,
@@ -565,8 +577,8 @@ def parse_scenario_config(
         )
     elif "mu" in values and "tau" in values:
         scenario = RandomEffectsScenario(
-            mu=float(values["mu"]),
-            tau=float(values["tau"]),
+            mu=read("mu", _number),
+            tau=read("tau", _number),
             n=len(group_sizes),
             group_sizes=group_sizes,
             replications=replications,

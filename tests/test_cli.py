@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from replimeta import report
 from replimeta.cli import main
+from replimeta.statkernels import one_sided_p
 
 RAW_CSV = (
     "label,estimate,se\n"
@@ -70,6 +72,20 @@ class TestAnalyzeCommand:
         assert float(details["r_value"]) == pytest.approx(
             payload["replicability"]["r_value"], rel=1e-11
         )
+
+    @pytest.mark.parametrize("extra", [[], ["--u", "3", "--model", "auto", "--format", "json"]])
+    def test_directional_p_values_computed_once_per_study(
+        self, raw_file, monkeypatch, capsys, extra
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return one_sided_p(*args, **kwargs)
+
+        monkeypatch.setattr(report, "one_sided_p", counting)
+        assert main(["analyze", "--input", raw_file] + extra) == 0
+        assert len(calls) == RAW_CSV.count("\n") - 1
 
     def test_svg_output_file(self, raw_file, tmp_path, capsys):
         out = tmp_path / "plot.svg"
@@ -180,6 +196,20 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{key} must be finite" in captured.err
+
+    @pytest.mark.parametrize("line", [
+        "replications = 1e5", "seed = 0.5", "theta = 1 x", "nc = 25.7 30", "nc = 0.4 25",
+    ])
+    def test_unparsable_config_value_exits_1(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        rows = [row for row in ("theta = 1 0", "nc = 25 25", "nt = 30 30")
+                if not row.startswith(key + " ")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(["# the bad value is on line 2", line] + rows) + "\n")
+        assert main(["simulate", "--config", str(cfg), "--replications", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config line 2: {key}: " in captured.err
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["simulate"]) == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from replimeta import meta
 from replimeta.meta import (
     StudySummary,
     binary_to_log_effect,
@@ -169,6 +170,15 @@ class TestLeaveOneOut:
         significant = [r.p_two_sided <= 0.05 for r in results]
         assert significant[0] is False
         assert all(significant[1:])
+
+    @pytest.mark.parametrize("model", ["fixed", "random"])
+    def test_blocks_give_the_same_refits(self, monkeypatch, model):
+        studies = random_studies(np.random.default_rng(41), 9)
+        whole = leave_one_out(studies, model)
+        # Blocks of one, two and three rows, the last one shorter.
+        for elements in (8, 16, 24):
+            monkeypatch.setattr(meta, "_BLOCK_ELEMENTS", elements)
+            assert leave_one_out(studies, model) == whole
 
     def test_too_few(self):
         with pytest.raises(ValueError):

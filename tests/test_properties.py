@@ -1,11 +1,14 @@
-"""Property tests for the partial-conjunction curve and everything read from it.
+"""Property tests for the two row-wise kernels and everything read from them.
 
 r(u), the directional bounds, the ``bounds`` table and the simulation H-tests
-all come from one curve per direction; these tests check that curve against
-exhaustive oracles and check that the readers agree with each other.
+all come from one partial-conjunction curve per direction; the pooled
+estimates, Q, I-squared and tau-squared all come from one pooling kernel.
+These tests check both kernels against plain oracles and check that the
+readers agree with each other.
 """
 
 import json
+import math
 import os
 import tempfile
 from itertools import combinations
@@ -17,12 +20,20 @@ from hypothesis import strategies as st
 from scipy import special
 
 from replimeta.cli import main
-from replimeta.meta import StudySummary
+from replimeta.meta import (
+    StudySummary,
+    _pool_rows,
+    fixed_effect_meta,
+    heterogeneity,
+    leave_one_out,
+    random_effects_meta,
+)
 from replimeta.replicability import (
     TruncationConfig,
     _leading_rejections,
     _PCCurve,
     confidence_bounds,
+    fe_r_value,
     partial_conjunction_p,
     r_value,
     truncated_product_p,
@@ -57,6 +68,46 @@ def reference_bound(ps, level, cfg):
         if partial_conjunction_p(ps, u, cfg) > level:
             return u - 1
     return len(ps)
+
+
+def pooling_reference(pairs):
+    """Independent oracle: fixed-effect, Q/I-squared and DerSimonian-Laird pooling.
+
+    Plain Python on (estimate, se) float pairs. Sums run left to right and
+    squares are ``x ** 2`` (libm ``pow``), so the kernel must match every bit.
+    """
+
+    def add(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    n = len(pairs)
+    w = [1.0 / se**2 for _, se in pairs]
+    total = add(w)
+    fe = add(wi * x for wi, (x, _) in zip(w, pairs)) / total
+    q = add(wi * (x - fe) ** 2 for wi, (x, _) in zip(w, pairs)) if n >= 2 else 0.0
+    i_squared = max(0.0, (q - (n - 1)) / q) if q > 0 else 0.0
+    c = total - add(wi * wi for wi in w) / total
+    tau_squared = max(0.0, (q - (n - 1)) / c) if c > 0 else 0.0
+    re_w = [1.0 / (se**2 + tau_squared) for _, se in pairs]
+    re_total = add(re_w)
+    re = add(wi * x for wi, (x, _) in zip(re_w, pairs)) / re_total
+    return {
+        "fe": fe,
+        "fe_se": 1.0 / math.sqrt(total),
+        "q": q,
+        "i_squared": i_squared,
+        "tau_squared": tau_squared,
+        "re": re,
+        "re_se": 1.0 / math.sqrt(re_total),
+    }
+
+
+def bits(*values):
+    """Exact float identity, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
 
 
 def _studies(pairs):
@@ -169,11 +220,86 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
     se = rng.uniform(0.1, 1.5, size=n)
     theta_hat = rng.normal(0.0, scale, size=(100, n)) * se
     cfg = TruncationConfig(t=t)
-    tests = ("H1n", "H2n", "H3n", "inconsistency_detected")
+    tests = ("H1n", "H2n", "H3n", "inconsistency_detected", "meta_fe", "meta_re")
     out = _evaluate_tests(theta_hat, se, tests, cfg)
     z = theta_hat / se[None, :]
     for i in range(theta_hat.shape[0]):
+        studies = _studies(zip(theta_hat[i].tolist(), se.tolist()))
+        assert out["meta_fe"][i] == (fixed_effect_meta(studies).p_two_sided <= cfg.alpha)
+        assert out["meta_re"][i] == (random_effects_meta(studies).p_two_sided <= cfg.alpha)
         left, right = special.ndtr(z[i]), special.ndtr(-z[i])
         for u in (1, 2, 3):
             assert out[f"H{u}n"][i] == (r_value(left, right, u, cfg).r <= cfg.alpha)
         assert out["inconsistency_detected"][i] == (min(confidence_bounds(left, right, cfg)) >= 1)
+
+
+def full_mantissas(low, high):
+    """Floats with every mantissa bit drawn, scaled by 2**low .. 2**high.
+
+    Squares of such values are where ``x ** 2`` (libm ``pow``) and ``x * x``
+    differ, about once in a thousand.
+    """
+    return st.builds(
+        lambda k, e: k * 2.0 ** (e - 52), st.integers(2**52, 2**53 - 1), st.integers(low, high)
+    )
+
+
+# Estimates and standard errors over many orders of magnitude, so that the
+# summation order and the rounding of squares show in the last bits.
+SPREAD_STUDIES = st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(-1e6, 1e6), full_mantissas(-20, 20), full_mantissas(-20, 20).map(lambda x: -x)
+        ),
+        st.one_of(st.floats(1e-4, 1e4), full_mantissas(-13, 13)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _fit_bits(result):
+    return bits(result.pooled, result.se, result.q, result.i_squared, result.tau_squared)
+
+
+def _reference_bits(ref, model):
+    if model == "fixed":
+        return bits(ref["fe"], ref["fe_se"], ref["q"], ref["i_squared"], 0.0)
+    return bits(ref["re"], ref["re_se"], ref["q"], ref["i_squared"], ref["tau_squared"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=SPREAD_STUDIES)
+@example(pairs=[(-0.0, 0.3)])
+@example(pairs=[(1.5, 0.2), (-2.0, 3.0)])
+@example(pairs=[(1.0, 1e-4), (2.0, 1e4), (-3.0, 1e4)])
+# pow and x * x round these squares differently: the se itself, then the
+# deviations from the fixed-effect estimate.
+@example(pairs=[(1.0, 0.9663597082455543)])
+@example(pairs=[(2.93, 0.5), (-0.734, 0.25), (1.967, 1.0)])
+def test_scalar_pooling_equals_reference_bitwise(pairs):
+    studies = _studies(pairs)
+    n = len(pairs)
+    ref = pooling_reference(pairs)
+    kernel = _pool_rows(np.array([[x for x, _ in pairs]]), np.array([[se for _, se in pairs]]))
+    assert bits(*(getattr(kernel, key)[0] for key in ref)) == bits(*ref.values())
+    assert _fit_bits(fixed_effect_meta(studies)) == _reference_bits(ref, "fixed")
+    if n >= 2:
+        assert _fit_bits(random_effects_meta(studies)) == _reference_bits(ref, "random")
+        assert bits(*heterogeneity(studies)) == bits(ref["q"], ref["i_squared"])
+    if n >= 3:
+        for model in ("fixed", "random"):
+            for i, result in enumerate(leave_one_out(studies, model)):
+                without_i = pooling_reference(pairs[:i] + pairs[i + 1 :])
+                assert _fit_bits(result) == _reference_bits(without_i, model)
+
+
+@PROPERTY
+@given(
+    pairs=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=2, max_size=7)
+)
+def test_pooled_p_value_never_exceeds_common_effect_r_value(pairs):
+    studies = _studies(pairs)
+    p = fixed_effect_meta(studies).p_two_sided
+    for u in range(2, len(studies) + 1):
+        assert p <= fe_r_value(studies, u).r

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from replimeta.forest import AnnotatedForest, ForestRow, render_forest
-from replimeta.meta import StudySummary
+from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
 from replimeta.replicability import ReplicabilityReport, TruncationConfig
 from replimeta.report import (
     AnalysisRequest,
@@ -135,6 +135,14 @@ class TestAnalyze:
         meta_x, _, _ = analyze(AnalysisRequest(studies=hetero, model="auto"))
         assert meta_h.model == "fixed"
         assert meta_x.model == "random"
+
+    def test_auto_model_is_the_chosen_fit(self):
+        homogeneous = studies_from((0.5, 0.2), (0.5, 0.2), (0.5, 0.2))
+        hetero = studies_from((0.9, 0.1), (-0.2, 0.1), (0.5, 0.1))
+        auto_h = analyze(AnalysisRequest(studies=homogeneous, model="auto"))[0]
+        auto_x = analyze(AnalysisRequest(studies=hetero, model="auto"))[0]
+        assert auto_h == fixed_effect_meta(homogeneous)
+        assert auto_x == random_effects_meta(hetero)
 
     def test_confidence_matches_alpha(self):
         _, report, _ = analyze(AnalysisRequest(studies=WEAK, alpha=0.10))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
+from replimeta.meta import StudySummary, _pool_rows
 from replimeta.replicability import (
     TruncationConfig,
     fe_r_value,
@@ -22,9 +22,7 @@ from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
     RandomEffectsScenario,
-    _fe_meta_p_rows,
     _fe_pc_u2_rows,
-    _re_meta_p_rows,
     calibrate_tau,
     inconsistency_probability,
     parse_scenario_config,
@@ -36,6 +34,7 @@ from replimeta.simulation import (
     truncation_comparison,
     write_power_csv,
 )
+from test_properties import bits, pooling_reference
 
 
 class TestVectorizedAgainstScalar:
@@ -63,17 +62,21 @@ class TestVectorizedAgainstScalar:
                 for i in range(matrix.shape[0]):
                     assert rows[i] == partial_conjunction_p(matrix[i], u, cfg)
 
+    def _reference_rows(self):
+        se = self.se.tolist()
+        return [pooling_reference(list(zip(row, se))) for row in self.theta_hat.tolist()]
+
     def test_fe_meta_rows(self):
-        p_rows = _fe_meta_p_rows(self.theta_hat, self.se)
-        for i in range(self.theta_hat.shape[0]):
-            expected = fixed_effect_meta(self._studies(self.theta_hat[i])).p_two_sided
-            assert abs(p_rows[i] - expected) < 1e-12
+        pooled = _pool_rows(self.theta_hat, self.se)
+        for i, ref in enumerate(self._reference_rows()):
+            assert bits(pooled.fe[i], pooled.fe_se) == bits(ref["fe"], ref["fe_se"])
 
     def test_re_meta_rows(self):
-        p_rows = _re_meta_p_rows(self.theta_hat, self.se)
-        for i in range(self.theta_hat.shape[0]):
-            expected = random_effects_meta(self._studies(self.theta_hat[i])).p_two_sided
-            assert abs(p_rows[i] - expected) < 1e-12
+        pooled = _pool_rows(self.theta_hat, self.se)
+        keys = ("q", "i_squared", "tau_squared", "re", "re_se")
+        for i, ref in enumerate(self._reference_rows()):
+            got = [getattr(pooled, key)[i] for key in keys]
+            assert bits(*got) == bits(*(ref[key] for key in keys))
 
     def test_fe_pc_u2_rows(self):
         r_rows = _fe_pc_u2_rows(self.theta_hat, self.se)
@@ -370,6 +373,31 @@ class TestConfigAndCsv:
         bad.write_text("theta = 1\nmu = 0\ntau = 1\nnc = 25\nnt = 25\n")
         with pytest.raises(ValueError):
             parse_scenario_config(str(bad))
+
+    @pytest.mark.parametrize("line, key", [
+        ("replications = 1e5", "replications"),
+        ("seed = 1.5", "seed"),
+        ("theta = 1 x", "theta"),
+        ("t = x", "t"),
+        ("param = high", "param"),
+        ("nc = 25.7 30", "nc"),
+        ("nc = 0.4 25", "nc"),
+        ("nt = inf 25", "nt"),
+    ])
+    def test_bad_value_names_key_and_line(self, line, key):
+        rows = [row for row in ("theta = 1 0", "nc = 25 25", "nt = 30 30")
+                if not row.startswith(key + " ")]
+        text = "\n".join(["# the bad value is on line 2", line] + rows) + "\n"
+        with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):
+            parse_scenario_config(io.StringIO(text))
+
+    def test_random_config_value_names_key_and_line(self):
+        with pytest.raises(ValueError, match=r"^config line 2: tau: expected a number, got '0.3x'"):
+            parse_scenario_config(io.StringIO("mu = 0\ntau = 0.3x\nnc = 25\nnt = 25\n"))
+
+    def test_whole_group_sizes_written_as_decimals_still_parse(self):
+        scenario, _, _ = parse_scenario_config(io.StringIO("theta = 1\nnc = 25.0\nnt = 3e1\n"))
+        assert scenario.group_sizes == ((25, 30),)
 
     def test_csv_output(self):
         scenario = FixedEffectsScenario(
