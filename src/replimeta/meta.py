@@ -47,6 +47,11 @@ class StudySummary:
             raise ValueError(f"study {self.label!r}: effect estimate must be finite")
         if not (math.isfinite(self.se) and self.se > 0):
             raise ValueError(f"study {self.label!r}: se must be positive, got {self.se}")
+        if not _has_finite_weight(self.se):
+            raise ValueError(
+                f"study {self.label!r}: se^2 and 1/se^2 must be finite and positive, "
+                f"got se = {self.se}"
+            )
         if self.counts is not None:
             events_t, total_t, events_c, total_c = self.counts
             if any(c < 0 or c != int(c) for c in self.counts):
@@ -55,6 +60,15 @@ class StudySummary:
                 raise ValueError(f"study {self.label!r}: group totals must be positive")
             if events_t > total_t or events_c > total_c:
                 raise ValueError(f"study {self.label!r}: events cannot exceed group totals")
+
+
+def _has_finite_weight(se: float) -> bool:
+    """Whether se**2 and the inverse-variance weight 1/se**2 are finite and positive."""
+    try:
+        var = se**2
+    except OverflowError:
+        return False
+    return var > 0.0 and 1.0 / var < math.inf
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,7 @@ def leave_one_out(
         raise ValueError("leave-one-out requires at least three studies")
     if model not in ("fixed", "random"):
         raise ValueError(f"model must be 'fixed' or 'random', got {model!r}")
+    _check_alpha(alpha)
     theta_hat, se = _study_rows(studies)
     columns = np.arange(n - 1)
     step = max(1, _BLOCK_ELEMENTS // (n - 1))
@@ -191,8 +206,9 @@ class _Pooled:
     @cached_property
     def i_squared(self) -> np.ndarray:
         q, n = self.q, self.theta_hat.shape[1]
-        # fmax(x, 0.0) is max(0.0, x): negative values and NaN become 0.0.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax(x, 0.0) is max(0.0, x): negative values and NaN become 0.0,
+        # and so does the -inf that a subnormal Q gives.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.where(q > 0.0, np.fmax((q - (n - 1)) / q, 0.0), 0.0)
 
     @cached_property

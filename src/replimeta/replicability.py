@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Literal, Sequence
 
 import numpy as np
 
 from scipy import special
 
+from . import meta
 from .meta import StudySummary
 from .statkernels import LOG_CEIL, LOG_FLOOR, binomial_pmf, normal_cdf, one_sided_p
 
@@ -266,13 +267,55 @@ def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:
     return "insufficient_evidence"
 
 
+# Python floats overflow to inf, and inf - inf gives NaN, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
+def _fe_z_extremes(
+    theta_hat: np.ndarray, se: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest pooled z over every ``size``-subset of columns, per row.
+
+    ``theta_hat`` is a (rows, n) estimate matrix and ``se`` one row of n
+    standard errors shared by all rows. A subset's pooled z is
+    sum(w * theta) / sqrt(sum(w)) with w = 1 / se**2. Weights square with
+    libm ``pow`` and each subset's sums run in ascending column order, so the
+    result equals the Python-float formulas bit for bit. Subsets are pooled in
+    blocks of at most ``meta._BLOCK_ELEMENTS`` elements (at least one subset).
+    """
+    rows, n = theta_hat.shape
+    w = 1.0 / np.float_power(se, 2.0)
+    # (n, rows), so that gathering a study is a contiguous copy. Adding 0.0
+    # turns -0.0 into 0.0, as Python's sum, which starts from 0, does.
+    weighted = np.empty((n, rows))
+    np.multiply(theta_hat.T, w[:, None], out=weighted)
+    weighted += 0.0
+    z_min = np.full(rows, math.inf)
+    z_max = np.full(rows, -math.inf)
+    step = max(1, meta._BLOCK_ELEMENTS // (rows + size))
+    subsets = combinations(range(n), size)
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(subsets, step)), dtype=np.intp)
+        if not block.size:
+            return z_min, z_max
+        block = block.reshape(-1, size)
+        num = weighted[block[:, 0]]
+        den = w[block[:, 0]]
+        for j in range(1, size):
+            num += weighted[block[:, j]]
+            den += w[block[:, j]]
+        z = num / np.sqrt(den)[:, None]
+        # fmin/fmax pass over NaN, as the comparisons of a Python loop do.
+        np.fmin(z_min, np.fmin.reduce(z, axis=0), out=z_min)
+        np.fmax(z_max, np.fmax.reduce(z, axis=0), out=z_max)
+
+
 def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionResult:
     """Partial-conjunction p-values using the common-effect pooled statistic.
 
     Every (n-u+1)-subset is pooled by inverse variance and tested one-sidedly;
-    the directional p-value is the maximum over subsets. There is no sorting
-    shortcut for this statistic, so subsets are enumerated exactly, up to
-    ``SUBSET_ENUMERATION_CAP`` per side.
+    the directional p-value is the maximum over subsets, that is, the p-value
+    of the least significant subset. There is no sorting shortcut for this
+    statistic, so ``_fe_z_extremes`` enumerates the subsets exactly, up to
+    ``SUBSET_ENUMERATION_CAP`` of them.
     """
     studies = list(studies)
     n = len(studies)
@@ -287,21 +330,11 @@ def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionRes
             f"enumeration needs {needed} subsets per side, exceeding the cap of "
             f"{SUBSET_ENUMERATION_CAP}"
         )
-    weights = [1.0 / s.se**2 for s in studies]
-    weighted_theta = [w * s.theta_hat for w, s in zip(weights, studies)]
-    z_min = math.inf
-    z_max = -math.inf
-    for subset in combinations(range(n), size):
-        denom = sum(weights[i] for i in subset)
-        z = sum(weighted_theta[i] for i in subset) / math.sqrt(denom)
-        if z < z_min:
-            z_min = z
-        if z > z_max:
-            z_max = z
-    # The least significant subset per side: right-sided p is largest at the
-    # smallest pooled z, left-sided at the largest.
-    r_right = normal_cdf(-z_min)
-    r_left = normal_cdf(z_max)
+    theta_hat, se = meta._study_rows(studies)
+    z_min, z_max = _fe_z_extremes(theta_hat[None, :], se, size)
+    # Right-sided p is largest at the smallest pooled z, left-sided at the largest.
+    r_right = normal_cdf(-float(z_min[0]))
+    r_left = normal_cdf(float(z_max[0]))
     return PartialConjunctionResult(
         u=u,
         r_left=r_left,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .meta import _pool_rows
-from .replicability import TruncationConfig, _PCCurve
+from .replicability import TruncationConfig, _fe_z_extremes, _PCCurve
 
 __all__ = [
     "BENCHMARK_GROUP_SIZES",
@@ -163,23 +163,6 @@ def _draw_random(scenario: RandomEffectsScenario) -> np.ndarray:
     return scenario.mu + noise * se_eff
 
 
-def _fe_pc_u2_rows(theta_hat: np.ndarray, se: np.ndarray) -> np.ndarray:
-    """Common-effect partial-conjunction p-value at u=2, per row.
-
-    The (n-1)-subsets are exactly the leave-one-out sets, so the pooled z of
-    each is the full-set sums minus one study's contribution.
-    """
-    w = 1.0 / se**2
-    total = w.sum()
-    full_num = theta_hat @ w
-    nums = full_num[:, None] - theta_hat * w[None, :]
-    denoms = total - w
-    z = nums / np.sqrt(denoms)
-    r_right = special.ndtr(-z.min(axis=1))
-    r_left = special.ndtr(z.max(axis=1))
-    return np.minimum(1.0, 2.0 * np.minimum(r_left, r_right))
-
-
 def _two_sided_p(estimate: np.ndarray, se: np.ndarray) -> np.ndarray:
     return 2.0 * special.ndtr(-np.abs(estimate / se))
 
@@ -226,7 +209,10 @@ def _evaluate_tests(
         elif test_id == "H2n_fe":
             if n < 2:
                 raise ValueError("H2n_fe requires at least two studies")
-            out[test_id] = _fe_pc_u2_rows(theta_hat, se) <= alpha
+            # The (n-1)-subsets of the common-effect test at u = 2.
+            z_min, z_max = _fe_z_extremes(theta_hat, se, n - 1)
+            r_fe = np.minimum(1.0, 2.0 * np.minimum(special.ndtr(z_max), special.ndtr(-z_min)))
+            out[test_id] = r_fe <= alpha
         elif test_id == "inconsistency_detected":
             out[test_id] = (r_left[1] <= alpha / 2.0) & (r_right[1] <= alpha / 2.0)
         else:

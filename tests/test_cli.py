@@ -138,6 +138,16 @@ class TestAnalyzeCommand:
     def test_bad_alpha_exits_1(self, raw_file, capsys):
         assert main(["analyze", "--input", raw_file, "--alpha", "2.0"]) == 1
 
+    # The square of 1e-170 underflows to 0 and the square of 1e160 overflows.
+    @pytest.mark.parametrize("se", ["1e-170", "1e160"])
+    def test_se_outside_the_weight_range_exits_1_with_row_number(self, tmp_path, capsys, se):
+        path = tmp_path / "extreme.csv"
+        path.write_text(f"label,estimate,se\nA,0.5,{se}\nB,0.6,0.25\nC,0.4,0.2\n")
+        assert main(["analyze", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "row 2" in err and "se" in err
+        assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_preset_deterministic_bytes(self, tmp_path):
@@ -261,6 +271,13 @@ class TestLooCommand:
         path = tmp_path / "two.csv"
         path.write_text("label,estimate,se\nA,0.5,0.2\nB,0.6,0.25\n")
         assert main(["loo", "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_bad_alpha_exits_1(self, raw_file, capsys, alpha):
+        assert main(["loo", "--input", raw_file, "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert "alpha" in captured.err
+        assert captured.out == ""
 
 
 def test_version_flag(capsys):

@@ -36,6 +36,16 @@ class TestStudySummary:
         with pytest.raises(ValueError):
             StudySummary("bad", 1.0, 1.0, counts=(1, 0, 1, 10))
 
+    # 1e-160 squares to a subnormal whose inverse overflows; 5e-324 squares to 0.
+    @pytest.mark.parametrize("se", [1e-170, 1e-160, 5e-324, 1e160])
+    def test_se_without_a_finite_weight_rejected(self, se):
+        with pytest.raises(ValueError, match="1/se"):
+            StudySummary("bad", 1.0, se)
+
+    def test_extreme_se_with_a_finite_weight_accepted(self):
+        for se in (1e-150, 1e150):
+            assert StudySummary("ok", 1.0, se).se == se
+
     def test_counts_accepted(self):
         s = StudySummary("ok", 0.2, 0.1, counts=(3, 10, 2, 12))
         assert s.counts == (3, 10, 2, 12)
@@ -187,6 +197,11 @@ class TestLeaveOneOut:
     def test_bad_model(self):
         with pytest.raises(ValueError):
             leave_one_out(make((1, 1), (1, 1), (1, 1)), model="bayes")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            leave_one_out(make((1, 1), (1, 1), (1, 1)), alpha=alpha)
 
 
 class TestBinaryToLogEffect:

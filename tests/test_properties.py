@@ -1,10 +1,11 @@
-"""Property tests for the two row-wise kernels and everything read from them.
+"""Property tests for the row-wise kernels and everything read from them.
 
 r(u), the directional bounds, the ``bounds`` table and the simulation H-tests
 all come from one partial-conjunction curve per direction; the pooled
-estimates, Q, I-squared and tau-squared all come from one pooling kernel.
-These tests check both kernels against plain oracles and check that the
-readers agree with each other.
+estimates, Q, I-squared and tau-squared all come from one pooling kernel; the
+common-effect r-values and the simulation's ``H2n_fe`` come from one
+subset-pooling kernel. These tests check the kernels against plain oracles and
+check that the readers agree with each other.
 """
 
 import json
@@ -31,6 +32,7 @@ from replimeta.meta import (
 from replimeta.replicability import (
     TruncationConfig,
     _leading_rejections,
+    _fe_z_extremes,
     _PCCurve,
     confidence_bounds,
     fe_r_value,
@@ -40,6 +42,7 @@ from replimeta.replicability import (
 )
 from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
 from replimeta.simulation import _evaluate_tests
+from replimeta.statkernels import normal_cdf
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
 ALPHAS = st.sampled_from([0.05, 0.2])
@@ -103,6 +106,26 @@ def pooling_reference(pairs):
         "re": re,
         "re_se": 1.0 / math.sqrt(re_total),
     }
+
+
+def common_effect_reference(pairs, size):
+    """Independent oracle: the smallest and largest pooled z over every size-subset.
+
+    Plain Python on (estimate, se) float pairs: each subset is pooled with
+    ``sum`` and ``x ** 2`` (libm ``pow``), so the kernel must match every bit.
+    """
+    weights = [1.0 / se**2 for _, se in pairs]
+    weighted_theta = [w * x for w, (x, _) in zip(weights, pairs)]
+    z_min = math.inf
+    z_max = -math.inf
+    for subset in combinations(range(len(pairs)), size):
+        denom = sum(weights[i] for i in subset)
+        z = sum(weighted_theta[i] for i in subset) / math.sqrt(denom)
+        if z < z_min:
+            z_min = z
+        if z > z_max:
+            z_max = z
+    return z_min, z_max
 
 
 def bits(*values):
@@ -220,11 +243,15 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
     se = rng.uniform(0.1, 1.5, size=n)
     theta_hat = rng.normal(0.0, scale, size=(100, n)) * se
     cfg = TruncationConfig(t=t)
-    tests = ("H1n", "H2n", "H3n", "inconsistency_detected", "meta_fe", "meta_re")
+    tests = ("H1n", "H2n", "H2n_fe", "H3n", "inconsistency_detected", "meta_fe", "meta_re")
     out = _evaluate_tests(theta_hat, se, tests, cfg)
     z = theta_hat / se[None, :]
     for i in range(theta_hat.shape[0]):
-        studies = _studies(zip(theta_hat[i].tolist(), se.tolist()))
+        pairs = list(zip(theta_hat[i].tolist(), se.tolist()))
+        studies = _studies(pairs)
+        z_min, z_max = common_effect_reference(pairs, n - 1)
+        r_fe = min(1.0, 2.0 * min(special.ndtr(z_max), special.ndtr(-z_min)))
+        assert out["H2n_fe"][i] == (r_fe <= cfg.alpha)
         assert out["meta_fe"][i] == (fixed_effect_meta(studies).p_two_sided <= cfg.alpha)
         assert out["meta_re"][i] == (random_effects_meta(studies).p_two_sided <= cfg.alpha)
         left, right = special.ndtr(z[i]), special.ndtr(-z[i])
@@ -246,16 +273,11 @@ def full_mantissas(low, high):
 
 # Estimates and standard errors over many orders of magnitude, so that the
 # summation order and the rounding of squares show in the last bits.
-SPREAD_STUDIES = st.lists(
-    st.tuples(
-        st.one_of(
-            st.floats(-1e6, 1e6), full_mantissas(-20, 20), full_mantissas(-20, 20).map(lambda x: -x)
-        ),
-        st.one_of(st.floats(1e-4, 1e4), full_mantissas(-13, 13)),
-    ),
-    min_size=1,
-    max_size=12,
+SPREAD_ESTIMATES = st.one_of(
+    st.floats(-1e6, 1e6), full_mantissas(-20, 20), full_mantissas(-20, 20).map(lambda x: -x)
 )
+SPREAD_SES = st.one_of(st.floats(1e-4, 1e4), full_mantissas(-13, 13))
+SPREAD_STUDIES = st.lists(st.tuples(SPREAD_ESTIMATES, SPREAD_SES), min_size=1, max_size=12)
 
 
 def _fit_bits(result):
@@ -303,3 +325,36 @@ def test_pooled_p_value_never_exceeds_common_effect_r_value(pairs):
     p = fixed_effect_meta(studies).p_two_sided
     for u in range(2, len(studies) + 1):
         assert p <= fe_r_value(studies, u).r
+
+
+# One to three estimate rows of n studies, with a shared row of n standard errors.
+COMMON_EFFECT_CASES = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(SPREAD_ESTIMATES, min_size=n, max_size=n), min_size=1, max_size=3),
+        st.lists(SPREAD_SES, min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=COMMON_EFFECT_CASES)
+# Python's sum starts from 0, so a subset of -0.0 estimates pools to +0.0.
+@example(case=([[-0.0, -0.0, 1.0], [-0.0, 2.0, -3.0]], [0.5, 0.25, 1.0]))
+# pow and x * x round the square of the first se differently.
+@example(case=([[1.0, 2.0]], [0.9663597082455543, 0.25]))
+def test_common_effect_kernel_equals_reference_bitwise(case):
+    rows, se = case
+    n = len(se)
+    for size in range(1, n + 1):
+        z_min, z_max = _fe_z_extremes(np.array(rows), np.array(se), size)
+        for i, row in enumerate(rows):
+            reference = common_effect_reference(list(zip(row, se)), size)
+            assert bits(z_min[i], z_max[i]) == bits(*reference)
+    pairs = list(zip(rows[0], se))
+    for u in range(2, n + 1):
+        ref_min, ref_max = common_effect_reference(pairs, n - u + 1)
+        r_left, r_right = normal_cdf(ref_max), normal_cdf(-ref_min)
+        result = fe_r_value(_studies(pairs), u)
+        assert bits(result.r_left, result.r_right, result.r) == bits(
+            r_left, r_right, min(1.0, 2.0 * min(r_left, r_right))
+        )

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from replimeta import meta
 from replimeta.meta import StudySummary
 from replimeta.replicability import (
     TruncationConfig,
+    _fe_z_extremes,
     _PCCurve,
     classify_consistency,
     conditional_p_transform,
@@ -306,6 +308,17 @@ class TestFeRValue:
             if fe_r_value(studies, 2).r <= 0.05:
                 rejections += 1
         assert rejections / trials <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / trials)
+
+    def test_blocks_give_the_same_extremes(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        theta_hat = rng.normal(0, 1, size=(3, 7))
+        se = rng.uniform(0.2, 1.5, size=7)
+        whole = _fe_z_extremes(theta_hat, se, 3)
+        # Blocks of one, two and ten of the 35 subsets; the last block is shorter.
+        for elements in (1, 12, 60):
+            monkeypatch.setattr(meta, "_BLOCK_ELEMENTS", elements)
+            got = _fe_z_extremes(theta_hat, se, 3)
+            assert all(np.array_equal(a, b) for a, b in zip(got, whole))
 
     def test_enumeration_cap(self):
         studies = make_studies(*(((0.1, 1.0),) * 25))

@@ -10,19 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from replimeta.meta import StudySummary, _pool_rows
+from replimeta.meta import _pool_rows
 from replimeta.replicability import (
     TruncationConfig,
-    fe_r_value,
     partial_conjunction_p,
+    _fe_z_extremes,
     _PCCurve,
 )
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
     RandomEffectsScenario,
-    _fe_pc_u2_rows,
+    _evaluate_tests,
     calibrate_tau,
     inconsistency_probability,
     parse_scenario_config,
@@ -34,7 +35,7 @@ from replimeta.simulation import (
     truncation_comparison,
     write_power_csv,
 )
-from test_properties import bits, pooling_reference
+from test_properties import bits, common_effect_reference, pooling_reference
 
 
 class TestVectorizedAgainstScalar:
@@ -44,11 +45,6 @@ class TestVectorizedAgainstScalar:
         rng = np.random.default_rng(424242)
         self.theta_hat = rng.normal(0, 1.5, size=(40, 6))
         self.se = rng.uniform(0.2, 1.0, size=6)
-
-    def _studies(self, row):
-        return [
-            StudySummary(f"s{j}", float(row[j]), float(self.se[j])) for j in range(len(row))
-        ]
 
     def test_partial_conjunction_rows(self):
         rng = np.random.default_rng(9)
@@ -79,10 +75,16 @@ class TestVectorizedAgainstScalar:
             assert bits(*got) == bits(*(ref[key] for key in keys))
 
     def test_fe_pc_u2_rows(self):
-        r_rows = _fe_pc_u2_rows(self.theta_hat, self.se)
-        for i in range(self.theta_hat.shape[0]):
-            expected = fe_r_value(self._studies(self.theta_hat[i]), 2).r
-            assert abs(r_rows[i] - expected) < 1e-12
+        # H2n_fe is the common-effect test at u = 2: the (n-1)-subsets of each row.
+        size = self.theta_hat.shape[1] - 1
+        z_min, z_max = _fe_z_extremes(self.theta_hat, self.se, size)
+        rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), TruncationConfig())
+        se = self.se.tolist()
+        for i, row in enumerate(self.theta_hat.tolist()):
+            ref_min, ref_max = common_effect_reference(list(zip(row, se)), size)
+            assert bits(z_min[i], z_max[i]) == bits(ref_min, ref_max)
+            r = min(1.0, 2.0 * min(special.ndtr(ref_max), special.ndtr(-ref_min)))
+            assert rejected["H2n_fe"][i] == (r <= 0.05)
 
 
 class TestScenarios:
