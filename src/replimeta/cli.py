@@ -122,6 +122,11 @@ def _details_block(pairs: list[tuple[str, object]]) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.delta_bounds and args.conditional_threshold is not None:
+        raise ValueError(
+            "--delta-bounds cannot be combined with --conditional-threshold: the conditional "
+            "transform assumes selection at zero shift, and the delta bounds test shifted nulls"
+        )
     studies = parse_studies(args.input, args.measure)
     cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
     request = AnalysisRequest(

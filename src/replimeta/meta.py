@@ -276,6 +276,23 @@ def _pool_rows(theta_hat: np.ndarray, se: np.ndarray) -> _Pooled:
     return _Pooled(theta_hat, var, w, total, fe, 1.0 / np.sqrt(total))
 
 
+def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
+    """Index of the study at which a pooling sum first leaves the doubles, or None.
+
+    ``_pool_rows`` adds the weights 1/se**2 and the products weight x estimate
+    in study order. The same sums in Python floats overflow to inf without a
+    warning, so the first study that makes either one non-finite is found here.
+    """
+    total = weighted = 0.0
+    for index, study in enumerate(studies):
+        w = 1.0 / study.se**2
+        total += w
+        weighted += w * study.theta_hat
+        if not (math.isfinite(total) and math.isfinite(weighted)):
+            return index
+    return None
+
+
 def _study_rows(studies: Sequence[StudySummary]) -> np.ndarray:
     """A (2, n) array: the estimates, then the standard errors, in study order."""
     return np.array([[s.theta_hat for s in studies], [s.se for s in studies]], dtype=float)

@@ -111,15 +111,23 @@ def _pmf_weights(length: int, t: float) -> tuple[float, ...]:
     return tuple(binomial_pmf(k, length, t) for k in range(1, length + 1))
 
 
-def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
-    """Combination p-value for each row of a (rows, L) matrix of p-values.
+def _truncated_statistic(sorted_rows: np.ndarray, t: float) -> np.ndarray:
+    """The statistic c = -2 log(product of the p-values at or below t), per row.
 
     Rows must be clipped to [LOG_FLOOR, LOG_CEIL] and sorted, which makes the
-    statistic a canonical function of the multiset of p-values.
+    statistic a canonical function of the multiset of p-values. Every clipped
+    log is negative, so c is 0 exactly when no p-value is at or below t.
     """
-    length = sorted_rows.shape[1]
     truncated = sorted_rows <= t
-    c_stat = -2.0 * np.sum(np.where(truncated, np.log(sorted_rows), 0.0), axis=1)
+    return -2.0 * np.sum(np.where(truncated, np.log(sorted_rows), 0.0), axis=1)
+
+
+def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
+    """Null p-value of each statistic c of ``_truncated_statistic`` on rows of ``length``.
+
+    A statistic of 0 (nothing truncated, an empty product of 1) gets the
+    weakest possible p-value, exactly 1.
+    """
     ks = np.arange(1, length + 1, dtype=float)
     weights = np.asarray(_pmf_weights(length, t))
     # Conditional on k truncated p-values, -log(product / t^k) is Gamma(k, 1);
@@ -129,8 +137,51 @@ def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
     args = np.maximum(c_stat[:, None] / 2.0 + ks[None, :] * math.log(t), 0.0)
     mixture = np.sum(special.gammaincc(ks[None, :], args) * weights[None, :], axis=1)
     out = np.clip(mixture, 0.0, 1.0)
-    out[~truncated.any(axis=1)] = 1.0
+    out[c_stat <= 0.0] = 1.0
     return out
+
+
+def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
+    """Combination p-value for each row of a clipped, sorted (rows, L) p-value matrix."""
+    return _product_tail(_truncated_statistic(sorted_rows, t), sorted_rows.shape[1], t)
+
+
+# The fast decisions of ``_PCCurve.rejects`` compare a statistic summed in
+# another order with a bracket found on a rounded tail function. Both differ
+# from the exact kernel by a few ulps (at most n ulps of c for n studies, and
+# the tail's own rounding), far inside this relative margin; rows within it
+# of the bracket are decided by the exact kernel.
+_BAND_MARGIN = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float]:
+    """Adjacent doubles (c_accept, c_reject) around the critical value of ``_product_tail``.
+
+    ``_product_tail(c) > level`` at c_accept and ``<= level`` at c_reject.
+    The tail is nonincreasing in c, so the bisection runs over the bit
+    patterns of nonnegative doubles, which are ordered as the doubles are.
+    When no statistic a row of ``length`` clipped p-values can reach rejects,
+    the bracket is (c_top, inf), c_top being beyond every such statistic.
+    """
+
+    def value(bits: int) -> np.ndarray:
+        return np.array([bits], dtype=np.int64).view(np.float64)
+
+    def rejects(bits: int) -> bool:
+        return bool(_product_tail(value(bits), length, t)[0] <= level)
+
+    c_top = -4.0 * length * math.log(LOG_FLOOR)
+    lo, hi = 0, int(np.float64(c_top).view(np.int64))
+    if not rejects(hi):
+        return c_top, math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rejects(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(value(lo)[0]), float(value(hi)[0])
 
 
 class _PCCurve:
@@ -148,6 +199,7 @@ class _PCCurve:
         self._sorted.sort(axis=1)
         self._t = t
         self._values: dict[int, np.ndarray] = {}
+        self._statistics: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._sorted.shape[1]
@@ -156,6 +208,30 @@ class _PCCurve:
         if u not in self._values:
             self._values[u] = _truncated_product_rows(self._sorted[:, u - 1 :], self._t)
         return self._values[u]
+
+    def rejects(self, u: int, level: float) -> np.ndarray:
+        """``self(u) <= level`` per row, bit for bit, from critical values.
+
+        Column u-1 of one reversed cumulative sum of the truncated logs is
+        every row's statistic for r(u). Rows clearly beyond the critical
+        bracket of ``_product_tail`` reject, rows clearly short of it accept,
+        and only rows within ``_BAND_MARGIN`` of it run the exact kernel.
+        """
+        if self._statistics is None:
+            sums = np.log(self._sorted)
+            sums[self._sorted > self._t] = 0.0
+            # In place, right to left: column j becomes the sum of columns j..n-1.
+            np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
+            sums *= -2.0
+            self._statistics = sums
+        c_stat = self._statistics[:, u - 1]
+        c_accept, c_reject = _critical_bracket(len(self) - u + 1, self._t, level)
+        out = c_stat > c_reject * (1.0 + _BAND_MARGIN)
+        band = np.flatnonzero(~out & (c_stat >= c_accept * (1.0 - _BAND_MARGIN)))
+        if band.size:
+            exact = _truncated_product_rows(self._sorted[band, u - 1 :], self._t)
+            out[band] = exact <= level
+        return out
 
 
 def _leading_rejections(curve: _PCCurve, level: float) -> int:
@@ -383,9 +459,9 @@ def delta_bound(
 
     if shifted_p(0.0) > level:
         return None
+    # At hi every study's shifted z on the tested side is at most -10, so each
+    # one-sided p-value rounds to 1.0 and the shifted test cannot reject there.
     hi = max(abs(s.theta_hat) for s in studies) + 10.0 * max(s.se for s in studies)
-    if shifted_p(hi) <= level:
-        return hi
     lo = 0.0
     # The shifted p-value is monotone nondecreasing in delta, so plain
     # bisection localizes the rejection boundary.

@@ -18,6 +18,7 @@ from .forest import AnnotatedForest, ForestRow, format_number, format_r_value
 from .meta import (
     MetaAnalysisResult,
     StudySummary,
+    _overflow_index,
     binary_to_log_effect,
     fixed_effect_meta,
     q_test_p_value,
@@ -115,6 +116,7 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
         )
 
     studies: list[StudySummary] = []
+    row_numbers: list[int] = []
     for row_number, row in enumerate(rows[1:], start=2):
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
@@ -136,8 +138,15 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
                 studies.append(StudySummary(label, estimate, se))
         except ValueError as exc:
             raise StudyFileError(f"row {row_number}: {exc}") from None
+        row_numbers.append(row_number)
     if not studies:
         raise StudyFileError("study file has a header but no data rows")
+    overflow = _overflow_index(studies)
+    if overflow is not None:
+        raise StudyFileError(
+            f"row {row_numbers[overflow]}: the inverse-variance sums of 1/se^2 or estimate/se^2 "
+            "over the rows so far overflow a double"
+        )
     return studies
 
 

@@ -1,14 +1,16 @@
 """Monte Carlo power harness for the replicability and meta-analysis tests.
 
 Scenarios describe how study effect estimates are generated; the harness draws
-all replications as one matrix, evaluates the requested tests on every row,
-and reports rejection rates with their Monte Carlo standard errors.
+replications in row chunks, evaluates the requested tests on every row of a
+chunk, and reports rejection rates with their Monte Carlo standard errors.
 
 Randomness scheme: each scenario owns a counter-based Philox stream keyed by
-its seed, and all replications are drawn in one replication-major block from
-that stream. Grid builders give point i the seed ``base_seed + i``. Results
-are therefore bit-reproducible for a given seed and independent of any later
-chunking of the work.
+its seed, and the replications are drawn replication-major from that stream,
+in successive chunks of at most ``meta._BLOCK_ELEMENTS`` estimates. Chunked
+draws equal one draw of the whole block byte for byte, and rejection counts
+are whole numbers, so results are bit-reproducible for a given seed and
+independent of the chunk size. Grid builders give point i the seed
+``base_seed + i``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from scipy import special
 
+from . import meta
 from .meta import _pool_rows
 from .replicability import TruncationConfig, _fe_z_extremes, _PCCurve
 
@@ -100,6 +103,10 @@ class FixedEffectsScenario:
     def standard_errors(self) -> np.ndarray:
         return _standard_errors(self.group_sizes)
 
+    def _marginal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Mean and sd of each estimate, and the param a point reports by default."""
+        return np.asarray(self.theta), self.standard_errors, float(np.max(np.abs(self.theta)))
+
 
 @dataclass(frozen=True)
 class RandomEffectsScenario:
@@ -131,6 +138,17 @@ class RandomEffectsScenario:
     def standard_errors(self) -> np.ndarray:
         return _standard_errors(self.group_sizes)
 
+    def _marginal(self) -> tuple[float, np.ndarray, float]:
+        """Mean and sd of each estimate, and the param a point reports by default."""
+        # theta_i ~ N(mu, tau^2) and the estimate adds N(0, SE_i^2) independently,
+        # so the estimate is marginally N(mu, tau^2 + SE_i^2), independent across
+        # studies; drawing it directly makes tau=0 reduce bitwise to the fixed
+        # generator with a constant effects vector.
+        return self.mu, np.sqrt(self.tau**2 + self.standard_errors**2), self.mu
+
+
+Scenario = FixedEffectsScenario | RandomEffectsScenario
+
 
 @dataclass(frozen=True)
 class PowerCurvePoint:
@@ -147,30 +165,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _draw_fixed(scenario: FixedEffectsScenario) -> np.ndarray:
-    se = scenario.standard_errors
-    noise = _rng(scenario.seed).standard_normal((scenario.replications, len(scenario.theta)))
-    return np.asarray(scenario.theta) + noise * se
-
-
-def _draw_random(scenario: RandomEffectsScenario) -> np.ndarray:
-    # theta_i ~ N(mu, tau^2) and the estimate adds N(0, SE_i^2) independently,
-    # so the estimate is marginally N(mu, tau^2 + SE_i^2), independent across
-    # studies; drawing it directly makes tau=0 reduce bitwise to the fixed
-    # generator with a constant effects vector.
-    se_eff = np.sqrt(scenario.tau**2 + scenario.standard_errors**2)
-    noise = _rng(scenario.seed).standard_normal((scenario.replications, scenario.n))
-    return scenario.mu + noise * se_eff
+def _draws(scenario: Scenario) -> Iterator[np.ndarray]:
+    """The scenario's estimate matrix, in row chunks of at most ``meta._BLOCK_ELEMENTS``."""
+    mean, sd, _ = scenario._marginal()
+    rng = _rng(scenario.seed)
+    rows = max(1, meta._BLOCK_ELEMENTS // len(sd))
+    for first in range(0, scenario.replications, rows):
+        chunk = min(rows, scenario.replications - first)
+        yield mean + rng.standard_normal((chunk, len(sd))) * sd
 
 
 def _two_sided_p(estimate: np.ndarray, se: np.ndarray) -> np.ndarray:
     return 2.0 * special.ndtr(-np.abs(estimate / se))
-
-
-def _curve_values(p_rows: np.ndarray, levels: set[int], t: float) -> dict[int, np.ndarray]:
-    # The curve, and with it the side's sorted matrix, is freed on return.
-    curve = _PCCurve(p_rows, t)
-    return {u: curve(u) for u in levels}
 
 
 def _evaluate_tests(
@@ -182,21 +188,28 @@ def _evaluate_tests(
     """Boolean rejection indicators per requested test, one entry per replication.
 
     The H-tests and inconsistency_detected read one partial-conjunction curve
-    per side, at every u any of them needs. The left side is finished before
-    the right side is sorted, so one side's sorted matrix is alive at a time.
+    per side and ask it only whether r(u) <= alpha/2. That is the whole
+    decision: doubling is exact, so min(1, 2 min(a, b)) <= alpha exactly when
+    a <= alpha/2 or b <= alpha/2.
     """
     n = theta_hat.shape[1]
     alpha = cfg.alpha
+    level = alpha / 2.0
     levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
     levels = {u for u in levels if 1 <= u <= n}
     if "inconsistency_detected" in tests:
         levels.add(1)
-    r_left: dict[int, np.ndarray] = {}
-    r_right: dict[int, np.ndarray] = {}
+    left: dict[int, np.ndarray] = {}
+    right: dict[int, np.ndarray] = {}
     if levels:
         z = theta_hat / se[None, :]
-        r_left = _curve_values(special.ndtr(z), levels, cfg.t)
-        r_right = _curve_values(special.ndtr(-z), levels, cfg.t)
+        # One side's curve, and with it its sorted matrix, is alive at a time.
+        curve = _PCCurve(special.ndtr(z), cfg.t)
+        left = {u: curve.rejects(u, level) for u in levels}
+        del curve
+        curve = _PCCurve(special.ndtr(-z), cfg.t)
+        right = {u: curve.rejects(u, level) for u in levels}
+        del curve
     pooled = _pool_rows(theta_hat, se) if {"meta_fe", "meta_re"} & set(tests) else None
     out: dict[str, np.ndarray] = {}
     for test_id in tests:
@@ -214,7 +227,7 @@ def _evaluate_tests(
             r_fe = np.minimum(1.0, 2.0 * np.minimum(special.ndtr(z_max), special.ndtr(-z_min)))
             out[test_id] = r_fe <= alpha
         elif test_id == "inconsistency_detected":
-            out[test_id] = (r_left[1] <= alpha / 2.0) & (r_right[1] <= alpha / 2.0)
+            out[test_id] = left[1] & right[1]
         else:
             match = _H_TEST.match(test_id)
             if match is None:
@@ -222,18 +235,32 @@ def _evaluate_tests(
             u = int(match.group(1))
             if not 1 <= u <= n:
                 raise ValueError(f"test {test_id!r} needs u in [1, {n}]")
-            out[test_id] = np.minimum(1.0, 2.0 * np.minimum(r_left[u], r_right[u])) <= alpha
+            out[test_id] = left[u] | right[u]
     return out
 
 
-def _summarize(
-    indicators: Mapping[str, np.ndarray], param: float, replications: int, seed: int
-) -> PowerCurvePoint:
-    rates = {tid: float(ind.mean()) for tid, ind in indicators.items()}
-    mc_se = {tid: math.sqrt(r * (1.0 - r) / replications) for tid, r in rates.items()}
-    return PowerCurvePoint(
-        param=param, rejection_rate=rates, mc_se=mc_se, replications=replications, seed=seed
-    )
+def _simulate(
+    scenario: Scenario, configs: Sequence[TruncationConfig], tests: Sequence[str]
+) -> list[PowerCurvePoint]:
+    """One point per config, all from the same draws: each chunk is drawn once."""
+    se = scenario.standard_errors
+    counts = [dict.fromkeys(tests, 0) for _ in configs]
+    for theta_hat in _draws(scenario):
+        for cfg, count in zip(configs, counts):
+            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, cfg).items():
+                count[test_id] += int(np.count_nonzero(rejected))
+    _, _, default_param = scenario._marginal()
+    param = scenario.param if scenario.param is not None else default_param
+    replications = scenario.replications
+    points = []
+    for count in counts:
+        rates = {tid: c / replications for tid, c in count.items()}
+        mc_se = {tid: math.sqrt(r * (1.0 - r) / replications) for tid, r in rates.items()}
+        points.append(PowerCurvePoint(
+            param=param, rejection_rate=rates, mc_se=mc_se, replications=replications,
+            seed=scenario.seed,
+        ))
+    return points
 
 
 DEFAULT_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "inconsistency_detected")
@@ -245,10 +272,7 @@ def simulate_fixed(
     cfg: TruncationConfig = TruncationConfig(),
 ) -> PowerCurvePoint:
     """Rejection rates of the requested tests under a fixed effects vector."""
-    theta_hat = _draw_fixed(scenario)
-    indicators = _evaluate_tests(theta_hat, scenario.standard_errors, tests, cfg)
-    param = scenario.param if scenario.param is not None else float(np.max(np.abs(scenario.theta)))
-    return _summarize(indicators, param, scenario.replications, scenario.seed)
+    return _simulate(scenario, [cfg], tests)[0]
 
 
 def simulate_random(
@@ -257,10 +281,7 @@ def simulate_random(
     cfg: TruncationConfig = TruncationConfig(),
 ) -> PowerCurvePoint:
     """Rejection rates when study effects are redrawn per replication."""
-    theta_hat = _draw_random(scenario)
-    indicators = _evaluate_tests(theta_hat, scenario.standard_errors, tests, cfg)
-    param = scenario.param if scenario.param is not None else scenario.mu
-    return _summarize(indicators, param, scenario.replications, scenario.seed)
+    return _simulate(scenario, [cfg], tests)[0]
 
 
 def inconsistency_probability(mu: float, tau: float, n: int) -> float:
@@ -277,31 +298,21 @@ def inconsistency_probability(mu: float, tau: float, n: int) -> float:
 
 
 def truncation_comparison(
-    scenario_grid: Sequence[FixedEffectsScenario | RandomEffectsScenario],
+    scenario_grid: Sequence[Scenario],
     t_values: Sequence[float] = (0.05, 0.5, 1.0),
     tests: Sequence[str] = ("H1n", "H2n", "H3n", "inconsistency_detected"),
     alpha: float = 0.05,
 ) -> dict[float, list[PowerCurvePoint]]:
     """Power curves for several truncation thresholds on common random numbers.
 
-    The estimate matrix of each grid point is drawn once and reused for every
+    Each chunk of a grid point's estimates is drawn once and tested at every
     threshold, so curves differ only through the test, not the noise.
     """
-    results: dict[float, list[PowerCurvePoint]] = {float(t): [] for t in t_values}
+    configs = [TruncationConfig(t=float(t), alpha=alpha) for t in t_values]
+    results: dict[float, list[PowerCurvePoint]] = {cfg.t: [] for cfg in configs}
     for scenario in scenario_grid:
-        if isinstance(scenario, FixedEffectsScenario):
-            theta_hat = _draw_fixed(scenario)
-            default_param = float(np.max(np.abs(scenario.theta)))
-        else:
-            theta_hat = _draw_random(scenario)
-            default_param = scenario.mu
-        param = scenario.param if scenario.param is not None else default_param
-        for t in t_values:
-            cfg = TruncationConfig(t=float(t), alpha=alpha)
-            indicators = _evaluate_tests(theta_hat, scenario.standard_errors, tests, cfg)
-            results[float(t)].append(
-                _summarize(indicators, param, scenario.replications, scenario.seed)
-            )
+        for cfg, point in zip(configs, _simulate(scenario, configs, tests)):
+            results[cfg.t].append(point)
     return results
 
 
@@ -498,7 +509,7 @@ def _group_size(token: str) -> int:
 
 def parse_scenario_config(
     source: str | TextIO,
-) -> tuple[FixedEffectsScenario | RandomEffectsScenario, tuple[str, ...], float]:
+) -> tuple[Scenario, tuple[str, ...], float]:
     """Read a key = value scenario file.
 
     Recognized keys: ``theta`` (whitespace/comma separated vector, fixed
@@ -554,7 +565,7 @@ def parse_scenario_config(
     if "theta" in values:
         if "mu" in values or "tau" in values:
             raise ValueError("give either theta (fixed) or mu/tau (random), not both")
-        scenario: FixedEffectsScenario | RandomEffectsScenario = FixedEffectsScenario(
+        scenario: Scenario = FixedEffectsScenario(
             theta=read("theta", vector(_number)),
             group_sizes=group_sizes,
             replications=replications,
@@ -595,15 +606,18 @@ def write_power_csv(points: Sequence[PowerCurvePoint], sink: str | TextIO) -> No
 
 
 def run_points(
-    scenarios: Sequence[FixedEffectsScenario | RandomEffectsScenario],
+    scenarios: Sequence[Scenario],
     tests: Sequence[str],
     cfg: TruncationConfig = TruncationConfig(),
 ) -> list[PowerCurvePoint]:
-    """Evaluate each scenario of a grid with the same tests and config."""
-    points = []
-    for scenario in scenarios:
-        if isinstance(scenario, FixedEffectsScenario):
-            points.append(simulate_fixed(scenario, tests, cfg))
-        else:
-            points.append(simulate_random(scenario, tests, cfg))
-    return points
+    """Evaluate each scenario of a grid with the same tests and config.
+
+    Each point goes through its public entry point, ``simulate_fixed`` or
+    ``simulate_random``, so that wrapping either one sees every grid point.
+    """
+    return [
+        (simulate_fixed if isinstance(scenario, FixedEffectsScenario) else simulate_random)(
+            scenario, tests, cfg
+        )
+        for scenario in scenarios
+    ]

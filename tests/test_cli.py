@@ -138,6 +138,13 @@ class TestAnalyzeCommand:
     def test_bad_alpha_exits_1(self, raw_file, capsys):
         assert main(["analyze", "--input", raw_file, "--alpha", "2.0"]) == 1
 
+    def test_delta_bounds_with_conditional_threshold_exits_1(self, raw_file, capsys):
+        argv = ["analyze", "--input", raw_file, "--delta-bounds", "--conditional-threshold", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--conditional-threshold" in captured.err and "zero shift" in captured.err
+
     # The square of 1e-170 underflows to 0 and the square of 1e160 overflows.
     @pytest.mark.parametrize("se", ["1e-170", "1e160"])
     def test_se_outside_the_weight_range_exits_1_with_row_number(self, tmp_path, capsys, se):
@@ -147,6 +154,22 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "se" in err
         assert "Traceback" not in err
+
+
+# Inputs that pass every per-row check but overflow the pooling sums: w * theta
+# of the first row (row 2) is 1e310, and two weights of 1e308 add to inf at row 3.
+@pytest.mark.parametrize("rows, bad_row", [
+    ("a,1e300,1e-5\nb,-1e300,1e-5\nc,1,1\n", 2),
+    ("a,1,1e-154\nb,2,1e-154\nc,3,1e-154\n", 3),
+])
+@pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
+def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_row, command):
+    path = tmp_path / "overflow.csv"
+    path.write_text("label,estimate,se\n" + rows)
+    assert main([command, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"row {bad_row}: " in err and "overflow" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 class TestSimulateCommand:

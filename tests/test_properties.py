@@ -31,9 +31,11 @@ from replimeta.meta import (
 )
 from replimeta.replicability import (
     TruncationConfig,
+    _critical_bracket,
     _leading_rejections,
     _fe_z_extremes,
     _PCCurve,
+    _truncated_statistic,
     confidence_bounds,
     fe_r_value,
     partial_conjunction_p,
@@ -42,7 +44,7 @@ from replimeta.replicability import (
 )
 from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
 from replimeta.simulation import _evaluate_tests
-from replimeta.statkernels import normal_cdf
+from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
 ALPHAS = st.sampled_from([0.05, 0.2])
@@ -258,6 +260,99 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
         for u in (1, 2, 3):
             assert out[f"H{u}n"][i] == (r_value(left, right, u, cfg).r <= cfg.alpha)
         assert out["inconsistency_detected"][i] == (min(confidence_bounds(left, right, cfg)) >= 1)
+
+
+def _float_bits(x):
+    return int(np.array([x]).view(np.int64)[0])
+
+
+def _from_bits(b):
+    return float(np.array([b], dtype=np.int64).view(np.float64)[0])
+
+
+def _rows_straddling(target, t, truncated, untruncated):
+    """Rows of ``truncated`` plus one more p-value <= t whose statistic straddles target.
+
+    The last p-value is bisected over the bit patterns of doubles, along
+    which the statistic falls monotonically. Returns the two neighbouring
+    rows (statistic above and at or below target), sorted; a single row when
+    the target lies beyond what the last p-value can reach.
+    """
+    top = min(t, LOG_CEIL)
+
+    def row(bits):
+        return np.sort(np.array(truncated + [_from_bits(bits)] + untruncated))
+
+    def stat(bits):
+        return float(_truncated_statistic(row(bits)[None, :], t)[0])
+
+    lo, hi = _float_bits(LOG_FLOOR), _float_bits(top)
+    if stat(hi) > target:
+        return [row(hi)]
+    if stat(lo) <= target:
+        return [row(lo)]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stat(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return [row(lo), row(hi)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    length=st.integers(1, 16),
+    t=st.sampled_from([0.01, 0.05, 0.5, 1.0]),
+    alpha=st.sampled_from([0.01, 0.05, 0.1]),
+    edge=st.sampled_from([0, 1]),
+    ulps=st.sampled_from([-1, 0, 1]),
+    extra=st.integers(0, 3),
+    data=st.data(),
+)
+def test_critical_value_decisions_equal_the_exact_kernel_at_the_band_edges(
+    length, t, alpha, edge, ulps, extra, data
+):
+    """rejects(u, level) is curve(u) <= level on rows whose statistic is at a bracket edge.
+
+    The statistic of r(u) is that of the row's length largest p-values; the
+    rows are built so that it lands on c_accept or c_reject of the critical
+    bracket, or one double either side. Where the plateau 1 - (1 - t)^L is
+    already at or below the level (t = 0.01 at L = 1), the bracket is
+    (0, 5e-324) and no truncated row can reach it: the rows are then one
+    with nothing truncated and one with a single p-value at t.
+    """
+    level = alpha / 2.0
+    u = extra + 1
+    target = _critical_bracket(length, t, level)[edge]
+    target = float(np.nextafter(target, ulps * math.inf)) if ulps else target
+    top = min(t, LOG_CEIL)
+    above = [] if t == 1.0 else data.draw(
+        st.lists(st.floats(t, 1.0, exclude_min=True), min_size=length, max_size=length)
+    )
+    above = [min(p, LOG_CEIL) for p in above]
+    # Every truncated p-value adds at least -2 log(top) to the statistic.
+    most = length if t == 1.0 else min(length, int(target / (-2.0 * math.log(top))))
+    if most == 0:
+        rows = [np.sort(np.array(above)), np.sort(np.array([top] + above[1:]))]
+    else:
+        k = length if t == 1.0 else data.draw(st.integers(1, most))
+        shares = data.draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+        # k logs at most log(top) each, adding up to -target/2.
+        spare = -target / 2.0 - k * math.log(top)
+        truncated = [
+            min(max(math.exp(math.log(top) + spare * w / sum(shares)), LOG_FLOOR), top)
+            for w in shares[:-1]
+        ]
+        rows = _rows_straddling(target, t, truncated, above[: length - k])
+    smallest = min(row[0] for row in rows)
+    below = sorted(data.draw(st.floats(LOG_FLOOR, smallest)) for _ in range(extra))
+    matrix = np.array([below + row.tolist() for row in rows])
+    curve = _PCCurve(matrix, t)
+    assert np.array_equal(curve.rejects(u, level), curve(u) <= level)
+    for row in matrix:
+        one = _PCCurve(row, t)
+        assert bool(one.rejects(u, level)[0]) == bool(one(u)[0] <= level)
 
 
 def full_mantissas(low, high):

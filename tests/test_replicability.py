@@ -379,6 +379,43 @@ class TestDeltaBound:
         with pytest.raises(ValueError):
             delta_bound(studies, 2, side="sideways")
 
+    @pytest.mark.parametrize("t", [0.01, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("side", ["upper_positive", "lower_negative"])
+    def test_search_bracket_top_never_rejects(self, t, side):
+        """Why the bisection needs no check at its upper end.
+
+        hi = max|theta| + 10 max se is at least |theta_i| + 10 se_i for every
+        study, so the shifted z on the tested side is at most -10 and every
+        one-sided p-value rounds to 1.0. Clipped to LOG_CEIL, such p-values
+        give r(u) > alpha/2 for every u, at t = 1 (Fisher) as below it.
+        """
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            studies = make_studies(
+                *((float(rng.normal(0, 10)), float(rng.uniform(1e-3, 5))) for _ in range(n))
+            )
+            hi = max(abs(s.theta_hat) for s in studies) + 10.0 * max(s.se for s in studies)
+            sign = 1.0 if side == "upper_positive" else -1.0
+            pairs = [one_sided_p(s.theta_hat, s.se, shift=sign * hi) for s in studies]
+            ps = [pair.right if side == "upper_positive" else pair.left for pair in pairs]
+            assert ps == [1.0] * n
+            cfg = TruncationConfig(t=t)
+            for u in range(1, n + 1):
+                assert partial_conjunction_p(ps, u, cfg) > cfg.alpha / 2
+
+    @pytest.mark.parametrize("pairs, u, side, t, expected", [
+        (((1.8, 0.2), (2.2, 0.25), (2.0, 0.3), (1.5, 0.4), (2.4, 0.2)), 2, "upper_positive",
+         0.05, 1.5184135437011717),
+        (((2.0, 0.1),) * 5, 1, "upper_positive", 1.0, 1.8868632316589355),
+        (((-3.0, 0.5), (-2.5, 0.4), (-1.0, 1.0)), 2, "lower_negative", 0.5, 1.4421685934066772),
+        (((40.0, 1.0), (45.0, 1.0), (38.0, 1.0)), 3, "upper_positive", 1.0, 36.04003578424454),
+    ])
+    def test_bounds_unchanged(self, pairs, u, side, t, expected):
+        # Values recorded while delta_bound still tested its upper bracket end.
+        cfg = TruncationConfig(t=t, alpha=0.05)
+        assert delta_bound(make_studies(*pairs), u, 0.05, side, cfg) == expected
+
 
 class TestConditionalTransform:
     def test_rescaling(self):

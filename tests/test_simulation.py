@@ -5,13 +5,18 @@ scalar public operations they accelerate, so the harness cannot drift from the
 library it is meant to measure.
 """
 
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
+from replimeta import cli, meta
 from replimeta.meta import _pool_rows
 from replimeta.replicability import (
     TruncationConfig,
@@ -280,6 +285,35 @@ class TestTruncationComparison:
                 assert a > b
 
 
+class TestChunks:
+    """Row chunks of the draws change no point: counts add up, draws continue the stream."""
+
+    TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "H2n_fe", "inconsistency_detected")
+    FIXED = FixedEffectsScenario(
+        theta=(0.6, 0.6, -0.4, 0.0, 0.2), group_sizes=BENCHMARK_GROUP_SIZES[:5],
+        replications=50, seed=17,
+    )
+    RANDOM = RandomEffectsScenario(
+        mu=0.3, tau=0.4, n=5, group_sizes=BENCHMARK_GROUP_SIZES[:5], replications=50, seed=18
+    )
+
+    def _run(self):
+        return (
+            simulate_fixed(self.FIXED, self.TESTS),
+            simulate_random(self.RANDOM, self.TESTS),
+            truncation_comparison([self.FIXED, self.RANDOM], (0.05, 1.0), self.TESTS),
+        )
+
+    def test_chunk_size_changes_no_point(self, monkeypatch):
+        # Five studies per row: chunks of 1 row, 7 rows (the last one shorter)
+        # and all 50 rows at once.
+        results = []
+        for rows in (1, 7, 50):
+            monkeypatch.setattr(meta, "_BLOCK_ELEMENTS", 5 * rows)
+            results.append(self._run())
+        assert results[0] == results[1] == results[2]
+
+
 class TestCalibrateTau:
     def test_hits_target_median(self):
         from scipy import special
@@ -416,3 +450,84 @@ class TestConfigAndCsv:
         buffer2 = io.StringIO()
         write_power_csv(run_points([scenario], ("H1n", "H2n")), buffer2)
         assert buffer.getvalue() == buffer2.getvalue()
+
+
+# sha256 of the CSV bytes of ``simulate --scenario NAME --replications 2000
+# --seed SEED`` (and ``--t T`` where T is given), recorded while the harness
+# still computed every r-value. A changed digest means a changed Monte Carlo
+# decision somewhere in the grid.
+CSV_DIGESTS = {
+    ("single-nonnull", 0, None): "40b0a62065b4e492ce69e44fd627d2c7f593a4a73ae34761471c8607025ddc1e",
+    ("single-nonnull", 1, None): "d3fffda37a8e3e238dfc3fe0f10123d19bd5fdc1e87a9f7ac97d3964956f2da6",
+    ("single-nonnull", 2, None): "3c7760c1b34716c5c3336751eab51ba54b759630335d34d2bdb12effc0bd14ef",
+    ("two-same-sign", 0, None): "2b82ea9e4492f188083b232f8aa39691406fcd0f708912c228fc02ce6788ffa2",
+    ("two-same-sign", 1, None): "06ca3e0cfc81f0045702d6f83196e4d3d728f4078063af75be2a2af212d01e9b",
+    ("two-same-sign", 2, None): "442344da201034585d203c89f4a3dabfbf1ba3d51d7025d32651351d0e41d5fd",
+    ("mixed-signs", 0, None): "4292baaad2f10d7914146eb5e59c680680f1361a34e2c077a13bb1917e3344f5",
+    ("mixed-signs", 1, None): "cbf61758c5672ff7cd0f23874064a75b4d9b50f46408a781112e8bfff3096b7d",
+    ("mixed-signs", 2, None): "58f005d34de47db6e5ef8cca32404d70993251fb75f4232cb79ffe3ddaa4aa3f",
+    ("common-effect-1", 0, None): "8b8aa845368caef61849d2ea477c3eb9383ed9a16b8ef523943bd4c5595396bf",
+    ("common-effect-1", 1, None): "39968f91d1cb65bd5d4448f62e283ad9e058691a56e61cc6867801f21e0c2085",
+    ("common-effect-1", 2, None): "0316690d56e50fe966064ec4d538072871bae003d0e39d3c2ece734c35c409a2",
+    ("common-effect-2", 0, None): "d94e8d2aa569cc9842110958e0fec746fc2882f33ef939ce33168e642eb34eaf",
+    ("common-effect-2", 1, None): "395b17cbb15da64a66c83d32f5060e37e30a1a892a7a9ff0aa6e96eb8868b560",
+    ("common-effect-2", 2, None): "a7e9cc81dccf013269db6e82077bbe62aad6ba0f28650d411c83fe97f3b396e6",
+    ("common-effect-3", 0, None): "d3168d9c1f651d220e5ea74b440069df79c8bc166a93d014144c661876576825",
+    ("common-effect-3", 1, None): "a406b7213c2c59ac7063f556a66e9221e5b9820da746c6c25465cede38483193",
+    ("common-effect-3", 2, None): "29d5ba076ba00312f12c9bf8db7c1d589c2bcdc5306c72d40aaf5e04a869e4fa",
+    ("single-among-n", 0, None): "7ef46ddcf446a9cf306358ff136facc9f0e2b162504baa6efacd8f43f314fb4c",
+    ("single-among-n", 1, None): "fac47d64848169a2cb47c37d6f06bc3e52173ff4dfd0b710c3a4579347e13875",
+    ("single-among-n", 2, None): "8192cde99cc3eedc7a0f783fcfdc468d94de840a6a829e80f30416dce13d650d",
+    ("single-among-n-weak", 0, None): "9a3fd3cbfd25ba4960806fc7729483033d815f43b5cbdacacf85a32b3ee9c39f",
+    ("single-among-n-weak", 1, None): "12697ae060caaca41c676325a8b030788f2604fb796a81ffde11509f260cb3d7",
+    ("single-among-n-weak", 2, None): "b5101dcb52e4887dafe809850306135332d182ea5a1a4eb6d8e0067ca4f885ed",
+    ("re-high-het", 0, None): "d4dbbbae15932b4b63117d954b162a7286bedfcc2b608affb7399415f30425de",
+    ("re-high-het", 1, None): "a137bd15f820269e49a0f685f9c67d6fd4488a4f4750df3da408911e9c8f09b0",
+    ("re-high-het", 2, None): "b10271e04c68eae9fff0a4dd9d1dd46d9bce26603aed400f2f0d7063f7ff33fd",
+    ("re-moderate-het", 0, None): "ff00677ea2e67c3d1ee5700f5a70f2cc083f300b7969b0a26667791fba63fe65",
+    ("re-moderate-het", 1, None): "66c0f1d3748d50d35081aefe0e92b70c016a82f0e2c79dccffcbfcac9c1ed7d1",
+    ("re-moderate-het", 2, None): "b3c8dda069aba19d65764e149e183e85d1e0223b7cfcb238165ae6570e7dc5b4",
+    ("mixed-signs", 0, 1.0): "d01eeb8a77def7f408b1e11032bd9c22af3827074c3c5813e7f7e1566f9d544e",
+    ("mixed-signs", 1, 1.0): "1b2f22d239c3ef48528b18a7bb3cb24522182784180b720abc944aff5296d69e",
+    ("mixed-signs", 2, 1.0): "4c0703116ad3dc71046b6f268ab174286bf24e7458e342afa72d1e398503a83b",
+}
+
+
+class TestGuards:
+    @pytest.mark.parametrize("name, seed, t", list(CSV_DIGESTS))
+    def test_csv_digest(self, tmp_path, name, seed, t):
+        out = tmp_path / "power.csv"
+        argv = ["simulate", "--scenario", name, "--replications", "2000", "--seed", str(seed)]
+        if t is not None:
+            argv += ["--t", repr(t)]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[(name, seed, t)]
+
+    @staticmethod
+    def _peak_rss_mb(config: str, replications: int) -> float:
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "replimeta", "simulate", "--config", config,
+                "--replications", str(replications), "--out", os.devnull]
+        proc = subprocess.Popen(argv, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024.0  # kilobytes on Linux
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB is Linux's")
+    def test_peak_memory_does_not_grow_with_replications(self, tmp_path):
+        # Replications are drawn and tested in row chunks, so eight times the
+        # rows must not mean eight times the matrix.
+        config = tmp_path / "mixed8.cfg"
+        config.write_text(
+            "theta = 0.4 -0.3 0.2 0.5 -0.1 0.3 0.25 -0.45\n"
+            f"nc = {' '.join(str(c) for c, _ in BENCHMARK_GROUP_SIZES)}\n"
+            f"nt = {' '.join(str(t) for _, t in BENCHMARK_GROUP_SIZES)}\n"
+            "seed = 3\n"
+            "tests = meta_fe meta_re H1n H2n H3n H2n_fe inconsistency_detected\n"
+        )
+        small = self._peak_rss_mb(str(config), 100_000)
+        large = self._peak_rss_mb(str(config), 800_000)
+        assert large - small < 30.0, (small, large)
