@@ -8,9 +8,9 @@ displayed exponentiated.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .replicability import ReplicabilityReport
 
@@ -141,6 +141,11 @@ def _raw_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    # &, < and >, as xml.sax.saxutils.escape does, without importing urllib.
+    return html.escape(text, quote=False)
+
+
 def _render_svg(forest: AnnotatedForest) -> str:
     ratio = forest.measure in _RATIO_MEASURES
     values = [v for row in forest.rows for v in (row.ci[0], row.ci[1])]
@@ -172,14 +177,14 @@ def _render_svg(forest: AnnotatedForest) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_WIDTH}" height="{height}" font-family="monospace" font-size="12">',
         f'<text x="10" y="{_TOP - 16}" font-weight="bold">'
-        f"{escape(forest.pooled.label)} forest plot ({_MEASURE_LABEL[forest.measure]})</text>",
+        f"{_escape(forest.pooled.label)} forest plot ({_MEASURE_LABEL[forest.measure]})</text>",
         f'<line x1="{x_of(null_value):.2f}" y1="{_TOP - 8}" x2="{x_of(null_value):.2f}" '
         f'y2="{axis_y}" stroke="#888888" stroke-dasharray="4,3"/>',
     ]
     for index, row in enumerate(forest.rows):
         y = _TOP + index * _ROW_HEIGHT
         half = 3.0 + 5.0 * math.sqrt(row.weight / max_weight)
-        parts.append(f'<text x="10" y="{y + 4}">{escape(row.label)}</text>')
+        parts.append(f'<text x="10" y="{y + 4}">{_escape(row.label)}</text>')
         parts.append(
             f'<line x1="{x_of(row.ci[0]):.2f}" y1="{y}" x2="{x_of(row.ci[1]):.2f}" y2="{y}" '
             f'stroke="black"/>'
@@ -198,7 +203,7 @@ def _render_svg(forest: AnnotatedForest) -> str:
 
     diamond_y = pooled_y
     cx, lo_x, hi_x = (x_of(forest.pooled.estimate), x_of(forest.pooled.ci[0]), x_of(forest.pooled.ci[1]))
-    parts.append(f'<text x="10" y="{diamond_y + 4}">{escape(forest.pooled.label)}</text>')
+    parts.append(f'<text x="10" y="{diamond_y + 4}">{_escape(forest.pooled.label)}</text>')
     parts.append(
         f'<polygon points="{lo_x:.2f},{diamond_y} {cx:.2f},{diamond_y - 7} '
         f'{hi_x:.2f},{diamond_y} {cx:.2f},{diamond_y + 7}" fill="#1a1a1a"/>'
@@ -220,7 +225,7 @@ def _render_svg(forest: AnnotatedForest) -> str:
         parts.append(f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.2f}" y="{axis_y + 18}" text-anchor="middle">{label}</text>')
 
-    parts.append(f'<text x="10" y="{axis_y + 38}">{escape(_heterogeneity_line(forest))}</text>')
-    parts.append(f'<text x="10" y="{axis_y + 54}">{escape(_replicability_line(forest))}</text>')
+    parts.append(f'<text x="10" y="{axis_y + 38}">{_escape(_heterogeneity_line(forest))}</text>')
+    parts.append(f'<text x="10" y="{axis_y + 54}">{_escape(_replicability_line(forest))}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -277,18 +277,28 @@ def _pool_rows(theta_hat: np.ndarray, se: np.ndarray) -> _Pooled:
 
 
 def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
-    """Index of the study at which a pooling sum first leaves the doubles, or None.
+    """Index of the study at which a pooling sum first can leave the doubles, or None.
 
-    ``_pool_rows`` adds the weights 1/se**2 and the products weight x estimate
-    in study order. The same sums in Python floats overflow to inf without a
-    warning, so the first study that makes either one non-finite is found here.
+    ``_pool_rows`` adds the weights 1/se**2, the products weight x estimate
+    and Cochran's Q terms weight x (estimate - pooled)**2 in study order, and
+    ``leave_one_out`` does so for every set without one study. The same sums
+    in Python floats overflow to inf without a warning, so running bounds on
+    them are checked here, for the studies so far. The sums of the weights
+    and of |weight x estimate| bound those of every subset. A subset's pooled
+    estimate is a weighted mean of its estimates, so each of them lies within
+    the spread max - min of it, and the weight total times the squared spread,
+    doubled to cover rounding, bounds Q of every subset.
     """
     total = weighted = 0.0
+    lo, hi = math.inf, -math.inf
     for index, study in enumerate(studies):
         w = 1.0 / study.se**2
         total += w
-        weighted += w * study.theta_hat
-        if not (math.isfinite(total) and math.isfinite(weighted)):
+        weighted += abs(w * study.theta_hat)
+        lo, hi = min(lo, study.theta_hat), max(hi, study.theta_hat)
+        spread = hi - lo
+        q_bound = total * (spread * spread) * 2.0
+        if not (math.isfinite(total) and math.isfinite(weighted) and math.isfinite(q_bound)):
             return index
     return None
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Literal, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -146,11 +146,16 @@ def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
     return _product_tail(_truncated_statistic(sorted_rows, t), sorted_rows.shape[1], t)
 
 
-# The fast decisions of ``_PCCurve.rejects`` compare a statistic summed in
-# another order with a bracket found on a rounded tail function. Both differ
-# from the exact kernel by a few ulps (at most n ulps of c for n studies, and
-# the tail's own rounding), far inside this relative margin; rows within it
-# of the bracket are decided by the exact kernel.
+# ``_directional_rejections`` compares a statistic summed in another order
+# with a bracket found on a rounded tail function. Rows within this relative
+# margin of the bracket, which covers the tail's own rounding, are decided by
+# the exact kernel, and so are rows within the summation slack of it. Each
+# clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of them, in
+# any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact kernel
+# makes one such sum; the top-k statistic makes two, the row total T and the
+# k smallest S(k), and one rounding of T - S(k). With c = -2 (...) the two
+# statistics differ by less than 8 n^2 eps |log LOG_FLOOR|, the slack, which
+# is 7.9e-11 at n = 8.
 _BAND_MARGIN = 1e-6
 
 
@@ -199,7 +204,6 @@ class _PCCurve:
         self._sorted.sort(axis=1)
         self._t = t
         self._values: dict[int, np.ndarray] = {}
-        self._statistics: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._sorted.shape[1]
@@ -208,30 +212,6 @@ class _PCCurve:
         if u not in self._values:
             self._values[u] = _truncated_product_rows(self._sorted[:, u - 1 :], self._t)
         return self._values[u]
-
-    def rejects(self, u: int, level: float) -> np.ndarray:
-        """``self(u) <= level`` per row, bit for bit, from critical values.
-
-        Column u-1 of one reversed cumulative sum of the truncated logs is
-        every row's statistic for r(u). Rows clearly beyond the critical
-        bracket of ``_product_tail`` reject, rows clearly short of it accept,
-        and only rows within ``_BAND_MARGIN`` of it run the exact kernel.
-        """
-        if self._statistics is None:
-            sums = np.log(self._sorted)
-            sums[self._sorted > self._t] = 0.0
-            # In place, right to left: column j becomes the sum of columns j..n-1.
-            np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
-            sums *= -2.0
-            self._statistics = sums
-        c_stat = self._statistics[:, u - 1]
-        c_accept, c_reject = _critical_bracket(len(self) - u + 1, self._t, level)
-        out = c_stat > c_reject * (1.0 + _BAND_MARGIN)
-        band = np.flatnonzero(~out & (c_stat >= c_accept * (1.0 - _BAND_MARGIN)))
-        if band.size:
-            exact = _truncated_product_rows(self._sorted[band, u - 1 :], self._t)
-            out[band] = exact <= level
-        return out
 
 
 def _leading_rejections(curve: _PCCurve, level: float) -> int:
@@ -244,6 +224,127 @@ def _leading_rejections(curve: _PCCurve, level: float) -> int:
     while u < len(curve) and curve(u + 1)[0] <= level:
         u += 1
     return u
+
+
+# Relative margin of t in ``_tail_cut``. ndtr(ndtri(t)) is within 1e-12 of t,
+# relative, for t from 1e-300 to 1 - 1e-6. A margin on t rather than on z
+# also holds near t = 1, where the normal tail is flat and a fixed margin on
+# z would have to grow without bound.
+_CUT_MARGIN = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _tail_cut(t: float) -> float:
+    """A z above which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], exceeds t.
+
+    It is ndtri(t (1 + _CUT_MARGIN)), and +inf when that level reaches
+    LOG_CEIL, where every clipped p-value could be at or below t.
+    """
+    top = t * (1.0 + _CUT_MARGIN)
+    return math.inf if top >= LOG_CEIL else float(special.ndtri(top))
+
+
+def _truncated_logs(zt: np.ndarray, t: float) -> Iterator[np.ndarray]:
+    """For each row of an (n, rows) z matrix, log p where p = ndtr(z), clipped, is <= t; else 0.
+
+    These are the terms the exact kernel adds, p being clipped to
+    [LOG_FLOOR, LOG_CEIL]. ndtr runs only on the candidates z <=
+    ``_tail_cut(t)``: every other entry has p > t and adds 0. Each study's
+    vector is yielded in the same buffer, which the next one overwrites.
+    """
+    cut = _tail_cut(t)
+    logs = np.empty(zt.shape[1])
+    for z in zt:
+        candidates = slice(None) if cut == math.inf else np.flatnonzero(z <= cut)
+        p = np.clip(special.ndtr(z[candidates]), LOG_FLOOR, LOG_CEIL)
+        terms = np.log(p)
+        # A masked store: np.where with a scalar 0.0 is several times slower.
+        terms[p > t] = 0.0
+        logs.fill(0.0)
+        logs[candidates] = terms
+        yield logs
+
+
+def _truncated_rejections(
+    logs: Iterable[np.ndarray],
+    rows: int,
+    us: Collection[int],
+    t: float,
+    level: float,
+    exact_rows: Callable[[np.ndarray], np.ndarray],
+) -> dict[int, np.ndarray]:
+    """``r(u) <= level`` for each u in ``us``, per entry of ``rows``-long log vectors.
+
+    ``logs`` gives each study's ``_truncated_logs`` vector in turn. r(u)
+    leaves out the u - 1 smallest p-values, so its statistic is c(u) =
+    -2 (T - S(u-1)), T being the total of a row's logs and S(k) the sum of
+    its k most negative ones, kept by a running minimum/maximum insertion
+    over the studies. Rows clearly beyond the critical bracket of
+    ``_product_tail`` reject, rows clearly short of it accept, and only rows
+    within ``_BAND_MARGIN`` and the summation slack of it run the exact
+    kernel, on the p-value rows ``exact_rows(band)`` returns. A row with
+    fewer than u truncated logs has c(u) = 0 exactly in that kernel, and
+    within the slack of 0 here.
+    """
+    total = np.zeros(rows)
+    smallest = np.zeros((max(us) - 1, rows))
+    carry, spare = np.empty(rows), np.empty(rows)
+    n = 0
+    for row in logs:
+        n += 1
+        total += row
+        carry[:] = row
+        # Insert the row into the sorted k smallest; what a slot gives up
+        # moves on to the next slot, and what the last gives up is dropped.
+        for i, slot in enumerate(smallest):
+            if i + 1 < len(smallest):
+                np.maximum(slot, carry, out=spare)
+            np.minimum(slot, carry, out=slot)
+            carry, spare = spare, carry
+    slack = 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)  # see _BAND_MARGIN
+    # An exact statistic is 0 or at least one truncated log's worth, c_least;
+    # below it a row accepts, as r(u) = 1 there, also where c_accept is 0.
+    c_least = -2.0 * math.log(min(t, LOG_CEIL))
+    excluded = np.zeros(rows)
+    out = {}
+    for u in range(1, max(us) + 1):
+        if u > 1:
+            excluded += smallest[u - 2]
+        if u not in us:
+            continue
+        c_stat = -2.0 * (total - excluded)
+        c_accept, c_reject = _critical_bracket(n - u + 1, t, level)
+        rejected = c_stat > c_reject * (1.0 + _BAND_MARGIN) + slack
+        lower = max(c_accept * (1.0 - _BAND_MARGIN), c_least) - slack
+        band = np.flatnonzero(~rejected & (c_stat >= lower))
+        if band.size:
+            rejected[band] = _PCCurve(exact_rows(band), t)(u) <= level
+        out[u] = rejected
+    return out
+
+
+def _directional_rejections(
+    zt: np.ndarray, t: float, us: Collection[int], level: float
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Left and right ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
+
+    Each study is one contiguous row of ``zt``. The left p-values are
+    ndtr(z), the right ones ndtr(-z): ``zt`` is negated in place for the
+    right side and negated back. Every decision is that of ``_PCCurve`` on
+    the p-value rows, bit for bit.
+    """
+
+    def side() -> dict[int, np.ndarray]:
+        return _truncated_rejections(
+            _truncated_logs(zt, t), zt.shape[1], us, t, level,
+            lambda band: special.ndtr(zt[:, band].T),
+        )
+
+    left = side()
+    np.negative(zt, out=zt)
+    right = side()
+    np.negative(zt, out=zt)
+    return left, right
 
 
 def truncated_product_p(p_values: Sequence[float], cfg: TruncationConfig = DEFAULT_CONFIG) -> float:

@@ -144,8 +144,8 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
     overflow = _overflow_index(studies)
     if overflow is not None:
         raise StudyFileError(
-            f"row {row_numbers[overflow]}: the inverse-variance sums of 1/se^2 or estimate/se^2 "
-            "over the rows so far overflow a double"
+            f"row {row_numbers[overflow]}: the inverse-variance sums of 1/se^2, |estimate|/se^2 "
+            "or Cochran's Q over the rows so far can overflow a double"
         )
     return studies
 

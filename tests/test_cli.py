@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -158,9 +161,14 @@ class TestAnalyzeCommand:
 
 # Inputs that pass every per-row check but overflow the pooling sums: w * theta
 # of the first row (row 2) is 1e310, and two weights of 1e308 add to inf at row 3.
+# Cochran's Q of the third set is inf, although its Σw·θ is 1. In the fourth,
+# the full set's Σw·θ is 1e308 but the set without b, which ``loo`` pools, sums
+# to inf; Σ|w·θ| reaches inf at b.
 @pytest.mark.parametrize("rows, bad_row", [
     ("a,1e300,1e-5\nb,-1e300,1e-5\nc,1,1\n", 2),
     ("a,1,1e-154\nb,2,1e-154\nc,3,1e-154\n", 3),
+    ("a,1e200,1\nb,-1e200,1\nc,1,1\n", 3),
+    ("a,1e308,1\nb,-1e308,1\nc,1e308,1\n", 3),
 ])
 @pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
 def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_row, command):
@@ -170,6 +178,22 @@ def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_ro
     err = capsys.readouterr().err
     assert f"row {bad_row}: " in err and "overflow" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_importing_the_cli_loads_no_xml_or_urllib():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email: about
+    # 40 ms of every process, for an escape that html.escape also does.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys, replimeta.cli; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

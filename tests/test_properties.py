@@ -1,7 +1,8 @@
 """Property tests for the row-wise kernels and everything read from them.
 
-r(u), the directional bounds, the ``bounds`` table and the simulation H-tests
-all come from one partial-conjunction curve per direction; the pooled
+r(u), the directional bounds and the ``bounds`` table all come from one
+partial-conjunction curve per direction, and the simulation's H-test kernel
+must decide as that curve does, bit for bit; the pooled
 estimates, Q, I-squared and tau-squared all come from one pooling kernel; the
 common-effect r-values and the simulation's ``H2n_fe`` come from one
 subset-pooling kernel. These tests check the kernels against plain oracles and
@@ -32,9 +33,12 @@ from replimeta.meta import (
 from replimeta.replicability import (
     TruncationConfig,
     _critical_bracket,
+    _directional_rejections,
     _leading_rejections,
     _fe_z_extremes,
     _PCCurve,
+    _tail_cut,
+    _truncated_rejections,
     _truncated_statistic,
     confidence_bounds,
     fe_r_value,
@@ -313,11 +317,12 @@ def _rows_straddling(target, t, truncated, untruncated):
 def test_critical_value_decisions_equal_the_exact_kernel_at_the_band_edges(
     length, t, alpha, edge, ulps, extra, data
 ):
-    """rejects(u, level) is curve(u) <= level on rows whose statistic is at a bracket edge.
+    """The simulation's decision step is curve(u) <= level on rows at a bracket edge.
 
     The statistic of r(u) is that of the row's length largest p-values; the
     rows are built so that it lands on c_accept or c_reject of the critical
-    bracket, or one double either side. Where the plateau 1 - (1 - t)^L is
+    bracket, or one double either side, and their truncated logs are fed to
+    ``_truncated_rejections``. Where the plateau 1 - (1 - t)^L is
     already at or below the level (t = 0.01 at L = 1), the bracket is
     (0, 5e-324) and no truncated row can reach it: the rows are then one
     with nothing truncated and one with a single p-value at t.
@@ -348,11 +353,70 @@ def test_critical_value_decisions_equal_the_exact_kernel_at_the_band_edges(
     smallest = min(row[0] for row in rows)
     below = sorted(data.draw(st.floats(LOG_FLOOR, smallest)) for _ in range(extra))
     matrix = np.array([below + row.tolist() for row in rows])
-    curve = _PCCurve(matrix, t)
-    assert np.array_equal(curve.rejects(u, level), curve(u) <= level)
-    for row in matrix:
-        one = _PCCurve(row, t)
-        assert bool(one.rejects(u, level)[0]) == bool(one(u)[0] <= level)
+    expected = _PCCurve(matrix, t)(u) <= level
+    assert np.array_equal(kernel_decisions(matrix, u, t, level), expected)
+    for row, want in zip(matrix, expected):
+        assert bool(kernel_decisions(row[None, :], u, t, level)[0]) == bool(want)
+
+
+def kernel_decisions(p_rows, u, t, level):
+    """``_truncated_rejections`` at u on the truncated logs of a (rows, n) p-value matrix."""
+    clipped = np.clip(p_rows, LOG_FLOOR, LOG_CEIL)
+    logs = np.where(clipped <= t, np.log(clipped), 0.0).T.copy()
+    return _truncated_rejections(logs, logs.shape[1], (u,), t, level, lambda band: p_rows[band])[u]
+
+
+@pytest.mark.parametrize("t", [1e-12, 0.01, 0.05, 0.5, 0.9, 1.0])
+def test_every_z_above_the_cut_has_a_p_value_above_t(t):
+    cut = _tail_cut(t)
+    if t == 1.0:
+        assert cut == math.inf
+        return
+    z = [cut]
+    for _ in range(2000):
+        z.append(float(np.nextafter(z[-1], math.inf)))
+    z = np.array(z[1:])
+    rng = np.random.default_rng(int(t * 1e6))
+    above = [z, cut + rng.exponential(1e-6, 2000), cut + rng.exponential(3.0, 2000)]
+    p = np.clip(special.ndtr(np.concatenate(above)), LOG_FLOOR, LOG_CEIL)
+    assert np.all(p > t)
+
+
+# z near the cuts and where ndtr rounds to 0.5, 1 and LOG_FLOOR, besides draws.
+SPECIAL_Z = np.array([0.0, 5e-324, 1e-17, -1e-17, 40.0, -40.0, -38.5, 8.3, -8.3,
+                      float(_tail_cut(0.05)), float(_tail_cut(0.5)), float(special.ndtri(0.05))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    t=st.sampled_from([1e-310, 1e-12, 0.001, 0.05, 0.5, 0.9, LOG_CEIL, 1.0]),
+    alpha=st.sampled_from([0.01, 0.05, 0.2]),
+    scale=st.sampled_from([0.5, 1.0, 3.0, 12.0]),
+)
+def test_directional_rejections_equal_the_exact_kernel_row_by_row(seed, n, t, alpha, scale):
+    """Every u up to n, on rows with few or no truncated entries and with t below LOG_FLOOR.
+
+    At t = 1e-310 nothing is truncated; with a small scale most rows hold
+    fewer than u - 1 truncated entries at large u.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, scale, size=(300, n)) + rng.choice([0.0, 2.5, -2.5], size=(300, 1))
+    z[:60] = rng.choice(SPECIAL_Z, size=(60, n))
+    level = alpha / 2.0
+    exact_left, exact_right = _PCCurve(special.ndtr(z), t), _PCCurve(special.ndtr(-z), t)
+    zt = z.T.copy()
+    left, right = _directional_rejections(zt, t, range(1, n + 1), level)
+    assert np.array_equal(zt, z.T)  # negated for the right side, and back
+    for u in range(1, n + 1):
+        assert np.array_equal(left[u], exact_left(u) <= level)
+        assert np.array_equal(right[u], exact_right(u) <= level)
+    # Asked for u = n alone, the top-k still keeps the n - 1 smallest.
+    left, right = _directional_rejections(zt, t, (n,), level)
+    assert list(left) == list(right) == [n]
+    assert np.array_equal(left[n], exact_left(n) <= level)
+    assert np.array_equal(right[n], exact_right(n) <= level)
 
 
 def full_mantissas(low, high):

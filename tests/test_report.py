@@ -236,6 +236,15 @@ class TestForest:
             assert tick in texts
         assert svg == render_forest(self._forest("odds_ratio"), "svg")
 
+    def test_svg_labels_escape_as_saxutils_does(self):
+        from xml.sax.saxutils import escape
+
+        label = "A&B <2019> \"x\" 'y' &amp;"
+        studies = (StudySummary(label, 0.5, 0.2),) + tuple(STRONG_POSITIVE[1:])
+        svg = render_forest(analyze(AnalysisRequest(studies=studies))[2], "svg")
+        assert f">{escape(label)}</text>" in svg
+        assert [el.text for el in ET.fromstring(svg).iter() if el.text == label] == [label]
+
     def test_svg_has_squares_and_diamond(self):
         svg = render_forest(self._forest(), "svg")
         assert svg.count("<rect") == len(STRONG_POSITIVE)

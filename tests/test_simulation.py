@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from replimeta import cli, meta
+from replimeta import cli, meta, simulation
 from replimeta.meta import _pool_rows
 from replimeta.replicability import (
     TruncationConfig,
@@ -307,11 +307,26 @@ class TestChunks:
     def test_chunk_size_changes_no_point(self, monkeypatch):
         # Five studies per row: chunks of 1 row, 7 rows (the last one shorter)
         # and all 50 rows at once.
+        # The subset blocks of H2n_fe shrink along with them.
         results = []
         for rows in (1, 7, 50):
+            monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * rows)
             monkeypatch.setattr(meta, "_BLOCK_ELEMENTS", 5 * rows)
             results.append(self._run())
         assert results[0] == results[1] == results[2]
+
+    def test_default_chunks_equal_one_chunk(self, monkeypatch):
+        # 40,000 rows of eight studies are several chunks at the default size,
+        # the last one shorter, and one chunk at 2^20 elements.
+        scenario = FixedEffectsScenario(
+            theta=(0.5, 0.5, -0.3, 0.0, 0.0, 0.2, 0.0, 0.0), group_sizes=BENCHMARK_GROUP_SIZES,
+            replications=40_000, seed=23,
+        )
+        rows = simulation._CHUNK_ELEMENTS // 8
+        assert scenario.replications > 2 * rows and scenario.replications % rows
+        chunked = truncation_comparison([scenario], (0.05, 1.0), self.TESTS)
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 1 << 20)
+        assert truncation_comparison([scenario], (0.05, 1.0), self.TESTS) == chunked
 
 
 class TestCalibrateTau:
