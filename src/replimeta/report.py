@@ -12,13 +12,14 @@ import csv
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
-from scipy import special
-
 from .forest import AnnotatedForest, ForestRow, format_number, format_r_value
 from .meta import (
     MetaAnalysisResult,
+    _OVERFLOW_MESSAGE,
     StudySummary,
+    _forest_weights,
     _overflow_index,
+    _z_crit,
     binary_to_log_effect,
     fixed_effect_meta,
     q_test_p_value,
@@ -143,10 +144,7 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
         raise StudyFileError("study file has a header but no data rows")
     overflow = _overflow_index(studies)
     if overflow is not None:
-        raise StudyFileError(
-            f"row {row_numbers[overflow]}: the inverse-variance sums of 1/se^2, |estimate|/se^2 "
-            "or Cochran's Q over the rows so far can overflow a double"
-        )
+        raise StudyFileError(f"row {row_numbers[overflow]}: {_OVERFLOW_MESSAGE}")
     return studies
 
 
@@ -234,17 +232,15 @@ def _build_forest(
     measure: str,
     alpha: float,
 ) -> AnnotatedForest:
-    z_crit = float(special.ndtri(1.0 - alpha / 2.0))
-    weights = [1.0 / (s.se**2 + meta_result.tau_squared) for s in studies]
-    total = sum(weights)
+    z_crit = _z_crit(alpha)
     rows = tuple(
         ForestRow(
             label=s.label,
             estimate=s.theta_hat,
             ci=(s.theta_hat - z_crit * s.se, s.theta_hat + z_crit * s.se),
-            weight=w / total,
+            weight=share,
         )
-        for s, w in zip(studies, weights)
+        for s, share in zip(studies, _forest_weights(studies, meta_result.tau_squared))
     )
     pooled = ForestRow(
         label=f"pooled ({meta_result.model})",

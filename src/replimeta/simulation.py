@@ -19,13 +19,14 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from scipy import special
 
-from .meta import _pool_rows
+from .meta import _pool_rows, _pooled_abs_z
 from .replicability import TruncationConfig, _directional_rejections, _fe_z_extremes
 
 __all__ = [
@@ -187,8 +188,80 @@ def _draws(scenario: Scenario) -> Iterator[np.ndarray]:
         yield draw
 
 
-def _two_sided_p(estimate: np.ndarray, se: np.ndarray) -> np.ndarray:
-    return 2.0 * special.ndtr(-np.abs(estimate / se))
+# ``_normal_rejections`` decides 2 ndtr(-x) <= alpha from x alone outside
+# the bracket -ndtri(alpha/2 (1 +- _Z_MARGIN)): its normal tail is beyond
+# alpha/2 by a relative 1e-6, far beyond the rounding of ndtr and ndtri. Only
+# rows inside it run ndtr. The margin sits on the level, as ``_tail_cut``'s
+# does, because it then holds for every alpha: ndtri(1 - alpha/2), the
+# critical value of the confidence intervals, loses the tail's precision
+# below alpha = 1e-11 and is inf below 1.1e-16.
+_Z_MARGIN = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _z_bracket(alpha: float) -> tuple[float, float]:
+    """(z_accept, z_reject): x below the first accepts, x above the second rejects."""
+    level = alpha / 2.0
+    z_accept = -float(special.ndtri(level * (1.0 + _Z_MARGIN)))
+    z_reject = -float(special.ndtri(level * (1.0 - _Z_MARGIN)))
+    return z_accept, z_reject
+
+
+def _normal_rejections(
+    x: np.ndarray, slack: np.ndarray | float, alpha: float, exact: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Whether 2 ndtr(-x) <= alpha, per entry of x, a statistic within ``slack`` of its exact value.
+
+    Entries whose interval x +- slack lies wholly beyond ``_z_bracket``
+    reject or accept; the rest, including NaN and infinite slack, take the
+    decisions ``exact(band)`` returns for their indices.
+    """
+    z_accept, z_reject = _z_bracket(alpha)
+    rejected = x - slack > z_reject
+    band = np.flatnonzero(~rejected & ~(x + slack < z_accept))
+    if band.size:
+        rejected[band] = exact(band)
+    return rejected
+
+
+def _pooled_rejections(
+    theta_t: np.ndarray, se: np.ndarray, tests: Sequence[str], alpha: float
+) -> dict[str, np.ndarray]:
+    """The requested ones of meta_fe, meta_re and H2n_fe, per column of an (n, rows) matrix.
+
+    Each compares a pooled |z| with the critical value through
+    ``_normal_rejections``. Near it, meta_fe and H2n_fe run ndtr on their
+    z, which is exact, and meta_re runs the exact ``_pool_rows`` and ndtr.
+    """
+    n = theta_t.shape[0]
+    decided: dict[str, np.ndarray] = {}
+
+    def two_sided(abs_z: np.ndarray) -> np.ndarray:
+        return 2.0 * special.ndtr(-abs_z) <= alpha
+
+    def exact_re(band: np.ndarray) -> np.ndarray:
+        pooled = _pool_rows(theta_t.T[band], se)
+        return two_sided(np.abs(pooled.re / pooled.re_se))
+
+    if {"meta_fe", "meta_re"} & set(tests):
+        z_fe, z_re, bound = _pooled_abs_z(theta_t, se, "meta_re" in tests)
+        if "meta_fe" in tests:
+            decided["meta_fe"] = _normal_rejections(
+                z_fe, 0.0, alpha, lambda band: two_sided(z_fe[band])
+            )
+        if z_re is not None:
+            decided["meta_re"] = _normal_rejections(z_re, bound, alpha, exact_re)
+    if "H2n_fe" in tests:
+        # The (n-1)-subsets of the common-effect test at u = 2, which rejects
+        # where the larger of -z_max and z_min is beyond the critical value.
+        z_min, z_max = _fe_z_extremes(theta_t.T, se, n - 1)
+
+        def exact_fe(band: np.ndarray) -> np.ndarray:
+            tails = np.minimum(special.ndtr(z_max[band]), special.ndtr(-z_min[band]))
+            return np.minimum(1.0, 2.0 * tails) <= alpha
+
+        decided["H2n_fe"] = _normal_rejections(np.maximum(-z_max, z_min), 0.0, alpha, exact_fe)
+    return decided
 
 
 def _evaluate_tests(
@@ -196,42 +269,52 @@ def _evaluate_tests(
     se: np.ndarray,
     tests: Sequence[str],
     cfg: TruncationConfig,
+    work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Boolean rejection indicators per requested test, one entry per replication.
 
-    The H-tests and inconsistency_detected ask each side's partial-conjunction
-    test only whether r(u) <= alpha/2, through ``_directional_rejections``.
-    That is the whole decision: doubling is exact, so min(1, 2 min(a, b)) <=
-    alpha exactly when a <= alpha/2 or b <= alpha/2.
+    Every test compares a statistic with a critical value and computes a
+    normal tail or a truncated-product p-value only near it. The H-tests and
+    inconsistency_detected ask each side's partial-conjunction test only
+    whether r(u) <= alpha/2, through ``_directional_rejections``. That is the
+    whole decision: doubling is exact, so min(1, 2 min(a, b)) <= alpha
+    exactly when a <= alpha/2 or b <= alpha/2. The pooled tests and H2n_fe
+    compare a |z| with the critical value through ``_normal_rejections``;
+    rows near it run the exact pooling and ndtr.
+
+    ``work``, a vector of at least twice theta_hat's size, holds the chunk's
+    two work matrices, so that a loop over chunks allocates none: a fresh
+    matrix of a chunk's size costs more in page faults than the arithmetic
+    done on it. One is allocated when it is None.
     """
     n = theta_hat.shape[1]
     alpha = cfg.alpha
-    level = alpha / 2.0
     levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
     levels = {u for u in levels if 1 <= u <= n}
     if "inconsistency_detected" in tests:
         levels.add(1)
-    left: dict[int, np.ndarray] = {}
-    right: dict[int, np.ndarray] = {}
+    for test_id in ("meta_re", "H2n_fe"):
+        if test_id in tests and n < 2:
+            raise ValueError(f"{test_id} requires at least two studies")
+    if not tests:
+        return {}
+    size = theta_hat.size
+    if work is None:
+        work = np.empty(2 * size)
+    # (n, rows), so that each study is one contiguous row. It becomes the
+    # H-tests' z matrix in place once the pooled tests are done with it.
+    theta_t = work[:size].reshape(n, -1)
+    np.copyto(theta_t, theta_hat.T)
+    decided = _pooled_rejections(theta_t, se, tests, alpha)
+    left = right = {}
     if levels:
-        zt = np.divide(theta_hat.T, se[:, None], order="C")
-        left, right = _directional_rejections(zt, cfg.t, levels, level)
-    pooled = _pool_rows(theta_hat, se) if {"meta_fe", "meta_re"} & set(tests) else None
+        theta_t /= se[:, None]
+        logs = work[size : 2 * size].reshape(n, -1)
+        left, right = _directional_rejections(theta_t, cfg.t, levels, alpha / 2.0, logs)
     out: dict[str, np.ndarray] = {}
     for test_id in tests:
-        if test_id == "meta_fe":
-            out[test_id] = _two_sided_p(pooled.fe, pooled.fe_se) <= alpha
-        elif test_id == "meta_re":
-            if n < 2:
-                raise ValueError("meta_re requires at least two studies")
-            out[test_id] = _two_sided_p(pooled.re, pooled.re_se) <= alpha
-        elif test_id == "H2n_fe":
-            if n < 2:
-                raise ValueError("H2n_fe requires at least two studies")
-            # The (n-1)-subsets of the common-effect test at u = 2.
-            z_min, z_max = _fe_z_extremes(theta_hat, se, n - 1)
-            r_fe = np.minimum(1.0, 2.0 * np.minimum(special.ndtr(z_max), special.ndtr(-z_min)))
-            out[test_id] = r_fe <= alpha
+        if test_id in decided:
+            out[test_id] = decided[test_id]
         elif test_id == "inconsistency_detected":
             out[test_id] = left[1] & right[1]
         else:
@@ -251,9 +334,12 @@ def _simulate(
     """One point per config, all from the same draws: each chunk is drawn once."""
     se = scenario.standard_errors
     counts = [dict.fromkeys(tests, 0) for _ in configs]
+    work = None
     for theta_hat in _draws(scenario):
+        if work is None and tests:  # the first chunk is the largest
+            work = np.empty(2 * theta_hat.size)
         for cfg, count in zip(configs, counts):
-            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, cfg).items():
+            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, cfg, work).items():
                 count[test_id] += int(np.count_nonzero(rejected))
     _, _, default_param = scenario._marginal()
     param = scenario.param if scenario.param is not None else default_param

@@ -163,12 +163,15 @@ class TestAnalyzeCommand:
 # of the first row (row 2) is 1e310, and two weights of 1e308 add to inf at row 3.
 # Cochran's Q of the third set is inf, although its Σw·θ is 1. In the fourth,
 # the full set's Σw·θ is 1e308 but the set without b, which ``loo`` pools, sums
-# to inf; Σ|w·θ| reaches inf at b.
+# to inf; Σ|w·θ| reaches inf at b. In the fifth, every other sum holds but the
+# squared weights that tau-squared adds overflow at a (row 2); in the second
+# they overflow at row 2 too, but the weights themselves only at row 3.
 @pytest.mark.parametrize("rows, bad_row", [
     ("a,1e300,1e-5\nb,-1e300,1e-5\nc,1,1\n", 2),
     ("a,1,1e-154\nb,2,1e-154\nc,3,1e-154\n", 3),
     ("a,1e200,1\nb,-1e200,1\nc,1,1\n", 3),
     ("a,1e308,1\nb,-1e308,1\nc,1e308,1\n", 3),
+    ("a,1,1e-100\nb,2,1e-100\nc,3,1\n", 2),
 ])
 @pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
 def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_row, command):

@@ -241,3 +241,27 @@ def test_both_models_agree_on_degenerate_input():
     assert fe.q == 0.0
     assert abs(fe.pooled - 0.7) < 1e-12
     assert abs(re.pooled - 0.7) < 1e-12
+
+
+# Sets that pass every per-study check but whose pooling sums leave the
+# doubles: Cochran's Q bound (at b), Σ|w·θ| (at b, which the set without b,
+# pooled by leave-one-out, overflows), and Σw², which tau-squared adds (at a).
+OVERFLOWING_SETS = [
+    (((1e200, 1.0), (-1e200, 1.0), (1.0, 1.0)), "s1"),
+    (((1e308, 1.0), (-1e308, 1.0), (1e308, 1.0)), "s1"),
+    (((1.0, 1e-100), (2.0, 1e-100), (3.0, 1.0)), "s0"),
+]
+
+
+@pytest.mark.parametrize("pairs, label", OVERFLOWING_SETS)
+@pytest.mark.parametrize("fit", [
+    fixed_effect_meta,
+    random_effects_meta,
+    heterogeneity,
+    lambda studies: leave_one_out(studies, "fixed"),
+    lambda studies: leave_one_out(studies, "random"),
+])
+def test_library_calls_name_the_study_where_a_pooling_sum_overflows(pairs, label, fit):
+    # pytest turns RuntimeWarnings into errors, so this also shows that none is raised.
+    with pytest.raises(ValueError, match=f"study '{label}': .*overflow"):
+        fit(make(*pairs))

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -25,6 +25,7 @@ from replimeta.cli import main
 from replimeta.meta import (
     StudySummary,
     _pool_rows,
+    _pooled_abs_z,
     fixed_effect_meta,
     heterogeneity,
     leave_one_out,
@@ -47,7 +48,7 @@ from replimeta.replicability import (
     truncated_product_p,
 )
 from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
-from replimeta.simulation import _evaluate_tests
+from replimeta.simulation import _evaluate_tests, _z_bracket
 from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
@@ -517,3 +518,152 @@ def test_common_effect_kernel_equals_reference_bitwise(case):
         assert bits(result.r_left, result.r_right, result.r) == bits(
             r_left, r_right, min(1.0, 2.0 * min(r_left, r_right))
         )
+
+
+def pooled_decision(test_id, pairs, alpha):
+    """Independent oracle: a pooled test's decision from the plain-Python pooling formulas."""
+    if test_id == "H2n_fe":
+        z_min, z_max = common_effect_reference(pairs, len(pairs) - 1)
+        return min(1.0, 2.0 * min(special.ndtr(z_max), special.ndtr(-z_min))) <= alpha
+    ref = pooling_reference(pairs)
+    estimate, se = (ref["fe"], ref["fe_se"]) if test_id == "meta_fe" else (ref["re"], ref["re_se"])
+    return 2.0 * special.ndtr(-abs(estimate / se)) <= alpha
+
+
+def _pooled_case(kind, n, data):
+    """Estimates, their standard errors and how the bisected parameter s moves them.
+
+    ``plain``: estimates of one sign, scaled by s. ``dominant``: one study's
+    weight dwarfs the others', so c = sum(w) - sum(w^2)/sum(w) is far below
+    sum(w); the estimates are scaled by s, or spread around 0 and shifted by
+    s, which moves the pooled z but not Q. ``huge_q``: estimates spread over
+    up to 1e8 standard errors, shifted by s, so that Q and tau-squared are
+    huge where the random-effects z crosses the critical value.
+    """
+    se = data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    noise = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if kind == "dominant":
+        se[0] *= 10.0 ** -data.draw(st.integers(3, 7))
+    if kind == "plain" or (kind == "dominant" and data.draw(st.booleans())):
+        return (1.0 + 0.5 * noise).tolist(), se, lambda s, x: s * x
+    assume(np.ptp(noise) > 0.1)
+    spread = 10.0 ** data.draw(st.integers(0, 2) if kind == "dominant" else st.integers(3, 8))
+    return ((noise - noise.mean()) * spread).tolist(), se, lambda s, x: s + x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    alpha=st.sampled_from([0.05, 0.01, 0.1, 0.001]),
+    kind=st.sampled_from(["plain", "dominant", "huge_q"]),
+    test_id=st.sampled_from(["meta_fe", "meta_re", "H2n_fe"]),
+    data=st.data(),
+)
+def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
+    n, alpha, kind, test_id, data
+):
+    """Rows whose exact pooled |z| straddles the critical value decide as the exact formulas.
+
+    The estimates move with a parameter s, which is bisected over the bit
+    patterns of doubles to neighbours whose exact decisions differ. The
+    random-effects kernel squares with x * x, not libm pow, and must send
+    such rows to the exact pooling. At alpha = 0.1 and 0.001 the first |z|
+    that rejects lies 3 and -70 doubles from ndtri(1 - alpha/2).
+    """
+    base, se, move = _pooled_case(kind, n, data)
+    cfg = TruncationConfig(alpha=alpha)
+
+    def row(bits_of_s):
+        s = _from_bits(bits_of_s)
+        return [move(s, x) for x in base]
+
+    def rejects(bits_of_s):
+        return pooled_decision(test_id, list(zip(row(bits_of_s), se)), alpha)
+
+    lo, hi = _float_bits(2.0**-30), _float_bits(2.0**40)
+    assume(not rejects(lo) and rejects(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rejects(mid):
+            hi = mid
+        else:
+            lo = mid
+    rows = np.array([row(lo), row(hi)])
+    out = _evaluate_tests(rows, np.array(se), (test_id,), cfg)[test_id]
+    assert out.tolist() == [False, True]
+    for one, want in zip(rows, (False, True)):
+        assert bool(_evaluate_tests(one[None, :], np.array(se), (test_id,), cfg)[test_id][0]) == want
+
+
+def _pow_squared_rows(seed):
+    """Rows of dominant-weight study sets whose Q lies near n - 1, and their shared se rows.
+
+    There tau-squared is a few doubles above 0, and where libm pow and x * x
+    round a square differently, the two random-effects z can differ by far
+    more than their last bits.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        se = rng.uniform(0.5, 2.0, n)
+        se[0] = 10.0 ** -rng.uniform(4, 7)
+        base = rng.normal(0.0, 1.0, n) + rng.uniform(0.0, 3.0)
+        scale = math.sqrt((n - 1) / _pool_rows(base[None, :], se).q[0])
+        scales = (np.array([scale]).view(np.int64) + np.arange(-3000, 3000)).view(np.float64)
+        yield scales[:, None] * base[None, :], se
+
+
+def test_random_effects_bound_covers_the_pow_squares():
+    """|z| from x * x squares lies within its bound B of the |z| of _pool_rows, pow squares."""
+    differ = exact_tau = infinite = 0
+    cases = list(_pow_squared_rows(3))
+    rng = np.random.default_rng(4)
+    se = rng.uniform(0.1, 1.5, 8)
+    cases.append((rng.normal(0.5, 1.0, (20000, 8)) * se, se))
+    for theta_hat, se in cases:
+        _, z, bound = _pooled_abs_z(theta_hat.T.copy(), se, True)
+        pooled = _pool_rows(theta_hat, se)
+        exact = np.abs(pooled.re / pooled.re_se)
+        assert np.all(np.abs(z - exact) <= bound)
+        differ += np.count_nonzero(z != exact)
+        exact_tau += np.count_nonzero(bound == 0.0)
+        infinite += np.count_nonzero(bound == math.inf)
+    # The check has teeth: some squares round differently, some rows have
+    # tau-squared 0 both ways, and some are left to the exact pooling.
+    assert differ > 50 and exact_tau > 1000 and infinite > 10
+
+
+def test_meta_re_decides_rows_whose_fast_z_straddles_the_critical_value():
+    """At an alpha between the two z of a row, meta_re decides as the pow-squared pooling."""
+    rng = np.random.default_rng(5)
+    se = rng.uniform(0.1, 1.5, 8)
+    theta_hat = rng.normal(0.5, 1.0, (40000, 8)) * se
+    _, z, _ = _pooled_abs_z(theta_hat.T.copy(), se, True)
+    pooled = _pool_rows(theta_hat, se)
+    exact = np.abs(pooled.re / pooled.re_se)
+    rows = np.flatnonzero(z != exact)[:30]
+    assert rows.size >= 10
+    flipped = 0
+    for i in rows:
+        alpha = float(2.0 * special.ndtr(-max(z[i], exact[i])))
+        want = bool(2.0 * special.ndtr(-exact[i]) <= alpha)
+        flipped += want != bool(2.0 * special.ndtr(-z[i]) <= alpha)
+        cfg = TruncationConfig(alpha=alpha)
+        assert bool(_evaluate_tests(theta_hat[i : i + 1], se, ("meta_re",), cfg)["meta_re"][0]) == want
+    assert flipped >= 5
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0 - 1e-9])
+def test_every_abs_z_beyond_the_z_bracket_decides_as_ndtr(alpha):
+    z_accept, z_reject = _z_bracket(alpha)
+    above, below = [z_reject], [z_accept]
+    for _ in range(2000):
+        above.append(float(np.nextafter(above[-1], math.inf)))
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+    rng = np.random.default_rng(int(-math.log(alpha) * 1e3))
+    above = np.concatenate([above[1:], z_reject + rng.exponential(1e-6, 2000)])
+    below = np.concatenate([below[1:], z_accept - rng.exponential(1e-6, 2000)])
+    if z_accept > 0.0:
+        below = np.concatenate([below, rng.uniform(0.0, z_accept, 2000)])
+    assert np.all(2.0 * special.ndtr(-above) <= alpha)
+    assert np.all(2.0 * special.ndtr(-below[below >= 0.0]) > alpha)

@@ -216,6 +216,21 @@ class TestForest:
         forest = self._forest()
         assert abs(sum(row.weight for row in forest.rows) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("model", ["fixed", "random"])
+    def test_weights_are_the_pooling_weights_over_their_ordered_total(self, model):
+        # Python 3.12 compensates the builtin float sum; the pooling kernel
+        # adds in study order on every version.
+        studies = [StudySummary(f"s{i}", x, se) for i, (x, se) in enumerate(
+            [(0.31, 0.1), (1.7, 0.37), (-0.2, 0.05), (0.9, 0.93), (2.2, 0.21)]
+        )]
+        result, _, forest = analyze(AnalysisRequest(studies=studies, model=model))
+        assert result.model == model and (model == "fixed" or result.tau_squared > 0.0)
+        weights = [1.0 / (s.se**2 + result.tau_squared) for s in studies]
+        total = 0.0
+        for w in weights:
+            total += w
+        assert [row.weight.hex() for row in forest.rows] == [(w / total).hex() for w in weights]
+
     def test_text_footer_always_complete(self):
         text = render_forest(self._forest(), "text")
         footer = [line for line in text.splitlines() if line.startswith("replicability:")]
