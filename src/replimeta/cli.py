@@ -164,25 +164,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _write_output(render_forest(forest, "svg"), args.output)
         return EXIT_OK
 
+    # The JSON meta and replicability blocks and the text details, in order.
+    meta_fields: list[tuple[str, object]] = [
+        ("model", meta_result.model),
+        ("pooled", meta_result.pooled),
+        ("se", meta_result.se),
+        ("ci_low", meta_result.ci[0]),
+        ("ci_high", meta_result.ci[1]),
+        ("p_two_sided", meta_result.p_two_sided),
+        ("q", meta_result.q),
+        ("i_squared", meta_result.i_squared),
+        ("tau_squared", meta_result.tau_squared),
+    ]
+    replicability_fields: list[tuple[str, object]] = [
+        ("r_value", report.r_value),
+        ("u_max_left", report.u_max_left),
+        ("u_max_right", report.u_max_right),
+        ("consistency", report.consistency),
+        ("confidence", report.confidence),
+    ]
+
     if args.format == "json":
         payload = {
-            "meta": {
-                "model": meta_result.model,
-                "pooled": meta_result.pooled,
-                "se": meta_result.se,
-                "ci_low": meta_result.ci[0],
-                "ci_high": meta_result.ci[1],
-                "p_two_sided": meta_result.p_two_sided,
-                "q": meta_result.q,
-                "i_squared": meta_result.i_squared,
-                "tau_squared": meta_result.tau_squared,
-            },
+            "meta": dict(meta_fields),
             "replicability": {
-                "r_value": report.r_value,
-                "u_max_left": report.u_max_left,
-                "u_max_right": report.u_max_right,
-                "consistency": report.consistency,
-                "confidence": report.confidence,
+                **dict(replicability_fields),
                 "partial_conjunction": extra_pc,
                 "delta_bounds": deltas,
             },
@@ -215,23 +221,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         render_forest(forest, "text"),
         summary_sentence(report, args.measure, args.alpha) + "\n",
     ]
-    details: list[tuple[str, object]] = [
-        ("model", meta_result.model),
-        ("pooled", meta_result.pooled),
-        ("se", meta_result.se),
-        ("ci_low", meta_result.ci[0]),
-        ("ci_high", meta_result.ci[1]),
-        ("p_two_sided", meta_result.p_two_sided),
-        ("q", meta_result.q),
-        ("i_squared", meta_result.i_squared),
-        ("tau_squared", meta_result.tau_squared),
-        ("r_value", report.r_value),
-        ("u_max_left", report.u_max_left),
-        ("u_max_right", report.u_max_right),
-        ("consistency", report.consistency),
-        ("confidence", report.confidence),
-    ]
-    details += [
+    details = meta_fields + replicability_fields + [
         (f"r_left(u={args.u})", extra_pc["r_left"]),
         (f"r_right(u={args.u})", extra_pc["r_right"]),
         (f"r(u={args.u})", extra_pc["r"]),

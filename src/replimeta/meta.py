@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special
@@ -149,7 +149,7 @@ def leave_one_out(
     """Refit the chosen model n times, omitting one study each time.
 
     Result i corresponds to the analysis without study i, in input order.
-    The n refits are the rows of pooling calls on blocks of leave-one-out
+    The n refits are the columns of pooling calls on blocks of leave-one-out
     sets, each block of at most ``_BLOCK_ELEMENTS`` estimates.
     """
     studies = list(studies)
@@ -161,13 +161,13 @@ def leave_one_out(
     _check_alpha(alpha)
     _check_pooling_range(studies)
     theta_hat, se = _study_rows(studies)
-    columns = np.arange(n - 1)
+    positions = np.arange(n - 1)[:, None]
     step = max(1, _BLOCK_ELEMENTS // (n - 1))
     results = []
     for first in range(0, n, step):
         omitted = np.arange(first, min(first + step, n))
-        # Row i keeps every study but i, in input order.
-        keep = columns + (columns >= omitted[:, None])
+        # Column i keeps every study but i, in input order.
+        keep = positions + (positions >= omitted)
         pooled = _pool_rows(theta_hat[keep], se[keep])
         results += [pooled.result(i, model, alpha) for i in range(len(omitted))]
     return results
@@ -182,131 +182,9 @@ def _ordered_sum(columns: Iterable) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class _Pooled:
-    """Per-row results of ``_pool_rows``; each array has one value per row.
-
-    ``_pool_rows`` computes the fixed-effect estimate and se. Q, I-squared,
-    tau-squared and the random-effects estimate and se are computed on first
-    use, so a caller that needs only the fixed-effect estimate pays for
-    nothing else. With a shared se row, ``total`` and ``fe_se`` depend on no
-    row and are scalars.
-    """
-
-    theta_hat: np.ndarray
-    var: np.ndarray
-    w: np.ndarray
-    total: np.ndarray
-    fe: np.ndarray
-    fe_se: np.ndarray
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """Cochran's Q, 0 for one study."""
-        w, theta_hat, n = self.w, self.theta_hat, self.theta_hat.shape[1]
-        if n < 2:
-            return np.zeros_like(self.fe)
-        return _ordered_sum(
-            w[..., j] * np.float_power(theta_hat[:, j] - self.fe, 2.0) for j in range(n)
-        )
-
-    @cached_property
-    def i_squared(self) -> np.ndarray:
-        q, n = self.q, self.theta_hat.shape[1]
-        # fmax(x, 0.0) is max(0.0, x): negative values and NaN become 0.0,
-        # and so does the -inf that a subnormal Q gives.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(q > 0.0, np.fmax((q - (n - 1)) / q, 0.0), 0.0)
-
-    @cached_property
-    def tau_squared(self) -> np.ndarray:
-        """The DerSimonian-Laird estimate, truncated at zero."""
-        w, total, n = self.w, self.total, self.theta_hat.shape[1]
-        c = total - _ordered_sum(w[..., j] * w[..., j] for j in range(n)) / total
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(c > 0.0, np.fmax((self.q - (n - 1)) / c, 0.0), 0.0)
-
-    @cached_property
-    def re(self) -> np.ndarray:
-        total, weighted = self._re_sums
-        return weighted / total
-
-    @property
-    def re_se(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self._re_sums[0])
-
-    @cached_property
-    def _re_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The total of the weights 1/(se^2 + tau^2) and of weight x estimate, in study order.
-
-        One column at a time, so that no weight matrix is held.
-        """
-        total = weighted = 0.0
-        for j in range(self.theta_hat.shape[1]):
-            w = 1.0 / (self.var[..., j] + self.tau_squared)
-            total = total + w
-            weighted = weighted + w * self.theta_hat[:, j]
-        return total, weighted
-
-    def result(self, row: int, model: str, alpha: float) -> MetaAnalysisResult:
-        """The fixed-effect or random-effects result of one row."""
-        if model == "fixed":
-            pooled, se, tau_squared = self.fe[row], self.fe_se[row], 0.0
-        else:
-            pooled, se, tau_squared = self.re[row], self.re_se[row], self.tau_squared[row]
-        pooled, se = float(pooled), float(se)
-        z_crit = _z_crit(alpha)
-        pair = one_sided_p(pooled, se)
-        return MetaAnalysisResult(
-            model=model,
-            pooled=pooled,
-            se=se,
-            ci=(pooled - z_crit * se, pooled + z_crit * se),
-            p_two_sided=2.0 * min(pair.left, pair.right),
-            q=float(self.q[row]),
-            i_squared=float(self.i_squared[row]),
-            tau_squared=float(tau_squared),
-        )
-
-
-def _pool_rows(theta_hat: np.ndarray, se: np.ndarray) -> _Pooled:
-    """Inverse-variance pooling of every row of a (rows, n) estimate matrix.
-
-    ``se`` is one row of n standard errors shared by all rows, or a matrix of
-    ``theta_hat``'s shape. Per row: the fixed-effect estimate and se, Cochran's
-    Q and I-squared (both 0 for one study), the DerSimonian-Laird tau-squared
-    truncated at zero, and the random-effects estimate and se. Sums run in
-    study order and squares use libm ``pow`` (``np.square`` rounds
-    differently), so results equal the Python-float formulas bit for bit.
-    """
-    n = theta_hat.shape[1]
-    var = np.float_power(se, 2.0)
-    w, total = _weights(var, 0.0)
-    fe = _ordered_sum(w[..., j] * theta_hat[:, j] for j in range(n)) / total
-    return _Pooled(theta_hat, var, w, total, fe, 1.0 / np.sqrt(total))
-
-
-def _weights(var: np.ndarray, tau_squared) -> tuple[np.ndarray, np.ndarray]:
-    """The weights 1/(var + tau_squared), and their total per row in study order.
-
-    ``var`` holds the variances of the studies along its last axis, and
-    ``tau_squared`` is 0.0 or one value per row.
-    """
-    w = np.add(var, tau_squared)
-    np.divide(1.0, w, out=w)
-    return w, _ordered_sum(w[..., j] for j in range(w.shape[-1]))
-
-
-def _forest_weights(studies: Sequence[StudySummary], tau_squared: float) -> list[float]:
-    """Each study's share of the total weight, 1/(se**2 + tau_squared), in study order."""
-    _, se = _study_rows(studies)
-    w, total = _weights(np.float_power(se, 2.0), tau_squared)
-    return (w / total).tolist()
-
-
-# ``_pooled_abs_z`` squares the deviations d from the fixed-effect estimate as
-# d * d, where ``_pool_rows`` uses libm pow, and bounds the effect on the
-# random-effects z per row. Let e = 2^-52 and m = 2^-1022, the smallest
+# ``_Pooled.re_abs_z_fast`` squares the deviations d from the fixed-effect
+# estimate as d * d, where ``_Pooled.q`` uses libm pow, and bounds the effect
+# on the random-effects z per row. Let e = 2^-52 and m = 2^-1022, the smallest
 # normal double. The bound assumes |pow(d, 2) - d * d| <= 1 ulp of d * d, that
 # is, at most e * max(d * d, m): both are within one ulp of d^2, d * d
 # rounded correctly. The factors 2 below cover second-order terms and the
@@ -337,87 +215,199 @@ _RHO_LIMIT = 2.0**-10
 _TAU_SQUARED_LIMIT = 2.0**1000
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _pooled_abs_z(
-    theta_t: np.ndarray, se: np.ndarray, random_effects: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Pooled |z| = |estimate / se| per column of an (n, rows) estimate matrix.
+@dataclass(frozen=True, eq=False)
+class _Pooled:
+    """Per-column results of ``_pool_rows``; each array has one value per column.
 
-    ``se`` is one row of n standard errors shared by all columns. Returns the
-    fixed-effect |z| and, with ``random_effects``, the random-effects |z| and
-    a bound B on its distance from the |z| of ``_pool_rows``. The
-    fixed-effect z repeats ``_pool_rows``'s operations in the same order, so
-    it equals that z bit for bit. The random-effects z squares with d * d
-    instead of libm pow, which is 50 times faster; B is derived in the
-    comment above. Each sum starts from 0.0 and adds the studies in order, as
-    ``_ordered_sum`` does. Work vectors are filled in place and no matrix is
-    allocated: a fresh matrix of a chunk's size costs more in page faults
-    than the arithmetic done on it.
+    ``_pool_rows`` computes the fixed-effect estimate and se. Q, I-squared,
+    tau-squared and the random-effects estimate and se are computed on first
+    use, so a caller that needs only the fixed-effect estimate pays for
+    nothing else. With a shared se vector, ``total``, ``fe_se`` and ``c``
+    depend on no column and are scalars. The per-column sums start from 0.0
+    and add the studies in order into vectors filled in place: a fresh
+    vector per term costs more than the arithmetic done on it.
     """
-    n, rows = theta_t.shape
+
+    theta_t: np.ndarray
+    var: np.ndarray
+    w: np.ndarray
+    total: np.ndarray
+    fe: np.ndarray
+    fe_se: np.ndarray
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Cochran's Q, 0 for one study."""
+        if len(self.theta_t) < 2:
+            return np.zeros_like(self.fe)
+        return self._q(lambda d: np.float_power(d, 2.0, out=d))
+
+    def _q(self, square: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Cochran's Q with the deviations from ``fe`` squared in place by ``square``."""
+        q, term = np.zeros_like(self.fe), np.empty_like(self.fe)
+        for theta, w in zip(self.theta_t, self.w):
+            square(np.subtract(theta, self.fe, out=term))
+            term *= w
+            q += term
+        return q
+
+    @cached_property
+    def i_squared(self) -> np.ndarray:
+        q, n = self.q, len(self.theta_t)
+        # fmax(x, 0.0) is max(0.0, x): negative values and NaN become 0.0,
+        # and so does the -inf that a subnormal Q gives.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(q > 0.0, np.fmax((q - (n - 1)) / q, 0.0), 0.0)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """The DerSimonian-Laird scale W - sum(w^2) / W, W the weight total."""
+        return self.total - _ordered_sum(w * w for w in self.w) / self.total
+
+    @cached_property
+    def tau_squared(self) -> np.ndarray:
+        """The DerSimonian-Laird estimate, truncated at zero."""
+        return self._tau_squared(self.q.copy())
+
+    def _tau_squared(self, q: np.ndarray) -> np.ndarray:
+        """max((Q - (n - 1)) / c, 0), and 0 where c <= 0, computed in the place of ``q``."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q -= len(self.theta_t) - 1
+            q /= self.c
+            # fmax also turns NaN into 0.0.
+            np.fmax(q, 0.0, out=q)
+        positive = self.c > 0.0
+        if not np.all(positive):
+            np.copyto(q, 0.0, where=~positive)
+        return q
+
+    @cached_property
+    def re(self) -> np.ndarray:
+        total, weighted = self._re_sums
+        return weighted / total
+
+    @property
+    def re_se(self) -> np.ndarray:
+        return 1.0 / np.sqrt(self._re_sums[0])
+
+    @cached_property
+    def _re_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._re_totals(self.tau_squared)
+
+    def _re_totals(self, tau_squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The totals of the weights 1/(se^2 + tau^2) and of weight x estimate.
+
+        One study at a time, so that no weight matrix is held.
+        """
+        total, weighted = np.zeros_like(tau_squared), np.zeros_like(tau_squared)
+        w, term = np.empty_like(tau_squared), np.empty_like(tau_squared)
+        for var, theta in zip(self.var, self.theta_t):
+            np.divide(1.0, np.add(var, tau_squared, out=w), out=w)
+            total += w
+            weighted += np.multiply(w, theta, out=term)
+        return total, weighted
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def re_abs_z_fast(self) -> tuple[np.ndarray, np.ndarray]:
+        """The random-effects |z| = |re / re_se| from d * d squares, and a bound B per column.
+
+        B bounds its distance from the |z| of ``re`` and ``re_se``, which
+        square with libm pow; d * d is 50 times faster, and B is derived in the
+        comment above. Only Q, the slack and B are computed here: the weights,
+        the fixed-effect estimate and c are the object's own.
+        """
+        n = len(self.theta_t)
+        q = self._q(lambda d: np.multiply(d, d, out=d))
+        term = np.empty_like(q)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        # dQ, then where tau-squared is 0 both ways, then 2 (dQ + 2 e (Q + n)).
+        slack = (q + (self.total + n) * tiny) * (2.0 * (n + 1) * eps)
+        zero_tau = (np.add(q, slack, out=term) <= n - 1) | np.logical_not(self.c > 0.0)
+        slack += np.add(q, n, out=term) * (2.0 * eps)
+        slack *= 2.0
+        tau_squared = self._tau_squared(q)
+        total, weighted = self._re_totals(tau_squared)
+        top = np.maximum(self.theta_t.max(axis=0), -self.theta_t.min(axis=0))
+        # z = (weighted / total) / (1 / sqrt(total)), as re / re_se.
+        weighted /= total
+        root = np.sqrt(total, out=total)
+        weighted /= np.divide(1.0, root, out=term)
+        abs_re = np.abs(weighted, out=weighted)
+        # rho, then B = 2 (1.01 rho + (n + 11) e) (sqrt(R) top + n m / sqrt(R) + |z|).
+        rho = slack
+        rho /= self.c
+        rho /= np.add(tau_squared, self.var.min(axis=0), out=term)
+        exact = ~((rho <= _RHO_LIMIT) & (tau_squared <= _TAU_SQUARED_LIMIT))
+        bound = top
+        bound *= root
+        bound += np.divide(n * tiny, root, out=term)
+        bound += abs_re
+        rho *= 1.01
+        rho += (n + 11) * eps
+        bound *= rho
+        bound *= 2.0
+        exact |= ~(bound < math.inf)
+        bound[exact] = math.inf
+        bound[zero_tau] = 0.0
+        return abs_re, bound
+
+    def result(self, row: int, model: str, alpha: float) -> MetaAnalysisResult:
+        """The fixed-effect or random-effects result of one row."""
+        if model == "fixed":
+            pooled, se, tau_squared = self.fe[row], self.fe_se[row], 0.0
+        else:
+            pooled, se, tau_squared = self.re[row], self.re_se[row], self.tau_squared[row]
+        pooled, se = float(pooled), float(se)
+        z_crit = _z_crit(alpha)
+        pair = one_sided_p(pooled, se)
+        return MetaAnalysisResult(
+            model=model,
+            pooled=pooled,
+            se=se,
+            ci=(pooled - z_crit * se, pooled + z_crit * se),
+            p_two_sided=2.0 * min(pair.left, pair.right),
+            q=float(self.q[row]),
+            i_squared=float(self.i_squared[row]),
+            tau_squared=float(tau_squared),
+        )
+
+
+def _pool_rows(theta_t: np.ndarray, se: np.ndarray) -> _Pooled:
+    """Inverse-variance pooling of every column of an (n, rows) estimate matrix.
+
+    Each study is one row of ``theta_t``. ``se`` is a vector of n standard
+    errors shared by all columns, or a matrix of ``theta_t``'s shape. Per
+    column: the fixed-effect estimate and se, Cochran's Q and I-squared (both
+    0 for one study), the DerSimonian-Laird tau-squared truncated at zero,
+    and the random-effects estimate and se. Sums run in study order and
+    squares use libm ``pow`` (``np.square`` rounds differently), so results
+    equal the Python-float formulas bit for bit.
+    """
     var = np.float_power(se, 2.0)
     w, total = _weights(var, 0.0)
-    term = np.empty(rows)
-    fe = np.zeros(rows)
-    for j in range(n):
-        fe += np.multiply(theta_t[j], w[j], out=term)
+    fe, term = np.zeros(theta_t.shape[1:]), np.empty(theta_t.shape[1:])
+    for theta, weight in zip(theta_t, w):
+        fe += np.multiply(theta, weight, out=term)
     fe /= total
-    abs_fe = np.abs(fe / (1.0 / np.sqrt(total)))
-    if not random_effects:
-        return abs_fe, None, None
-    q = np.zeros(rows)
-    for j in range(n):
-        np.subtract(theta_t[j], fe, out=term)
-        term *= term
-        term *= w[j]
-        q += term
-    c = total - _ordered_sum(w * w) / total
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    # dQ, then where tau-squared is 0 both ways, then 2 (dQ + 2 e (Q + n)).
-    slack = (q + (total + n) * tiny) * (2.0 * (n + 1) * eps)
-    zero_tau = np.add(q, slack, out=term) <= n - 1
-    slack += np.add(q, n, out=term) * (2.0 * eps)
-    slack *= 2.0
-    # Q becomes tau-squared in place, as _Pooled.tau_squared computes it.
-    tau_squared = q
-    if c > 0.0:
-        tau_squared -= n - 1
-        tau_squared /= c
-        np.fmax(tau_squared, 0.0, out=tau_squared)
-    else:
-        tau_squared.fill(0.0)
-    re_w, re_total, weighted, top = np.empty(rows), np.zeros(rows), np.zeros(rows), np.zeros(rows)
-    for j in range(n):
-        # The weights of ``_weights``.
-        np.divide(1.0, np.add(var[j], tau_squared, out=re_w), out=re_w)
-        re_total += re_w
-        weighted += np.multiply(re_w, theta_t[j], out=term)
-        np.maximum(top, np.abs(theta_t[j], out=term), out=top)
-    # z = (weighted / re_total) / (1 / sqrt(re_total)), as _Pooled.re / re_se.
-    weighted /= re_total
-    root = np.sqrt(re_total, out=re_total)
-    weighted /= np.divide(1.0, root, out=re_w)
-    abs_re = np.abs(weighted, out=weighted)
-    # rho, then B = 2 (1.01 rho + (n + 11) e) (sqrt(R) top + n m / sqrt(R) + |z|).
-    rho = slack
-    rho /= c
-    rho /= np.add(tau_squared, var.min(), out=term)
-    exact = ~((rho <= _RHO_LIMIT) & (tau_squared <= _TAU_SQUARED_LIMIT))
-    bound = top
-    bound *= root
-    bound += np.divide(n * tiny, root, out=term)
-    bound += abs_re
-    rho *= 1.01
-    rho += (n + 11) * eps
-    bound *= rho
-    bound *= 2.0
-    exact |= ~(bound < math.inf)
-    bound[exact] = math.inf
-    if c > 0.0:
-        bound[zero_tau] = 0.0
-    else:
-        bound.fill(0.0)
-    return abs_fe, abs_re, bound
+    return _Pooled(theta_t, var, w, total, fe, 1.0 / np.sqrt(total))
+
+
+def _weights(var: np.ndarray, tau_squared) -> tuple[np.ndarray, np.ndarray]:
+    """The weights 1/(var + tau_squared), and their total in study order.
+
+    ``var`` holds the variances of the studies along its first axis, and
+    ``tau_squared`` is one value.
+    """
+    w = np.add(var, tau_squared)
+    np.divide(1.0, w, out=w)
+    return w, _ordered_sum(w)
+
+
+def _forest_weights(studies: Sequence[StudySummary], tau_squared: float) -> list[float]:
+    """Each study's share of the total weight, 1/(se**2 + tau_squared), in study order."""
+    _, se = _study_rows(studies)
+    w, total = _weights(np.float_power(se, 2.0), tau_squared)
+    return (w / total).tolist()
 
 
 _OVERFLOW_MESSAGE = (
@@ -473,10 +463,10 @@ def _check_pooling_range(studies: Sequence[StudySummary]) -> None:
 
 
 def _pool_studies(studies: Sequence[StudySummary]) -> _Pooled:
-    """``_pool_rows`` called with the studies as its one row, after the overflow check."""
+    """``_pool_rows`` called with the studies as its one column, after the overflow check."""
     _check_pooling_range(studies)
     theta_hat, se = _study_rows(studies)
-    return _pool_rows(theta_hat[None, :], se[None, :])
+    return _pool_rows(theta_hat[:, None], se[:, None])
 
 
 def binary_to_log_effect(

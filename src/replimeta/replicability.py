@@ -61,8 +61,7 @@ class TruncationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.t <= 1.0:
             raise ValueError(f"truncation threshold t must be in (0, 1], got {self.t}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        meta._check_alpha(self.alpha)
 
 
 DEFAULT_CONFIG = TruncationConfig()
@@ -146,17 +145,43 @@ def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
     return _product_tail(_truncated_statistic(sorted_rows, t), sorted_rows.shape[1], t)
 
 
-# ``_directional_rejections`` compares a statistic summed in another order
-# with a bracket found on a rounded tail function. Rows within this relative
-# margin of the bracket, which covers the tail's own rounding, are decided by
-# the exact kernel, and so are rows within the summation slack of it. Each
-# clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of them, in
-# any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact kernel
-# makes one such sum; the top-k statistic makes two, the row total T and the
-# k smallest S(k), and one rounding of T - S(k). With c = -2 (...) the two
-# statistics differ by less than 8 n^2 eps |log LOG_FLOOR|, the slack, which
-# is 7.9e-11 at n = 8.
-_BAND_MARGIN = 1e-6
+# A relative margin for decisions made on a rounded tail function: a row is
+# decided without the exact computation only when it is beyond a bracket
+# widened by this much. It sits on the level p of the normal quantiles of
+# ``_level_quantiles``, since ndtr(ndtri(p)) is within 1e-12 of p, relative,
+# for p from 1e-300 to 1 - 1e-6; a margin on p rather than on z also holds
+# near p = 1, where the normal tail is flat and a fixed margin on z would
+# have to grow without bound. On the critical statistic c of
+# ``_critical_bracket`` it covers the rounding of ``_product_tail``.
+_LEVEL_MARGIN = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _level_quantiles(p: float) -> tuple[float, float]:
+    """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
+    low, high = special.ndtri([p * (1.0 - _LEVEL_MARGIN), p * (1.0 + _LEVEL_MARGIN)])
+    return float(low), float(high)
+
+
+def _bracket_rejections(
+    x: np.ndarray,
+    lower: np.ndarray | float,
+    upper: np.ndarray | float,
+    exact: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Per entry of x: True above ``upper``, False below ``lower``, ``exact(band)`` otherwise.
+
+    ``lower`` and ``upper`` are scalars or one value per entry. The band is
+    every entry that is neither, NaN included, and ``exact`` returns the
+    decisions of the entries whose indices it is given.
+    """
+    rejected = x > upper
+    decided = x < lower
+    decided |= rejected
+    band = np.flatnonzero(~decided)
+    if band.size:
+        rejected[band] = exact(band)
+    return rejected
 
 
 @lru_cache(maxsize=None)
@@ -226,22 +251,14 @@ def _leading_rejections(curve: _PCCurve, level: float) -> int:
     return u
 
 
-# Relative margin of t in ``_tail_cut``. ndtr(ndtri(t)) is within 1e-12 of t,
-# relative, for t from 1e-300 to 1 - 1e-6. A margin on t rather than on z
-# also holds near t = 1, where the normal tail is flat and a fixed margin on
-# z would have to grow without bound.
-_CUT_MARGIN = 1e-6
-
-
 @lru_cache(maxsize=None)
 def _tail_cut(t: float) -> float:
     """A z above which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], exceeds t.
 
-    It is ndtri(t (1 + _CUT_MARGIN)), and +inf when that level reaches
+    It is ndtri(t (1 + _LEVEL_MARGIN)), and +inf when that level reaches
     LOG_CEIL, where every clipped p-value could be at or below t.
     """
-    top = t * (1.0 + _CUT_MARGIN)
-    return math.inf if top >= LOG_CEIL else float(special.ndtri(top))
+    return math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else _level_quantiles(t)[1]
 
 
 def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
@@ -287,10 +304,10 @@ def _truncated_rejections(
     its k most negative ones, kept by a running minimum/maximum insertion
     over the studies. Rows clearly beyond the critical bracket of
     ``_product_tail`` reject, rows clearly short of it accept, and only rows
-    within ``_BAND_MARGIN`` and the summation slack of it run the exact
-    kernel, on the p-value rows ``exact_rows(band)`` returns. A row with
-    fewer than u truncated logs has c(u) = 0 exactly in that kernel, and
-    within the slack of 0 here.
+    within ``_LEVEL_MARGIN`` and the summation slack of it, or with a NaN
+    statistic, run the exact kernel (``_bracket_rejections``), on the p-value
+    rows ``exact_rows(band)`` returns. A row with fewer than u truncated logs
+    has c(u) = 0 exactly in that kernel, and within the slack of 0 here.
     """
     total = np.zeros(rows)
     smallest = np.zeros((max(us) - 1, rows))
@@ -307,7 +324,13 @@ def _truncated_rejections(
                 np.maximum(slot, carry, out=spare)
             np.minimum(slot, carry, out=slot)
             carry, spare = spare, carry
-    slack = 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)  # see _BAND_MARGIN
+    # The statistic is summed in another order than the exact kernel's. Each
+    # clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of them, in
+    # any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact kernel
+    # makes one such sum; the top-k statistic makes two, the row total T and
+    # the k smallest S(k), and one rounding of T - S(k). With c = -2 (...) the
+    # two statistics differ by less than this slack, 7.9e-11 at n = 8.
+    slack = 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)
     # An exact statistic is 0 or at least one truncated log's worth, c_least;
     # below it a row accepts, as r(u) = 1 there, also where c_accept is 0.
     c_least = -2.0 * math.log(min(t, LOG_CEIL))
@@ -320,12 +343,12 @@ def _truncated_rejections(
             continue
         c_stat = -2.0 * (total - excluded)
         c_accept, c_reject = _critical_bracket(n - u + 1, t, level)
-        rejected = c_stat > c_reject * (1.0 + _BAND_MARGIN) + slack
-        lower = max(c_accept * (1.0 - _BAND_MARGIN), c_least) - slack
-        band = np.flatnonzero(~rejected & (c_stat >= lower))
-        if band.size:
-            rejected[band] = _PCCurve(exact_rows(band), t)(u) <= level
-        out[u] = rejected
+        out[u] = _bracket_rejections(
+            c_stat,
+            max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - slack,
+            c_reject * (1.0 + _LEVEL_MARGIN) + slack,
+            lambda band: _PCCurve(exact_rows(band), t)(u) <= level,
+        )
     return out
 
 
@@ -456,23 +479,23 @@ def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:
 # Python floats overflow to inf, and inf - inf gives NaN, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def _fe_z_extremes(
-    theta_hat: np.ndarray, se: np.ndarray, size: int
+    theta_t: np.ndarray, se: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest pooled z over every ``size``-subset of columns, per row.
+    """Smallest and largest pooled z over every ``size``-subset of studies, per column.
 
-    ``theta_hat`` is a (rows, n) estimate matrix and ``se`` one row of n
-    standard errors shared by all rows. A subset's pooled z is
-    sum(w * theta) / sqrt(sum(w)) with w = 1 / se**2. Weights square with
-    libm ``pow`` and each subset's sums run in ascending column order, so the
+    ``theta_t`` is an (n, rows) estimate matrix, one study a row, and ``se`` a
+    vector of n standard errors shared by all columns. A subset's pooled z
+    is sum(w * theta) / sqrt(sum(w)) with w = 1 / se**2. Weights square with
+    libm ``pow`` and each subset's sums run in ascending study order, so the
     result equals the Python-float formulas bit for bit. Subsets are pooled in
     blocks of at most ``meta._BLOCK_ELEMENTS`` elements (at least one subset).
     """
-    rows, n = theta_hat.shape
+    n, rows = theta_t.shape
     w = 1.0 / np.float_power(se, 2.0)
-    # (n, rows), so that gathering a study is a contiguous copy. Adding 0.0
-    # turns -0.0 into 0.0, as Python's sum, which starts from 0, does.
+    # Adding 0.0 turns -0.0 into 0.0, as Python's sum, which starts from 0,
+    # does. Each study is one row, so gathering a study is a contiguous copy.
     weighted = np.empty((n, rows))
-    np.multiply(theta_hat.T, w[:, None], out=weighted)
+    np.multiply(theta_t, w[:, None], out=weighted)
     weighted += 0.0
     z_min = np.full(rows, math.inf)
     z_max = np.full(rows, -math.inf)
@@ -517,7 +540,7 @@ def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionRes
             f"{SUBSET_ENUMERATION_CAP}"
         )
     theta_hat, se = meta._study_rows(studies)
-    z_min, z_max = _fe_z_extremes(theta_hat[None, :], se, size)
+    z_min, z_max = _fe_z_extremes(theta_hat[:, None], se, size)
     # Right-sided p is largest at the smallest pooled z, left-sided at the largest.
     r_right = normal_cdf(-float(z_min[0]))
     r_left = normal_cdf(float(z_max[0]))
@@ -554,8 +577,7 @@ def delta_bound(
         raise ValueError(f"u must be in [1, {n}], got {u}")
     if side not in ("upper_positive", "lower_negative"):
         raise ValueError(f"side must be 'upper_positive' or 'lower_negative', got {side!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    meta._check_alpha(alpha)
     if cfg is None:
         cfg = TruncationConfig(t=alpha, alpha=alpha)
     level = alpha / 2.0

@@ -17,6 +17,7 @@ from .meta import (
     MetaAnalysisResult,
     _OVERFLOW_MESSAGE,
     StudySummary,
+    _check_alpha,
     _forest_weights,
     _overflow_index,
     _z_crit,
@@ -73,8 +74,7 @@ class AnalysisRequest:
             raise ValueError("replicability analysis requires at least two studies")
         if self.model not in ("fixed", "random", "auto"):
             raise ValueError(f"model must be 'fixed', 'random' or 'auto', got {self.model!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.effect_measure not in _MEASURES:
             raise ValueError(f"effect_measure must be one of {_MEASURES}, got {self.effect_measure!r}")
         if self.conditional_threshold is not None and not 0.0 < self.conditional_threshold < 1.0:

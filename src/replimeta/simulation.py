@@ -19,15 +19,20 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from scipy import special
 
-from .meta import _pool_rows, _pooled_abs_z
-from .replicability import TruncationConfig, _directional_rejections, _fe_z_extremes
+from .meta import _pool_rows
+from .replicability import (
+    TruncationConfig,
+    _bracket_rejections,
+    _directional_rejections,
+    _fe_z_extremes,
+    _level_quantiles,
+)
 
 __all__ = [
     "BENCHMARK_GROUP_SIZES",
@@ -60,6 +65,8 @@ BENCHMARK_GROUP_SIZES: tuple[tuple[int, int], ...] = (
 )
 
 _H_TEST = re.compile(r"^H(\d+)n$")
+# The test ids besides H{u}n.
+_TEST_IDS = ("meta_fe", "meta_re", "H2n_fe", "inconsistency_detected")
 
 
 def _standard_errors(group_sizes: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -188,80 +195,66 @@ def _draws(scenario: Scenario) -> Iterator[np.ndarray]:
         yield draw
 
 
-# ``_normal_rejections`` decides 2 ndtr(-x) <= alpha from x alone outside
-# the bracket -ndtri(alpha/2 (1 +- _Z_MARGIN)): its normal tail is beyond
-# alpha/2 by a relative 1e-6, far beyond the rounding of ndtr and ndtri. Only
-# rows inside it run ndtr. The margin sits on the level, as ``_tail_cut``'s
-# does, because it then holds for every alpha: ndtri(1 - alpha/2), the
-# critical value of the confidence intervals, loses the tail's precision
-# below alpha = 1e-11 and is inf below 1.1e-16.
-_Z_MARGIN = 1e-6
-
-
-@lru_cache(maxsize=None)
-def _z_bracket(alpha: float) -> tuple[float, float]:
-    """(z_accept, z_reject): x below the first accepts, x above the second rejects."""
-    level = alpha / 2.0
-    z_accept = -float(special.ndtri(level * (1.0 + _Z_MARGIN)))
-    z_reject = -float(special.ndtri(level * (1.0 - _Z_MARGIN)))
-    return z_accept, z_reject
-
-
-def _normal_rejections(
-    x: np.ndarray, slack: np.ndarray | float, alpha: float, exact: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Whether 2 ndtr(-x) <= alpha, per entry of x, a statistic within ``slack`` of its exact value.
-
-    Entries whose interval x +- slack lies wholly beyond ``_z_bracket``
-    reject or accept; the rest, including NaN and infinite slack, take the
-    decisions ``exact(band)`` returns for their indices.
-    """
-    z_accept, z_reject = _z_bracket(alpha)
-    rejected = x - slack > z_reject
-    band = np.flatnonzero(~rejected & ~(x + slack < z_accept))
-    if band.size:
-        rejected[band] = exact(band)
-    return rejected
-
-
 def _pooled_rejections(
     theta_t: np.ndarray, se: np.ndarray, tests: Sequence[str], alpha: float
 ) -> dict[str, np.ndarray]:
     """The requested ones of meta_fe, meta_re and H2n_fe, per column of an (n, rows) matrix.
 
-    Each compares a pooled |z| with the critical value through
-    ``_normal_rejections``. Near it, meta_fe and H2n_fe run ndtr on their
-    z, which is exact, and meta_re runs the exact ``_pool_rows`` and ndtr.
+    Each decides 2 ndtr(-|z|) <= alpha through ``_bracket_rejections``, from
+    its pooled |z| alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a margin
+    on the level holds for every alpha, while ndtri(1 - alpha/2), the critical
+    value of the confidence intervals, is inf below alpha = 1.1e-16. Inside,
+    meta_fe and H2n_fe run ndtr on their z, which is exact; meta_re widens
+    the bracket by the bound B of ``_Pooled.re_abs_z_fast`` and runs the exact
+    ``_pool_rows`` and ndtr.
     """
     n = theta_t.shape[0]
+    z_reject, z_accept = (-z for z in _level_quantiles(alpha / 2.0))
     decided: dict[str, np.ndarray] = {}
 
     def two_sided(abs_z: np.ndarray) -> np.ndarray:
         return 2.0 * special.ndtr(-abs_z) <= alpha
 
     def exact_re(band: np.ndarray) -> np.ndarray:
-        pooled = _pool_rows(theta_t.T[band], se)
+        pooled = _pool_rows(theta_t[:, band], se)
         return two_sided(np.abs(pooled.re / pooled.re_se))
 
     if {"meta_fe", "meta_re"} & set(tests):
-        z_fe, z_re, bound = _pooled_abs_z(theta_t, se, "meta_re" in tests)
+        pooled = _pool_rows(theta_t, se)
         if "meta_fe" in tests:
-            decided["meta_fe"] = _normal_rejections(
-                z_fe, 0.0, alpha, lambda band: two_sided(z_fe[band])
+            z_fe = np.abs(pooled.fe / pooled.fe_se)
+            decided["meta_fe"] = _bracket_rejections(
+                z_fe, z_accept, z_reject, lambda band: two_sided(z_fe[band])
             )
-        if z_re is not None:
-            decided["meta_re"] = _normal_rejections(z_re, bound, alpha, exact_re)
+        if "meta_re" in tests:
+            z_re, bound = pooled.re_abs_z_fast()
+            decided["meta_re"] = _bracket_rejections(
+                z_re, z_accept - bound, z_reject + bound, exact_re
+            )
     if "H2n_fe" in tests:
         # The (n-1)-subsets of the common-effect test at u = 2, which rejects
         # where the larger of -z_max and z_min is beyond the critical value.
-        z_min, z_max = _fe_z_extremes(theta_t.T, se, n - 1)
+        z_min, z_max = _fe_z_extremes(theta_t, se, n - 1)
 
         def exact_fe(band: np.ndarray) -> np.ndarray:
             tails = np.minimum(special.ndtr(z_max[band]), special.ndtr(-z_min[band]))
             return np.minimum(1.0, 2.0 * tails) <= alpha
 
-        decided["H2n_fe"] = _normal_rejections(np.maximum(-z_max, z_min), 0.0, alpha, exact_fe)
+        z_least = np.maximum(-z_max, z_min)
+        decided["H2n_fe"] = _bracket_rejections(z_least, z_accept, z_reject, exact_fe)
     return decided
+
+
+def _check_tests(tests: Sequence[str], n: int) -> None:
+    """Raise ValueError naming the first test id that is unknown or needs more than n studies."""
+    for test_id in tests:
+        match = _H_TEST.match(test_id)
+        if match is None and test_id not in _TEST_IDS:
+            raise ValueError(f"unknown test id {test_id!r}")
+        if match is not None and not 1 <= int(match.group(1)) <= n:
+            raise ValueError(f"test {test_id!r} needs u in [1, {n}]")
+        if test_id in ("meta_re", "H2n_fe") and n < 2:
+            raise ValueError(f"{test_id} requires at least two studies")
 
 
 def _evaluate_tests(
@@ -279,25 +272,22 @@ def _evaluate_tests(
     whether r(u) <= alpha/2, through ``_directional_rejections``. That is the
     whole decision: doubling is exact, so min(1, 2 min(a, b)) <= alpha
     exactly when a <= alpha/2 or b <= alpha/2. The pooled tests and H2n_fe
-    compare a |z| with the critical value through ``_normal_rejections``;
+    compare a |z| with the critical value through ``_pooled_rejections``;
     rows near it run the exact pooling and ndtr.
 
-    ``work``, a vector of at least twice theta_hat's size, holds the chunk's
-    two work matrices, so that a loop over chunks allocates none: a fresh
-    matrix of a chunk's size costs more in page faults than the arithmetic
-    done on it. One is allocated when it is None.
+    The test ids must have passed ``_check_tests``. ``work``, a vector of at
+    least twice theta_hat's size, holds the chunk's two work matrices, so
+    that a loop over chunks allocates none: a fresh matrix of a chunk's size
+    costs more in page faults than the arithmetic done on it. One is
+    allocated when it is None.
     """
+    if not tests:
+        return {}
     n = theta_hat.shape[1]
     alpha = cfg.alpha
     levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
-    levels = {u for u in levels if 1 <= u <= n}
     if "inconsistency_detected" in tests:
         levels.add(1)
-    for test_id in ("meta_re", "H2n_fe"):
-        if test_id in tests and n < 2:
-            raise ValueError(f"{test_id} requires at least two studies")
-    if not tests:
-        return {}
     size = theta_hat.size
     if work is None:
         work = np.empty(2 * size)
@@ -318,12 +308,7 @@ def _evaluate_tests(
         elif test_id == "inconsistency_detected":
             out[test_id] = left[1] & right[1]
         else:
-            match = _H_TEST.match(test_id)
-            if match is None:
-                raise ValueError(f"unknown test id {test_id!r}")
-            u = int(match.group(1))
-            if not 1 <= u <= n:
-                raise ValueError(f"test {test_id!r} needs u in [1, {n}]")
+            u = int(_H_TEST.match(test_id).group(1))
             out[test_id] = left[u] | right[u]
     return out
 
@@ -333,6 +318,7 @@ def _simulate(
 ) -> list[PowerCurvePoint]:
     """One point per config, all from the same draws: each chunk is drawn once."""
     se = scenario.standard_errors
+    _check_tests(tests, len(se))
     counts = [dict.fromkeys(tests, 0) for _ in configs]
     work = None
     for theta_hat in _draws(scenario):
@@ -428,11 +414,12 @@ def calibrate_tau(
     n = len(se)
     if n < 2:
         raise ValueError("calibration requires at least two studies")
-    noise = _rng(seed).standard_normal((replications, n))
+    # (n, replications), one study a row, as ``_pool_rows`` takes it.
+    noise = _rng(seed).standard_normal((replications, n)).T.copy()
 
     def median_i2(tau: float) -> float:
-        theta_hat = mu + noise * np.sqrt(tau**2 + se**2)
-        return float(np.median(_pool_rows(theta_hat, se).i_squared))
+        theta_t = mu + noise * np.sqrt(tau**2 + se**2)[:, None]
+        return float(np.median(_pool_rows(theta_t, se).i_squared))
 
     lo, hi = 0.0, 10.0 * float(se.max())
     if median_i2(hi) < target_i_squared:
@@ -652,7 +639,15 @@ def parse_scenario_config(
     seed = read("seed", _integer, 0)
     t = read("t", _number, 0.05)
     param = read("param", _number)
-    tests = read("tests", vector(str), DEFAULT_TESTS)
+
+    def test_ids(text: str) -> tuple[str, ...]:
+        ids = vector(str)(text)
+        if not ids:
+            raise ValueError("expected at least one test id")
+        _check_tests(ids, len(group_sizes))
+        return ids
+
+    tests = read("tests", test_ids, DEFAULT_TESTS)
 
     if "theta" in values:
         if "mu" in values or "tau" in values:

@@ -224,6 +224,18 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("line, message", [
+        ("tests = H1n bogus", "unknown test id 'bogus'"),
+        ("tests =", "expected at least one test id"),
+    ])
+    def test_bad_test_ids_exit_1_naming_the_config_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "tests.cfg"
+        cfg.write_text(f"theta = 1 1 0\n{line}\nnc = 25 25 25\nnt = 25 25 25\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config line 2: tests: {message}" in captured.err
+
     def test_config_dir_env(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "fromenv.cfg"
         cfg.write_text("theta = 0.5 0.5\nnc = 25 25\nnt = 25 25\n"

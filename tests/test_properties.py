@@ -21,11 +21,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from replimeta import meta, replicability, simulation
 from replimeta.cli import main
 from replimeta.meta import (
     StudySummary,
     _pool_rows,
-    _pooled_abs_z,
     fixed_effect_meta,
     heterogeneity,
     leave_one_out,
@@ -33,10 +33,12 @@ from replimeta.meta import (
 )
 from replimeta.replicability import (
     TruncationConfig,
+    _bracket_rejections,
     _critical_bracket,
     _directional_rejections,
     _leading_rejections,
     _fe_z_extremes,
+    _level_quantiles,
     _PCCurve,
     _tail_cut,
     _truncated_rejections,
@@ -48,7 +50,7 @@ from replimeta.replicability import (
     truncated_product_p,
 )
 from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
-from replimeta.simulation import _evaluate_tests, _z_bracket
+from replimeta.simulation import _evaluate_tests, _pooled_rejections
 from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
@@ -80,19 +82,20 @@ def reference_bound(ps, level, cfg):
     return len(ps)
 
 
+def add(values):
+    """Left-to-right float sum; builtin ``sum`` compensates from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def pooling_reference(pairs):
     """Independent oracle: fixed-effect, Q/I-squared and DerSimonian-Laird pooling.
 
     Plain Python on (estimate, se) float pairs. Sums run left to right and
     squares are ``x ** 2`` (libm ``pow``), so the kernel must match every bit.
     """
-
-    def add(values):
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-
     n = len(pairs)
     w = [1.0 / se**2 for _, se in pairs]
     total = add(w)
@@ -118,16 +121,17 @@ def pooling_reference(pairs):
 def common_effect_reference(pairs, size):
     """Independent oracle: the smallest and largest pooled z over every size-subset.
 
-    Plain Python on (estimate, se) float pairs: each subset is pooled with
-    ``sum`` and ``x ** 2`` (libm ``pow``), so the kernel must match every bit.
+    Plain Python on (estimate, se) float pairs: each subset is pooled with a
+    left-to-right ``add`` and ``x ** 2`` (libm ``pow``), so the kernel must
+    match every bit.
     """
     weights = [1.0 / se**2 for _, se in pairs]
     weighted_theta = [w * x for w, (x, _) in zip(weights, pairs)]
     z_min = math.inf
     z_max = -math.inf
     for subset in combinations(range(len(pairs)), size):
-        denom = sum(weights[i] for i in subset)
-        z = sum(weighted_theta[i] for i in subset) / math.sqrt(denom)
+        denom = add(weights[i] for i in subset)
+        z = add(weighted_theta[i] for i in subset) / math.sqrt(denom)
         if z < z_min:
             z_min = z
         if z > z_max:
@@ -367,6 +371,73 @@ def kernel_decisions(p_rows, u, t, level):
     return _truncated_rejections(logs, logs.shape[1], (u,), t, level, lambda band: p_rows[band])[u]
 
 
+def test_bracket_rule_sends_the_band_nan_and_infinite_slack_to_exact():
+    x = np.array([math.nan, 3.0, -3.0, 0.5, 3.0, 0.0, 1.0])
+    lower = np.array([0.0, 0.0, 0.0, 0.0, -math.inf, 0.0, 0.0])
+    upper = np.array([1.0, 1.0, 1.0, 1.0, math.inf, 1.0, 1.0])
+    seen = []
+
+    def exact(band):
+        seen.append(band.tolist())
+        return np.ones(band.size, dtype=bool)
+
+    out = _bracket_rejections(x, lower, upper, exact)
+    assert seen == [[0, 3, 4, 5, 6]]
+    assert out.tolist() == [True, True, False, True, True, True, True]
+    assert _bracket_rejections(np.array([2.0, -1.0]), 0.0, 1.0, exact).tolist() == [True, False]
+    assert len(seen) == 1  # no band, no call
+
+
+def spy_on_bands(monkeypatch, module):
+    """Record, per ``_bracket_rejections`` call from ``module``, the indices sent to exact."""
+    calls = []
+
+    def spy(x, lower, upper, exact):
+        calls.append([])
+
+        def recorded(band):
+            calls[-1] += band.tolist()
+            return exact(band)
+
+        return _bracket_rejections(x, lower, upper, recorded)
+
+    monkeypatch.setattr(module, "_bracket_rejections", spy)
+    return calls
+
+
+def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
+    calls = spy_on_bands(monkeypatch, replicability)
+    t, level = 0.05, 0.025
+    p_rows = np.random.default_rng(7).uniform(0.0, 0.05, size=(6, 4))
+    logs = np.log(p_rows).T.copy()
+    logs[2, 1] = math.nan
+    out = _truncated_rejections(logs, 6, (1, 2, 3), t, level, lambda band: p_rows[band])
+    assert len(calls) == 3 and all(1 in band for band in calls)
+    for u in (1, 2, 3):
+        assert out[u][1] == (_PCCurve(p_rows[1], t)(u)[0] <= level)
+
+
+def test_pooled_tests_send_nan_statistics_and_infinite_slack_to_exact(monkeypatch):
+    calls = spy_on_bands(monkeypatch, simulation)
+    rng = np.random.default_rng(8)
+    se = rng.uniform(0.2, 1.0, 5)
+    theta_t = rng.normal(0.5, 1.0, (5, 60)) * se[:, None]
+    theta_t[:, 3] = math.nan
+    # A slack limit of 0 gives every row with a positive tau-squared B = inf.
+    monkeypatch.setattr(meta, "_RHO_LIMIT", 0.0)
+    decided = _pooled_rejections(theta_t, se, ("meta_fe", "meta_re"), 0.05)
+    fe_band, re_band = calls
+    assert 3 in fe_band and 3 in re_band
+    _, bound = _pool_rows(theta_t, se).re_abs_z_fast()
+    infinite = np.flatnonzero(bound == math.inf)
+    assert infinite.size > 10 and set(infinite) <= set(re_band)
+    exact = _pool_rows(theta_t, se)
+    want_re = 2.0 * special.ndtr(-np.abs(exact.re / exact.re_se)) <= 0.05
+    want_fe = 2.0 * special.ndtr(-np.abs(exact.fe / exact.fe_se)) <= 0.05
+    assert np.array_equal(decided["meta_re"], want_re)
+    assert np.array_equal(decided["meta_fe"], want_fe)
+
+
 @pytest.mark.parametrize("t", [1e-12, 0.01, 0.05, 0.5, 0.9, 1.0])
 def test_every_z_above_the_cut_has_a_p_value_above_t(t):
     cut = _tail_cut(t)
@@ -463,7 +534,7 @@ def test_scalar_pooling_equals_reference_bitwise(pairs):
     studies = _studies(pairs)
     n = len(pairs)
     ref = pooling_reference(pairs)
-    kernel = _pool_rows(np.array([[x for x, _ in pairs]]), np.array([[se for _, se in pairs]]))
+    kernel = _pool_rows(np.array([[x] for x, _ in pairs]), np.array([[se] for _, se in pairs]))
     assert bits(*(getattr(kernel, key)[0] for key in ref)) == bits(*ref.values())
     assert _fit_bits(fixed_effect_meta(studies)) == _reference_bits(ref, "fixed")
     if n >= 2:
@@ -506,7 +577,7 @@ def test_common_effect_kernel_equals_reference_bitwise(case):
     rows, se = case
     n = len(se)
     for size in range(1, n + 1):
-        z_min, z_max = _fe_z_extremes(np.array(rows), np.array(se), size)
+        z_min, z_max = _fe_z_extremes(np.array(rows).T, np.array(se), size)
         for i, row in enumerate(rows):
             reference = common_effect_reference(list(zip(row, se)), size)
             assert bits(z_min[i], z_max[i]) == bits(*reference)
@@ -608,7 +679,7 @@ def _pow_squared_rows(seed):
         se = rng.uniform(0.5, 2.0, n)
         se[0] = 10.0 ** -rng.uniform(4, 7)
         base = rng.normal(0.0, 1.0, n) + rng.uniform(0.0, 3.0)
-        scale = math.sqrt((n - 1) / _pool_rows(base[None, :], se).q[0])
+        scale = math.sqrt((n - 1) / _pool_rows(base[:, None], se).q[0])
         scales = (np.array([scale]).view(np.int64) + np.arange(-3000, 3000)).view(np.float64)
         yield scales[:, None] * base[None, :], se
 
@@ -621,8 +692,8 @@ def test_random_effects_bound_covers_the_pow_squares():
     se = rng.uniform(0.1, 1.5, 8)
     cases.append((rng.normal(0.5, 1.0, (20000, 8)) * se, se))
     for theta_hat, se in cases:
-        _, z, bound = _pooled_abs_z(theta_hat.T.copy(), se, True)
-        pooled = _pool_rows(theta_hat, se)
+        pooled = _pool_rows(theta_hat.T.copy(), se)
+        z, bound = pooled.re_abs_z_fast()
         exact = np.abs(pooled.re / pooled.re_se)
         assert np.all(np.abs(z - exact) <= bound)
         differ += np.count_nonzero(z != exact)
@@ -638,8 +709,8 @@ def test_meta_re_decides_rows_whose_fast_z_straddles_the_critical_value():
     rng = np.random.default_rng(5)
     se = rng.uniform(0.1, 1.5, 8)
     theta_hat = rng.normal(0.5, 1.0, (40000, 8)) * se
-    _, z, _ = _pooled_abs_z(theta_hat.T.copy(), se, True)
-    pooled = _pool_rows(theta_hat, se)
+    pooled = _pool_rows(theta_hat.T.copy(), se)
+    z, _ = pooled.re_abs_z_fast()
     exact = np.abs(pooled.re / pooled.re_se)
     rows = np.flatnonzero(z != exact)[:30]
     assert rows.size >= 10
@@ -655,7 +726,8 @@ def test_meta_re_decides_rows_whose_fast_z_straddles_the_critical_value():
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0 - 1e-9])
 def test_every_abs_z_beyond_the_z_bracket_decides_as_ndtr(alpha):
-    z_accept, z_reject = _z_bracket(alpha)
+    reject_below, accept_above = _level_quantiles(alpha / 2.0)
+    z_accept, z_reject = -accept_above, -reject_below
     above, below = [z_reject], [z_accept]
     for _ in range(2000):
         above.append(float(np.nextafter(above[-1], math.inf)))

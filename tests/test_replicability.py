@@ -313,11 +313,11 @@ class TestFeRValue:
         rng = np.random.default_rng(23)
         theta_hat = rng.normal(0, 1, size=(3, 7))
         se = rng.uniform(0.2, 1.5, size=7)
-        whole = _fe_z_extremes(theta_hat, se, 3)
+        whole = _fe_z_extremes(theta_hat.T, se, 3)
         # Blocks of one, two and ten of the 35 subsets; the last block is shorter.
         for elements in (1, 12, 60):
             monkeypatch.setattr(meta, "_BLOCK_ELEMENTS", elements)
-            got = _fe_z_extremes(theta_hat, se, 3)
+            got = _fe_z_extremes(theta_hat.T, se, 3)
             assert all(np.array_equal(a, b) for a, b in zip(got, whole))
 
     def test_enumeration_cap(self):

@@ -68,12 +68,12 @@ class TestVectorizedAgainstScalar:
         return [pooling_reference(list(zip(row, se))) for row in self.theta_hat.tolist()]
 
     def test_fe_meta_rows(self):
-        pooled = _pool_rows(self.theta_hat, self.se)
+        pooled = _pool_rows(self.theta_hat.T, self.se)
         for i, ref in enumerate(self._reference_rows()):
             assert bits(pooled.fe[i], pooled.fe_se) == bits(ref["fe"], ref["fe_se"])
 
     def test_re_meta_rows(self):
-        pooled = _pool_rows(self.theta_hat, self.se)
+        pooled = _pool_rows(self.theta_hat.T, self.se)
         keys = ("q", "i_squared", "tau_squared", "re", "re_se")
         for i, ref in enumerate(self._reference_rows()):
             got = [getattr(pooled, key)[i] for key in keys]
@@ -82,7 +82,7 @@ class TestVectorizedAgainstScalar:
     def test_fe_pc_u2_rows(self):
         # H2n_fe is the common-effect test at u = 2: the (n-1)-subsets of each row.
         size = self.theta_hat.shape[1] - 1
-        z_min, z_max = _fe_z_extremes(self.theta_hat, self.se, size)
+        z_min, z_max = _fe_z_extremes(self.theta_hat.T, self.se, size)
         rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), TruncationConfig())
         se = self.se.tolist()
         for i, row in enumerate(self.theta_hat.tolist()):
@@ -183,6 +183,24 @@ class TestSimulateFixed:
             simulate_fixed(scenario, tests=("H9n",))
         with pytest.raises(ValueError):
             simulate_fixed(scenario, tests=("bogus",))
+
+    @pytest.mark.parametrize("tests", [("H1n", "bogus"), ("H1n", "H3n"), ("meta_fe", "H0n")])
+    def test_test_ids_are_checked_before_any_draw(self, monkeypatch, tests):
+        drawn = []
+        monkeypatch.setattr(simulation, "_draws", lambda scenario: drawn.append(scenario) or iter(()))
+        scenario = FixedEffectsScenario(
+            theta=(0.0,) * 2, group_sizes=((25, 25),) * 2, replications=10, seed=5
+        )
+        with pytest.raises(ValueError, match=r"unknown test id 'bogus'|needs u in \[1, 2\]"):
+            simulate_fixed(scenario, tests=tests)
+        assert drawn == []
+
+    def test_no_tests_draws_and_counts_nothing(self):
+        scenario = FixedEffectsScenario(
+            theta=(0.0,) * 2, group_sizes=((25, 25),) * 2, replications=10, seed=5
+        )
+        point = simulate_fixed(scenario, tests=())
+        assert point.rejection_rate == {} and point.replications == 10
 
 
 class TestSimulateRandom:
@@ -440,6 +458,19 @@ class TestConfigAndCsv:
                 if not row.startswith(key + " ")]
         text = "\n".join(["# the bad value is on line 2", line] + rows) + "\n"
         with pytest.raises(ValueError, match=rf"^config line 2: {key}: "):
+            parse_scenario_config(io.StringIO(text))
+
+    @pytest.mark.parametrize("line, message", [
+        ("tests = H1n bogus", "unknown test id 'bogus'"),
+        ("tests = H3n", r"test 'H3n' needs u in \[1, 2\]"),
+        ("tests = meta_re", "meta_re requires at least two studies"),
+        ("tests =", "expected at least one test id"),
+        ("tests = , ,", "expected at least one test id"),
+    ])
+    def test_bad_test_ids_name_the_line(self, line, message):
+        studies = "nc = 25\nnt = 25\n" if "meta_re" in line else "nc = 25 25\nnt = 25 25\n"
+        text = f"theta = {'1' if 'meta_re' in line else '1 0'}\n{line}\n{studies}"
+        with pytest.raises(ValueError, match=rf"^config line 2: tests: {message}"):
             parse_scenario_config(io.StringIO(text))
 
     def test_random_config_value_names_key_and_line(self):
