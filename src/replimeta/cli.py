@@ -22,11 +22,10 @@ from dataclasses import replace
 from . import __version__
 from .forest import format_number, render_forest
 from .meta import leave_one_out
-from .replicability import TruncationConfig, _leading_rejections, delta_bound
+from .replicability import TruncationConfig, delta_bound
 from .report import (
     AnalysisRequest,
     StudyFileError,
-    _directional_curves,
     analyze,
     parse_studies,
     partial_conjunction_summary,
@@ -137,16 +136,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         effect_measure=args.measure,
         conditional_threshold=args.conditional_threshold,
     )
-    curves = _directional_curves(request)
-    meta_result, report, forest = analyze(request, curves)
-    extra_pc = partial_conjunction_summary(request, args.u, curves)
+    meta_result, report, forest = analyze(request)
+    extra_pc = partial_conjunction_summary(request, args.u)
 
     deltas = None
     if args.delta_bounds:
-        deltas = {
-            "upper_positive": delta_bound(studies, 2, args.alpha, "upper_positive", cfg),
-            "lower_negative": delta_bound(studies, 2, args.alpha, "lower_negative", cfg),
-        }
+        deltas = {side: delta_bound(studies, 2, args.alpha, side, cfg)
+                  for side in ("upper_positive", "lower_negative")}
 
     provenance = {
         "package": "replimeta",
@@ -227,10 +223,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         (f"r(u={args.u})", extra_pc["r"]),
     ]
     if deltas is not None:
-        details += [
-            ("delta_upper_positive", "none" if deltas["upper_positive"] is None else deltas["upper_positive"]),
-            ("delta_lower_negative", "none" if deltas["lower_negative"] is None else deltas["lower_negative"]),
-        ]
+        details += [(f"delta_{side}", "none" if d is None else d) for side, d in deltas.items()]
     sections.append("details (full precision)\n" + _details_block(details))
     _write_output("\n".join(sections), args.output)
     return EXIT_OK
@@ -277,16 +270,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
     # AnalysisRequest rejects fewer than two studies.
     request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, truncation=cfg)
-    left, right = _directional_curves(request)
-    level = args.alpha / 2.0
+    profile = request.profile
+    level = profile.level
     table = []
     for u in range(1, len(studies) + 1):
-        r_l = float(left(u)[0])
-        r_r = float(right(u)[0])
-        table.append({"u": u, "r_left": r_l, "r_right": r_r,
-                      "reject_left": r_l <= level, "reject_right": r_r <= level})
-    u_max_left = _leading_rejections(left, level)
-    u_max_right = _leading_rejections(right, level)
+        pc = profile.result(u)
+        table.append({"u": u, "r_left": pc.r_left, "r_right": pc.r_right,
+                      "reject_left": pc.r_left <= level, "reject_right": pc.r_right <= level})
+    u_max_left, u_max_right = profile.bounds()
 
     if args.format == "json":
         payload = {

@@ -251,6 +251,34 @@ def _leading_rejections(curve: _PCCurve, level: float) -> int:
     return u
 
 
+def _two_sided(r_left: float, r_right: float) -> float:
+    """The two-directional p-value: twice the smaller directional one, capped at 1."""
+    return min(1.0, 2.0 * min(r_left, r_right))
+
+
+class _TwoSidedProfile:
+    """The left and right ``_PCCurve`` of one set of one-sided p-values.
+
+    r(u) and both directional bounds are read from these two curves. Each side
+    is tested at ``level`` = alpha / 2, so the bounds hold jointly at 1 - alpha.
+    """
+
+    def __init__(self, left_ps: Sequence[float], right_ps: Sequence[float], t: float, alpha: float):
+        self.left = _PCCurve(left_ps, t)
+        self.right = _PCCurve(right_ps, t)
+        self.t = t
+        self.level = alpha / 2.0
+
+    def result(self, u: int) -> PartialConjunctionResult:
+        """r_left(u), r_right(u) and r(u); a side with fewer than u p-values has r = 1."""
+        r_left, r_right = float(self.left(u)[0]), float(self.right(u)[0])
+        return PartialConjunctionResult(u, r_left, r_right, _two_sided(r_left, r_right), self.t)
+
+    def bounds(self) -> tuple[int, int]:
+        """(u_max_left, u_max_right), each side's leading rejections at ``level``."""
+        return tuple(_leading_rejections(curve, self.level) for curve in (self.left, self.right))
+
+
 @lru_cache(maxsize=None)
 def _tail_cut(t: float) -> float:
     """A z above which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], exceeds t.
@@ -409,11 +437,17 @@ def partial_conjunction_p(
     return float(_PCCurve(arr, cfg.t)(u)[0])
 
 
-def _check_pairing(left: np.ndarray, right: np.ndarray) -> None:
+def _paired_profile(
+    left_ps: Sequence[float], right_ps: Sequence[float], cfg: TruncationConfig
+) -> _TwoSidedProfile:
+    """The profile of a left and a right p-value list that pair up, study by study."""
+    left = _validate_pvalues(left_ps)
+    right = _validate_pvalues(right_ps)
     if left.size != right.size:
         raise ValueError(f"left and right lists differ in length ({left.size} vs {right.size})")
     if left.size and float(np.max(np.abs(left + right - 1.0))) > 1e-6:
         raise ValueError("each left/right pair must sum to 1")
+    return _TwoSidedProfile(left, right, cfg.t, cfg.alpha)
 
 
 def r_value(
@@ -426,18 +460,10 @@ def r_value(
 
     Twice the smaller of the directional p-values, capped at 1.
     """
-    left = _validate_pvalues(left_ps)
-    right = _validate_pvalues(right_ps)
-    _check_pairing(left, right)
-    r_left = partial_conjunction_p(left, u, cfg)
-    r_right = partial_conjunction_p(right, u, cfg)
-    return PartialConjunctionResult(
-        u=u,
-        r_left=r_left,
-        r_right=r_right,
-        r=min(1.0, 2.0 * min(r_left, r_right)),
-        t=cfg.t,
-    )
+    profile = _paired_profile(left_ps, right_ps, cfg)
+    if not 1 <= u <= len(profile.left):
+        raise ValueError(f"u must be in [1, {len(profile.left)}], got {u}")
+    return profile.result(u)
 
 
 def confidence_bounds(
@@ -450,14 +476,7 @@ def confidence_bounds(
     Each side is tested sequentially at level alpha/2, so the pair holds
     jointly with confidence 1 - alpha.
     """
-    left = _validate_pvalues(left_ps)
-    right = _validate_pvalues(right_ps)
-    _check_pairing(left, right)
-    level = cfg.alpha / 2.0
-    return (
-        _leading_rejections(_PCCurve(left, cfg.t), level),
-        _leading_rejections(_PCCurve(right, cfg.t), level),
-    )
+    return _paired_profile(left_ps, right_ps, cfg).bounds()
 
 
 def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:
@@ -544,13 +563,7 @@ def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionRes
     # Right-sided p is largest at the smallest pooled z, left-sided at the largest.
     r_right = normal_cdf(-float(z_min[0]))
     r_left = normal_cdf(float(z_max[0]))
-    return PartialConjunctionResult(
-        u=u,
-        r_left=r_left,
-        r_right=r_right,
-        r=min(1.0, 2.0 * min(r_left, r_right)),
-        t=None,
-    )
+    return PartialConjunctionResult(u, r_left, r_right, _two_sided(r_left, r_right))
 
 
 def delta_bound(

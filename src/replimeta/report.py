@@ -9,7 +9,8 @@ the reporting style of systematic-review abstracts and are configurable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Sequence, TextIO
 
 from .forest import AnnotatedForest, ForestRow, format_number, format_r_value
@@ -29,8 +30,7 @@ from .meta import (
 from .replicability import (
     ReplicabilityReport,
     TruncationConfig,
-    _leading_rejections,
-    _PCCurve,
+    _TwoSidedProfile,
     classify_consistency,
     conditional_p_transform,
 )
@@ -79,6 +79,16 @@ class AnalysisRequest:
             raise ValueError(f"effect_measure must be one of {_MEASURES}, got {self.effect_measure!r}")
         if self.conditional_threshold is not None and not 0.0 < self.conditional_threshold < 1.0:
             raise ValueError("conditional_threshold must be in (0, 1)")
+
+    @cached_property
+    def profile(self) -> _TwoSidedProfile:
+        """The directional curves of ``directional_pvalues`` at t, each side at alpha / 2.
+
+        Built once per request; ``analyze``, ``partial_conjunction_summary``
+        and the CLI tables all read it. The level is the request's ``alpha``,
+        not ``truncation.alpha``.
+        """
+        return _TwoSidedProfile(*directional_pvalues(self), self.truncation.t, self.alpha)
 
 
 def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySummary]:
@@ -164,42 +174,24 @@ def directional_pvalues(request: AnalysisRequest) -> tuple[list[float], list[flo
     return left, right
 
 
-def _directional_curves(request: AnalysisRequest) -> tuple[_PCCurve, _PCCurve]:
-    """The left and right partial-conjunction curves of the request's studies."""
-    left, right = (_PCCurve(ps, request.truncation.t) for ps in directional_pvalues(request))
-    return left, right
-
-
-def partial_conjunction_summary(
-    request: AnalysisRequest, u: int, curves: tuple[_PCCurve, _PCCurve] | None = None
-) -> dict:
+def partial_conjunction_summary(request: AnalysisRequest, u: int) -> dict:
     """Directional and combined p-values at level u for the request's studies.
 
-    Uses the same (possibly conditionally filtered) p-value lists as analyze,
-    so the numbers are consistent with the main report. ``curves`` are the
-    request's directional curves when the caller has them already.
+    Read from the request's profile, so the numbers are those of analyze.
     """
     if not 1 <= u <= len(request.studies):
         raise ValueError(f"u must be in [1, {len(request.studies)}], got {u}")
-    r_left, r_right = (float(curve(u)[0]) for curve in curves or _directional_curves(request))
-    return {
-        "u": u,
-        "r_left": r_left,
-        "r_right": r_right,
-        "r": min(1.0, 2.0 * min(r_left, r_right)),
-        "t": request.truncation.t,
-    }
+    return asdict(request.profile.result(u))
 
 
 def analyze(
-    request: AnalysisRequest, curves: tuple[_PCCurve, _PCCurve] | None = None
+    request: AnalysisRequest,
 ) -> tuple[MetaAnalysisResult, ReplicabilityReport, AnnotatedForest]:
     """Run the meta-analysis and the replicability add-ons for one request.
 
     ``model='auto'`` picks the random-effects model when the estimated
     heterogeneity fraction is positive and the fixed-effect model otherwise;
-    the resulting model is recorded on the returned result. ``curves`` are
-    the request's directional curves when the caller has them already.
+    the resulting model is recorded on the returned result.
     """
     studies = list(request.studies)
     alpha = request.alpha
@@ -210,14 +202,11 @@ def analyze(
     if model == "auto" and meta_result.i_squared == 0.0:
         meta_result = fixed_effect_meta(studies, alpha)
 
-    left, right = curves or _directional_curves(request)
-    r2 = min(1.0, 2.0 * min(float(left(2)[0]), float(right(2)[0])))
-    u_max_left = _leading_rejections(left, alpha / 2.0)
-    u_max_right = _leading_rejections(right, alpha / 2.0)
+    u_max_left, u_max_right = request.profile.bounds()
     report = ReplicabilityReport(
         u_max_left=u_max_left,
         u_max_right=u_max_right,
-        r_value=r2,
+        r_value=request.profile.result(2).r,
         consistency=classify_consistency(u_max_left, u_max_right),
         confidence=1.0 - alpha,
     )

@@ -15,7 +15,6 @@ independent of the chunk size. Grid builders give point i the seed
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .replicability import (
     _fe_z_extremes,
     _level_quantiles,
 )
+from .statkernels import normal_cdf
 
 __all__ = [
     "BENCHMARK_GROUP_SIZES",
@@ -79,10 +79,24 @@ def _check_finite(name: str, *values: float | None) -> None:
         raise ValueError(f"{name} must be finite, got {', '.join(map(repr, values))}")
 
 
-def _check_group_sizes(group_sizes: Sequence[tuple[int, int]]) -> None:
-    for pair in group_sizes:
+def _check_seed(seed: int) -> int:
+    """The seed, once it is a valid Philox key."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
+
+
+def _check_scenario(scenario: Scenario) -> None:
+    """The checks both scenario kinds share: study count, param, group sizes, replications, seed."""
+    if not scenario.group_sizes:
+        raise ValueError("at least one study is required")
+    _check_finite("param", scenario.param)
+    for pair in scenario.group_sizes:
         if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
             raise ValueError(f"group sizes must be positive (control, treatment) pairs, got {pair}")
+    if scenario.replications < 1:
+        raise ValueError("replications must be at least 1")
+    _check_seed(scenario.seed)
 
 
 @dataclass(frozen=True)
@@ -98,13 +112,8 @@ class FixedEffectsScenario:
     def __post_init__(self) -> None:
         if len(self.theta) != len(self.group_sizes):
             raise ValueError("theta and group_sizes must have the same length")
-        if not self.theta:
-            raise ValueError("at least one study is required")
         _check_finite("theta", *self.theta)
-        _check_finite("param", self.param)
-        _check_group_sizes(self.group_sizes)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        _check_scenario(self)
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -130,16 +139,11 @@ class RandomEffectsScenario:
     def __post_init__(self) -> None:
         _check_finite("mu", self.mu)
         _check_finite("tau", self.tau)
-        _check_finite("param", self.param)
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
         if self.n != len(self.group_sizes):
             raise ValueError("n must match the number of group-size pairs")
-        if self.n < 1:
-            raise ValueError("at least one study is required")
-        _check_group_sizes(self.group_sizes)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        _check_scenario(self)
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -245,16 +249,24 @@ def _pooled_rejections(
     return decided
 
 
+def _test_error(test_id: str, n: int) -> str | None:
+    """Why ``test_id`` is unknown or cannot run on n studies; None when it can."""
+    match = _H_TEST.match(test_id)
+    if match is None and test_id not in _TEST_IDS:
+        return f"unknown test id {test_id!r}"
+    if match is not None and not 1 <= int(match.group(1)) <= n:
+        return f"test {test_id!r} needs u in [1, {n}]"
+    if test_id in ("meta_re", "H2n_fe") and n < 2:
+        return f"{test_id} requires at least two studies"
+    return None
+
+
 def _check_tests(tests: Sequence[str], n: int) -> None:
     """Raise ValueError naming the first test id that is unknown or needs more than n studies."""
     for test_id in tests:
-        match = _H_TEST.match(test_id)
-        if match is None and test_id not in _TEST_IDS:
-            raise ValueError(f"unknown test id {test_id!r}")
-        if match is not None and not 1 <= int(match.group(1)) <= n:
-            raise ValueError(f"test {test_id!r} needs u in [1, {n}]")
-        if test_id in ("meta_re", "H2n_fe") and n < 2:
-            raise ValueError(f"{test_id} requires at least two studies")
+        error = _test_error(test_id, n)
+        if error is not None:
+            raise ValueError(error)
 
 
 def _evaluate_tests(
@@ -371,7 +383,7 @@ def inconsistency_probability(mu: float, tau: float, n: int) -> float:
         raise ValueError(f"tau must be positive, got {tau}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    phi = 0.5 * math.erfc(-(mu / tau) / math.sqrt(2.0))
+    phi = normal_cdf(mu / tau)
     return 1.0 - phi**n - (1.0 - phi) ** n
 
 
@@ -410,6 +422,7 @@ def calibrate_tau(
     """
     if not 0.0 < target_i_squared < 1.0:
         raise ValueError("target_i_squared must be in (0, 1)")
+    _check_seed(seed)
     se = _standard_errors(group_sizes)
     n = len(se)
     if n < 2:
@@ -444,69 +457,27 @@ _MIXED_GRID = (0.0, 0.3, 0.6, 0.9, 1.2, 1.5)
 _RE_MU_GRID = (0.0, 0.3, 0.6, 0.9)
 
 
-def _fixed_grid(
-    pattern: Callable[[float], tuple[float, ...]],
+def _fixed_preset(
+    theta: Callable[[float], tuple[float, ...]],
     grid: Sequence[float],
-    replications: int,
-    seed: int,
-) -> list[FixedEffectsScenario]:
-    return [
-        FixedEffectsScenario(
-            theta=pattern(m),
-            group_sizes=BENCHMARK_GROUP_SIZES,
-            replications=replications,
-            seed=seed + i,
-            param=m,
-        )
-        for i, m in enumerate(grid)
-    ]
+    tests: tuple[str, ...],
+    group_sizes: Callable[[float], tuple[tuple[int, int], ...]] = lambda m: BENCHMARK_GROUP_SIZES,
+) -> Callable[[int, int], tuple[list, tuple[str, ...]]]:
+    """A preset of fixed-effects points: point i of ``grid``, m, has effects
+    theta(m), group sizes group_sizes(m), seed ``seed + i`` and param float(m)."""
 
-
-def _preset_single_nonnull(replications: int, seed: int):
-    pattern = lambda m: (m,) + (0.0,) * 7
-    return _fixed_grid(pattern, _STRENGTH_GRID, replications, seed), DEFAULT_TESTS
-
-
-def _preset_two_same_sign(replications: int, seed: int):
-    pattern = lambda m: (m, m) + (0.0,) * 6
-    return _fixed_grid(pattern, _STRENGTH_GRID, replications, seed), DEFAULT_TESTS
-
-
-def _preset_mixed_signs(replications: int, seed: int):
-    pattern = lambda m: (m, m, -m) + (0.0,) * 5
-    return _fixed_grid(pattern, _MIXED_GRID, replications, seed), DEFAULT_TESTS
-
-
-def _preset_common_effect(effect: float):
     def build(replications: int, seed: int):
         scenarios = [
             FixedEffectsScenario(
-                theta=(effect,) * k + (0.0,) * (8 - k),
-                group_sizes=BENCHMARK_GROUP_SIZES,
-                replications=replications,
-                seed=seed + k,
-                param=float(k),
-            )
-            for k in range(9)
-        ]
-        return scenarios, ("meta_re", "H2n")
-
-    return build
-
-
-def _preset_single_among_n(effect: float):
-    def build(replications: int, seed: int):
-        scenarios = [
-            FixedEffectsScenario(
-                theta=(effect,) + (0.0,) * (n - 1),
-                group_sizes=((25, 25),) * n,
+                theta=theta(m),
+                group_sizes=group_sizes(m),
                 replications=replications,
                 seed=seed + i,
-                param=float(n),
+                param=float(m),
             )
-            for i, n in enumerate((4, 8, 16))
+            for i, m in enumerate(grid)
         ]
-        return scenarios, ("meta_fe", "H2n_fe")
+        return scenarios, tests
 
     return build
 
@@ -532,14 +503,26 @@ def _preset_re(target_i_squared: float):
 
 
 _PRESETS: dict[str, Callable[[int, int], tuple[list, tuple[str, ...]]]] = {
-    "single-nonnull": _preset_single_nonnull,
-    "two-same-sign": _preset_two_same_sign,
-    "mixed-signs": _preset_mixed_signs,
-    "common-effect-1": _preset_common_effect(1.0),
-    "common-effect-2": _preset_common_effect(2.0),
-    "common-effect-3": _preset_common_effect(3.0),
-    "single-among-n": _preset_single_among_n(2.0),
-    "single-among-n-weak": _preset_single_among_n(1.0),
+    "single-nonnull": _fixed_preset(lambda m: (m,) + (0.0,) * 7, _STRENGTH_GRID, DEFAULT_TESTS),
+    "two-same-sign": _fixed_preset(lambda m: (m, m) + (0.0,) * 6, _STRENGTH_GRID, DEFAULT_TESTS),
+    "mixed-signs": _fixed_preset(lambda m: (m, m, -m) + (0.0,) * 5, _MIXED_GRID, DEFAULT_TESTS),
+    # k = 0..8 of the eight studies share the effect.
+    **{
+        f"common-effect-{effect}": _fixed_preset(
+            lambda k, e=float(effect): (e,) * k + (0.0,) * (8 - k), range(9), ("meta_re", "H2n")
+        )
+        for effect in (1, 2, 3)
+    },
+    # One study with the effect among n equally sized ones.
+    **{
+        name: _fixed_preset(
+            lambda n, e=effect: (e,) + (0.0,) * (n - 1),
+            (4, 8, 16),
+            ("meta_fe", "H2n_fe"),
+            lambda n: ((25, 25),) * n,
+        )
+        for name, effect in (("single-among-n", 2.0), ("single-among-n-weak", 1.0))
+    },
     "re-high-het": _preset_re(0.70),
     "re-moderate-het": _preset_re(0.50),
 }
@@ -557,7 +540,7 @@ def preset(name: str, replications: int = 10_000, seed: int = 0):
         raise ValueError(
             f"unknown scenario preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    return build(replications, seed)
+    return build(replications, _check_seed(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +578,10 @@ def parse_scenario_config(
     scenarios), ``mu`` and ``tau`` (random scenarios), ``nc`` and ``nt``
     (control/treatment group sizes), ``replications``, ``seed``, ``t``,
     ``tests`` (whitespace separated ids), ``param``. Lines starting with ``#``
-    are comments. Returns (scenario, tests, truncation threshold). A value
-    that does not parse raises ValueError naming its key and line.
+    are comments. Without ``tests``, the ids of ``DEFAULT_TESTS`` that n
+    studies allow are run. Returns (scenario, tests, truncation threshold). A
+    value that does not parse, or a seed outside [0, 2**128), raises
+    ValueError naming its key and line.
     """
     if isinstance(source, str):
         # utf-8-sig drops the byte-order mark that Excel and some editors write.
@@ -635,8 +620,9 @@ def parse_scenario_config(
     if len(nc) != len(nt):
         raise ValueError("nc and nt must list the same number of studies")
     group_sizes = tuple(zip(nc, nt))
+    n = len(group_sizes)
     replications = read("replications", _integer, 10_000)
-    seed = read("seed", _integer, 0)
+    seed = read("seed", lambda text: _check_seed(_integer(text)), 0)
     t = read("t", _number, 0.05)
     param = read("param", _number)
 
@@ -644,10 +630,11 @@ def parse_scenario_config(
         ids = vector(str)(text)
         if not ids:
             raise ValueError("expected at least one test id")
-        _check_tests(ids, len(group_sizes))
+        _check_tests(ids, n)
         return ids
 
-    tests = read("tests", test_ids, DEFAULT_TESTS)
+    default = tuple(tid for tid in DEFAULT_TESTS if _test_error(tid, n) is None)
+    tests = read("tests", test_ids, default)
 
     if "theta" in values:
         if "mu" in values or "tau" in values:
@@ -674,22 +661,15 @@ def parse_scenario_config(
     return scenario, tests, t
 
 
-def write_power_csv(points: Sequence[PowerCurvePoint], sink: str | TextIO) -> None:
+def write_power_csv(points: Sequence[PowerCurvePoint], sink: TextIO) -> None:
     """One CSV row per grid point per test: param,test,rate,mc_se,replications,seed."""
-    buffer = io.StringIO()
-    buffer.write("param,test,rate,mc_se,replications,seed\n")
+    sink.write("param,test,rate,mc_se,replications,seed\n")
     for point in points:
         for test_id, rate in point.rejection_rate.items():
-            buffer.write(
+            sink.write(
                 f"{point.param!r},{test_id},{rate!r},{point.mc_se[test_id]!r},"
                 f"{point.replications},{point.seed}\n"
             )
-    payload = buffer.getvalue()
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    else:
-        sink.write(payload)
 
 
 def run_points(

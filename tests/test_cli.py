@@ -283,6 +283,40 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert f"config line 2: {key}: " in captured.err
 
+    @pytest.mark.parametrize("theta, tests", [
+        ("1 0", ["meta_fe", "meta_re", "H1n", "H2n", "inconsistency_detected"]),
+        ("1", ["meta_fe", "H1n", "inconsistency_detected"]),
+    ])
+    def test_config_without_tests_runs_what_its_studies_allow(self, tmp_path, capsys, theta, tests):
+        sizes = " ".join(["25"] * len(theta.split()))
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(f"theta = {theta}\nnc = {sizes}\nnt = {sizes}\nreplications = 50\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "param,test,rate,mc_se,replications,seed"
+        assert [line.split(",")[1] for line in lines[1:]] == tests
+        assert all(line.endswith(",50,0") for line in lines[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "single-nonnull", "--seed", "-1"],
+        ["--scenario", "re-high-het", "--seed", "-1"],
+        ["--config", "CFG", "--seed", "-1"],
+    ])
+    def test_negative_seed_flag_exits_1_naming_the_seed(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("theta = 1 0\nnc = 25 25\nnt = 25 25\n")
+        argv = [str(cfg) if arg == "CFG" else arg for arg in argv]
+        assert main(["simulate", *argv, "--replications", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be in [0, 2**128), got -1" in captured.err
+
+    def test_negative_config_seed_exits_1_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("theta = 1 0\nnc = 25 25\nnt = 25 25\nseed = -5\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "config line 4: seed: seed must be in [0, 2**128), got -5" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["simulate"]) == 1
         assert main(["simulate", "--scenario", "mixed-signs", "--config", "x.cfg"]) == 1

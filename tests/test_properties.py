@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -49,7 +50,13 @@ from replimeta.replicability import (
     r_value,
     truncated_product_p,
 )
-from replimeta.report import AnalysisRequest, analyze, parse_studies, partial_conjunction_summary
+from replimeta.report import (
+    AnalysisRequest,
+    analyze,
+    directional_pvalues,
+    parse_studies,
+    partial_conjunction_summary,
+)
 from replimeta.simulation import _evaluate_tests, _pooled_rejections
 from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
 
@@ -198,6 +205,20 @@ def test_analyze_agrees_with_bounds_table(pairs, t, alpha):
     row = table["table"][1]
     assert row["u"] == 2
     assert report.r_value == min(1.0, 2.0 * min(row["r_left"], row["r_right"]))
+
+
+@PROPERTY
+@given(pairs=STUDIES, t=THRESHOLDS, alpha=st.sampled_from([0.01, 0.2, 0.5]))
+def test_request_profile_is_at_the_request_alpha(pairs, t, alpha):
+    # The truncation keeps its default alpha of 0.05: the request's profile
+    # tests each side at the request's alpha / 2, not at truncation.alpha / 2.
+    request = AnalysisRequest(studies=_studies(pairs), alpha=alpha, truncation=TruncationConfig(t))
+    cfg = TruncationConfig(t, alpha)
+    left, right = directional_pvalues(request)
+    _, report, _ = analyze(request)
+    assert (report.u_max_left, report.u_max_right) == confidence_bounds(left, right, cfg)
+    for u in range(1, len(pairs) + 1):
+        assert partial_conjunction_summary(request, u) == asdict(r_value(left, right, u, cfg))
 
 
 @PROPERTY

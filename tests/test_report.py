@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from replimeta import report as report_module
 from replimeta.forest import AnnotatedForest, ForestRow, render_forest
 from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
 from replimeta.replicability import ReplicabilityReport, TruncationConfig
@@ -16,6 +17,7 @@ from replimeta.report import (
     analyze,
     directional_pvalues,
     parse_studies,
+    partial_conjunction_summary,
     summary_sentence,
 )
 
@@ -169,6 +171,20 @@ class TestAnalyze:
         left, right = directional_pvalues(request)
         assert report.u_max_right <= len(right)
         assert report.u_max_left <= len(left)
+
+
+class TestRequestProfile:
+    def test_analyze_then_summary_transforms_each_study_once(self, monkeypatch):
+        calls = []
+        one_sided_p = report_module.one_sided_p
+        monkeypatch.setattr(
+            report_module, "one_sided_p", lambda *args: calls.append(args) or one_sided_p(*args)
+        )
+        request = AnalysisRequest(studies=CONFLICTING)
+        _, report, _ = analyze(request)
+        summary = partial_conjunction_summary(request, 2)
+        assert len(calls) == len(CONFLICTING)
+        assert summary["r"] == report.r_value
 
 
 def _raw_pairs(studies):

@@ -107,6 +107,29 @@ class TestScenarios:
         with pytest.raises(ValueError):
             RandomEffectsScenario(mu=0, tau=1, n=3, group_sizes=((10, 10), (10, 10)))
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_keys_rejected_naming_seed(self, seed):
+        message = rf"^seed must be in \[0, 2\*\*128\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            FixedEffectsScenario(theta=(0.0,), group_sizes=((10, 10),), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            RandomEffectsScenario(mu=0, tau=1, n=1, group_sizes=((10, 10),), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            calibrate_tau(0.5, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        scenario = FixedEffectsScenario(
+            theta=(0.0,), group_sizes=((10, 10),), replications=5, seed=2**128 - 1
+        )
+        assert simulate_fixed(scenario, ("H1n",)).seed == 2**128 - 1
+
+    def test_preset_seed_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulation, "_rng", lambda seed: drawn.append(seed))
+        with pytest.raises(ValueError, match=r"got -1000$"):
+            preset("re-high-het", replications=10, seed=-1000)
+        assert drawn == []
+
     def test_standard_errors(self):
         scenario = FixedEffectsScenario(theta=(0.0,), group_sizes=((25, 25),))
         assert abs(scenario.standard_errors[0] - math.sqrt(2.0 / 25.0)) < 1e-12
@@ -268,6 +291,10 @@ class TestInconsistencyProbability:
         exact = inconsistency_probability(mu, tau, n)
         mc_se = math.sqrt(empirical * (1 - empirical) / draws.shape[0])
         assert abs(exact - empirical) <= 3 * mc_se
+
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ValueError, match="z must not be NaN"):
+            inconsistency_probability(math.nan, 1.0, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -472,6 +499,22 @@ class TestConfigAndCsv:
         text = f"theta = {'1' if 'meta_re' in line else '1 0'}\n{line}\n{studies}"
         with pytest.raises(ValueError, match=rf"^config line 2: tests: {message}"):
             parse_scenario_config(io.StringIO(text))
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**128)])
+    def test_seed_out_of_range_names_the_line(self, seed):
+        text = f"theta = 1 0\nseed = {seed}\nnc = 25 25\nnt = 25 25\n"
+        with pytest.raises(ValueError, match=rf"^config line 2: seed: seed must be in .*, got {seed}$"):
+            parse_scenario_config(io.StringIO(text))
+
+    @pytest.mark.parametrize("theta, tests", [
+        ("1 0 0", simulation.DEFAULT_TESTS),
+        ("1 0", ("meta_fe", "meta_re", "H1n", "H2n", "inconsistency_detected")),
+        ("1", ("meta_fe", "H1n", "inconsistency_detected")),
+    ])
+    def test_default_tests_follow_the_number_of_studies(self, theta, tests):
+        sizes = " ".join(["25"] * len(theta.split()))
+        text = f"theta = {theta}\nnc = {sizes}\nnt = {sizes}\n"
+        assert parse_scenario_config(io.StringIO(text))[1] == tests
 
     def test_random_config_value_names_key_and_line(self):
         with pytest.raises(ValueError, match=r"^config line 2: tau: expected a number, got '0.3x'"):
