@@ -22,7 +22,6 @@ from .meta import (
 from .replicability import (
     PartialConjunctionResult,
     ReplicabilityReport,
-    TruncationConfig,
     classify_consistency,
     conditional_p_transform,
     confidence_bounds,
@@ -59,7 +58,6 @@ __all__ = [
     "RandomEffectsScenario",
     "ReplicabilityReport",
     "StudySummary",
-    "TruncationConfig",
     "analyze",
     "binary_to_log_effect",
     "binomial_pmf",

@@ -22,7 +22,7 @@ from dataclasses import replace
 from . import __version__
 from .forest import format_number, render_forest
 from .meta import leave_one_out
-from .replicability import TruncationConfig, delta_bound
+from .replicability import delta_bound
 from .report import (
     AnalysisRequest,
     StudyFileError,
@@ -55,13 +55,18 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"replimeta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze_p = sub.add_parser("analyze", help="meta-analysis plus replicability report")
-    analyze_p.add_argument("--input", required=True, help="CSV study file")
+    studies = argparse.ArgumentParser(add_help=False)
+    studies.add_argument("--input", required=True, help="CSV study file")
+    studies.add_argument("--alpha", type=float, default=0.05)
+    studies.add_argument("--measure", choices=("raw", "odds_ratio", "risk_ratio"), default="raw")
+    studies.add_argument("--output", default=None, help="output file (default: stdout)")
+    truncation = argparse.ArgumentParser(add_help=False)
+    truncation.add_argument("--truncation", type=float, default=0.05, metavar="T",
+                            help="p-value truncation threshold for the combination test")
+
+    analyze_p = sub.add_parser("analyze", parents=[studies, truncation],
+                               help="meta-analysis plus replicability report")
     analyze_p.add_argument("--model", choices=("fixed", "random", "auto"), default="fixed")
-    analyze_p.add_argument("--alpha", type=float, default=0.05)
-    analyze_p.add_argument("--truncation", type=float, default=0.05, metavar="T",
-                           help="p-value truncation threshold for the combination test")
-    analyze_p.add_argument("--measure", choices=("raw", "odds_ratio", "risk_ratio"), default="raw")
     analyze_p.add_argument("--u", type=int, default=2,
                            help="replicability level to report alongside the default u=2")
     analyze_p.add_argument("--delta-bounds", action="store_true",
@@ -69,7 +74,6 @@ def _build_parser() -> _Parser:
     analyze_p.add_argument("--conditional-threshold", type=float, default=None, metavar="P",
                            help="publication-bias guard: keep only p-values at or below P, rescaled")
     analyze_p.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    analyze_p.add_argument("--output", default=None, help="output file (default: stdout)")
     analyze_p.set_defaults(func=_cmd_analyze)
 
     simulate_p = sub.add_parser("simulate", help="Monte Carlo power study, CSV output")
@@ -82,22 +86,14 @@ def _build_parser() -> _Parser:
     simulate_p.add_argument("--out", default=None, help="CSV file (default: stdout)")
     simulate_p.set_defaults(func=_cmd_simulate)
 
-    bounds_p = sub.add_parser("bounds", help="directional p-values and bounds for u = 1..n")
-    bounds_p.add_argument("--input", required=True)
-    bounds_p.add_argument("--alpha", type=float, default=0.05)
-    bounds_p.add_argument("--truncation", type=float, default=0.05)
-    bounds_p.add_argument("--measure", choices=("raw", "odds_ratio", "risk_ratio"), default="raw")
+    bounds_p = sub.add_parser("bounds", parents=[studies, truncation],
+                              help="directional p-values and bounds for u = 1..n")
     bounds_p.add_argument("--format", choices=("text", "json"), default="text")
-    bounds_p.add_argument("--output", default=None)
     bounds_p.set_defaults(func=_cmd_bounds)
 
-    loo_p = sub.add_parser("loo", help="leave-one-out sensitivity table")
-    loo_p.add_argument("--input", required=True)
+    loo_p = sub.add_parser("loo", parents=[studies], help="leave-one-out sensitivity table")
     loo_p.add_argument("--model", choices=("fixed", "random"), default="fixed")
-    loo_p.add_argument("--alpha", type=float, default=0.05)
-    loo_p.add_argument("--measure", choices=("raw", "odds_ratio", "risk_ratio"), default="raw")
     loo_p.add_argument("--format", choices=("text", "json"), default="text")
-    loo_p.add_argument("--output", default=None)
     loo_p.set_defaults(func=_cmd_loo)
 
     return parser
@@ -127,12 +123,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "transform assumes selection at zero shift, and the delta bounds test shifted nulls"
         )
     studies = parse_studies(args.input, args.measure)
-    cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
     request = AnalysisRequest(
         studies=tuple(studies),
         model=args.model,
         alpha=args.alpha,
-        truncation=cfg,
+        t=args.truncation,
         effect_measure=args.measure,
         conditional_threshold=args.conditional_threshold,
     )
@@ -141,7 +136,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     deltas = None
     if args.delta_bounds:
-        deltas = {side: delta_bound(studies, 2, args.alpha, side, cfg)
+        deltas = {side: delta_bound(studies, 2, args.alpha, side, args.truncation)
                   for side in ("upper_positive", "lower_negative")}
 
     provenance = {
@@ -150,7 +145,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "model_requested": args.model,
         "model_used": meta_result.model,
         "alpha": args.alpha,
-        "truncation_t": cfg.t,
+        "truncation_t": args.truncation,
         "effect_measure": args.measure,
         "conditional_threshold": args.conditional_threshold,
         "input": args.input,
@@ -215,7 +210,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     sections = [
         render_forest(forest, "text"),
-        summary_sentence(report, args.measure, args.alpha) + "\n",
+        summary_sentence(report, args.measure) + "\n",
     ]
     details = meta_fields + replicability_fields + [
         (f"r_left(u={args.u})", extra_pc["r_left"]),
@@ -255,10 +250,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed = args.seed if args.seed is not None else 0
         scenarios, tests = preset(args.scenario, replications=replications, seed=seed)
         t = 0.05
-    if args.t is not None:
-        t = args.t
-    cfg = TruncationConfig(t=t, alpha=0.05)
-    points = run_points(scenarios, tests, cfg)
+    points = run_points(scenarios, tests, t if args.t is None else args.t, alpha=0.05)
     buffer = io.StringIO()
     write_power_csv(points, buffer)
     _write_output(buffer.getvalue(), args.out)
@@ -267,9 +259,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     studies = parse_studies(args.input, args.measure)
-    cfg = TruncationConfig(t=args.truncation, alpha=args.alpha)
     # AnalysisRequest rejects fewer than two studies.
-    request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, truncation=cfg)
+    request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, t=args.truncation)
     profile = request.profile
     level = profile.level
     table = []
@@ -282,7 +273,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "per_side_level": level,
-            "truncation_t": cfg.t,
+            "truncation_t": args.truncation,
             "u_max_left": u_max_left,
             "u_max_right": u_max_right,
             "table": table,

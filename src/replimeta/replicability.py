@@ -15,7 +15,7 @@ publication bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Callable, Collection, Literal, Sequence
@@ -33,7 +33,6 @@ __all__ = [
     "PartialConjunctionResult",
     "ReplicabilityReport",
     "SUBSET_ENUMERATION_CAP",
-    "TruncationConfig",
     "classify_consistency",
     "conditional_p_transform",
     "confidence_bounds",
@@ -51,20 +50,11 @@ Consistency = Literal["inconsistent", "supports_consistency", "insufficient_evid
 SUBSET_ENUMERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation threshold for the product statistic and the nominal test level."""
-
-    t: float = 0.05
-    alpha: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"truncation threshold t must be in (0, 1], got {self.t}")
-        meta._check_alpha(self.alpha)
-
-
-DEFAULT_CONFIG = TruncationConfig()
+def _check_t(t: float) -> float:
+    """The truncation threshold, once it lies in (0, 1]."""
+    if not 0.0 < t <= 1.0:
+        raise ValueError(f"truncation threshold t must be in (0, 1], got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -80,19 +70,23 @@ class PartialConjunctionResult:
 
 @dataclass(frozen=True)
 class ReplicabilityReport:
-    """Confidence bounds on study counts per direction plus the u=2 r-value."""
+    """Confidence bounds on study counts per direction plus the u=2 r-value, at level alpha."""
 
     u_max_left: int
     u_max_right: int
     r_value: float
     consistency: Consistency
-    confidence: float
+    alpha: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.u_max_left < 0 or self.u_max_right < 0:
             raise ValueError("bounds must be nonnegative")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        meta._check_alpha(self.alpha)
+
+    @property
+    def confidence(self) -> float:
+        """1 - alpha, the joint confidence of the two bounds."""
+        return 1.0 - self.alpha
 
 
 def _validate_pvalues(p_values: Sequence[float]) -> np.ndarray:
@@ -261,13 +255,16 @@ class _TwoSidedProfile:
 
     r(u) and both directional bounds are read from these two curves. Each side
     is tested at ``level`` = alpha / 2, so the bounds hold jointly at 1 - alpha.
+    A profile built without alpha gives r(u) alone and has no level.
     """
 
-    def __init__(self, left_ps: Sequence[float], right_ps: Sequence[float], t: float, alpha: float):
+    def __init__(
+        self, left_ps: Sequence[float], right_ps: Sequence[float], t: float, alpha: float | None = None
+    ):
         self.left = _PCCurve(left_ps, t)
         self.right = _PCCurve(right_ps, t)
         self.t = t
-        self.level = alpha / 2.0
+        self.level = None if alpha is None else alpha / 2.0
 
     def result(self, u: int) -> PartialConjunctionResult:
         """r_left(u), r_right(u) and r(u); a side with fewer than u p-values has r = 1."""
@@ -407,76 +404,73 @@ def _directional_rejections(
     return left, right
 
 
-def truncated_product_p(p_values: Sequence[float], cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
-    """P-value of the truncated product of p-values at threshold ``cfg.t``.
+def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:
+    """P-value of the truncated product of p-values at threshold t.
 
     When no p-value is at or below the threshold the observed product is the
     empty product 1 and the weakest possible p-value, exactly 1, is returned.
     At t=1 this is Fisher's combination.
     """
+    _check_t(t)
     arr = _validate_pvalues(p_values)
     if arr.size == 0:
         raise ValueError("p_values must be nonempty")
-    return float(_PCCurve(arr, cfg.t)(1)[0])
+    return float(_PCCurve(arr, t)(1)[0])
 
 
-def partial_conjunction_p(
-    p_one_sided: Sequence[float], u: int, cfg: TruncationConfig = DEFAULT_CONFIG
-) -> float:
+def partial_conjunction_p(p_one_sided: Sequence[float], u: int, t: float = 0.05) -> float:
     """P-value for "at least u studies have an effect" in one direction.
 
     Equal to the truncated-product p-value of the n-u+1 largest one-sided
     p-values, which is the maximum over all (n-u+1)-subsets because the
     statistic is monotone in each p-value.
     """
+    _check_t(t)
     arr = _validate_pvalues(p_one_sided)
     if arr.size == 0:
         raise ValueError("p_one_sided must be nonempty")
     if not 1 <= u <= arr.size:
         raise ValueError(f"u must be in [1, {arr.size}], got {u}")
-    return float(_PCCurve(arr, cfg.t)(u)[0])
+    return float(_PCCurve(arr, t)(u)[0])
 
 
 def _paired_profile(
-    left_ps: Sequence[float], right_ps: Sequence[float], cfg: TruncationConfig
+    left_ps: Sequence[float], right_ps: Sequence[float], t: float, alpha: float | None = None
 ) -> _TwoSidedProfile:
     """The profile of a left and a right p-value list that pair up, study by study."""
+    _check_t(t)
     left = _validate_pvalues(left_ps)
     right = _validate_pvalues(right_ps)
     if left.size != right.size:
         raise ValueError(f"left and right lists differ in length ({left.size} vs {right.size})")
     if left.size and float(np.max(np.abs(left + right - 1.0))) > 1e-6:
         raise ValueError("each left/right pair must sum to 1")
-    return _TwoSidedProfile(left, right, cfg.t, cfg.alpha)
+    return _TwoSidedProfile(left, right, t, alpha)
 
 
 def r_value(
-    left_ps: Sequence[float],
-    right_ps: Sequence[float],
-    u: int,
-    cfg: TruncationConfig = DEFAULT_CONFIG,
+    left_ps: Sequence[float], right_ps: Sequence[float], u: int, t: float = 0.05
 ) -> PartialConjunctionResult:
     """Two-directional p-value for "at least u studies share an effect direction".
 
     Twice the smaller of the directional p-values, capped at 1.
     """
-    profile = _paired_profile(left_ps, right_ps, cfg)
+    profile = _paired_profile(left_ps, right_ps, t)
     if not 1 <= u <= len(profile.left):
         raise ValueError(f"u must be in [1, {len(profile.left)}], got {u}")
     return profile.result(u)
 
 
 def confidence_bounds(
-    left_ps: Sequence[float],
-    right_ps: Sequence[float],
-    cfg: TruncationConfig = DEFAULT_CONFIG,
+    left_ps: Sequence[float], right_ps: Sequence[float], t: float = 0.05, alpha: float = 0.05
 ) -> tuple[int, int]:
     """Confidence lower bounds on the number of studies with effects per direction.
 
     Each side is tested sequentially at level alpha/2, so the pair holds
     jointly with confidence 1 - alpha.
     """
-    return _paired_profile(left_ps, right_ps, cfg).bounds()
+    meta._check_alpha(alpha)
+    return _paired_profile(left_ps, right_ps, t, alpha).bounds()
 
 
 def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:
@@ -571,7 +565,7 @@ def delta_bound(
     u: int,
     alpha: float = 0.05,
     side: str = "upper_positive",
-    cfg: TruncationConfig | None = None,
+    t: float | None = None,
     tol: float = 1e-6,
 ) -> float | None:
     """Largest shift for which "at least u studies exceed the shift" still holds.
@@ -580,7 +574,7 @@ def delta_bound(
     right-sided partial-conjunction test is run at level alpha/2; for
     ``lower_negative`` it is moved to -delta with the left-sided test. Returns
     the boundary delta found by bisection, or None when the unshifted test is
-    not significant and a bound is not meaningful.
+    not significant and a bound is not meaningful; t defaults to alpha.
     """
     studies = list(studies)
     n = len(studies)
@@ -591,8 +585,7 @@ def delta_bound(
     if side not in ("upper_positive", "lower_negative"):
         raise ValueError(f"side must be 'upper_positive' or 'lower_negative', got {side!r}")
     meta._check_alpha(alpha)
-    if cfg is None:
-        cfg = TruncationConfig(t=alpha, alpha=alpha)
+    t = _check_t(alpha if t is None else t)
     level = alpha / 2.0
 
     def shifted_p(delta: float) -> float:
@@ -600,7 +593,7 @@ def delta_bound(
             ps = [one_sided_p(s.theta_hat, s.se, shift=delta).right for s in studies]
         else:
             ps = [one_sided_p(s.theta_hat, s.se, shift=-delta).left for s in studies]
-        return partial_conjunction_p(ps, u, cfg)
+        return partial_conjunction_p(ps, u, t)
 
     if shifted_p(0.0) > level:
         return None

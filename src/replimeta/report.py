@@ -9,7 +9,7 @@ the reporting style of systematic-review abstracts and are configurable.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence, TextIO
 
@@ -29,8 +29,8 @@ from .meta import (
 )
 from .replicability import (
     ReplicabilityReport,
-    TruncationConfig,
     _TwoSidedProfile,
+    _check_t,
     classify_consistency,
     conditional_p_transform,
 )
@@ -57,24 +57,26 @@ class StudyFileError(ValueError):
 class AnalysisRequest:
     """Everything needed for one combined meta-analysis + replicability run.
 
-    ``conditional_threshold``, when set, restricts each direction's inference
-    to studies whose one-sided p-value is at or below the threshold and
-    rescales those p-values, guarding against publication bias.
+    Every test and interval is at level ``alpha``; ``t`` is the truncation
+    threshold. ``conditional_threshold``, when set, restricts each direction's
+    inference to studies whose one-sided p-value is at or below the threshold
+    and rescales those p-values, guarding against publication bias.
     """
 
     studies: tuple[StudySummary, ...]
     model: str = "fixed"
     alpha: float = 0.05
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
+    t: float = 0.05
     effect_measure: str = "raw"
     conditional_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        _check_t(self.t)
+        _check_alpha(self.alpha)
         if len(self.studies) < 2:
             raise ValueError("replicability analysis requires at least two studies")
         if self.model not in ("fixed", "random", "auto"):
             raise ValueError(f"model must be 'fixed', 'random' or 'auto', got {self.model!r}")
-        _check_alpha(self.alpha)
         if self.effect_measure not in _MEASURES:
             raise ValueError(f"effect_measure must be one of {_MEASURES}, got {self.effect_measure!r}")
         if self.conditional_threshold is not None and not 0.0 < self.conditional_threshold < 1.0:
@@ -85,10 +87,9 @@ class AnalysisRequest:
         """The directional curves of ``directional_pvalues`` at t, each side at alpha / 2.
 
         Built once per request; ``analyze``, ``partial_conjunction_summary``
-        and the CLI tables all read it. The level is the request's ``alpha``,
-        not ``truncation.alpha``.
+        and the CLI tables all read it.
         """
-        return _TwoSidedProfile(*directional_pvalues(self), self.truncation.t, self.alpha)
+        return _TwoSidedProfile(*directional_pvalues(self), self.t, self.alpha)
 
 
 def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySummary]:
@@ -208,9 +209,9 @@ def analyze(
         u_max_right=u_max_right,
         r_value=request.profile.result(2).r,
         consistency=classify_consistency(u_max_left, u_max_right),
-        confidence=1.0 - alpha,
+        alpha=alpha,
     )
-    forest = _build_forest(studies, meta_result, report, request.effect_measure, alpha)
+    forest = _build_forest(studies, meta_result, report, request.effect_measure)
     return meta_result, report, forest
 
 
@@ -219,9 +220,8 @@ def _build_forest(
     meta_result: MetaAnalysisResult,
     report: ReplicabilityReport,
     measure: str,
-    alpha: float,
 ) -> AnnotatedForest:
-    z_crit = _z_crit(alpha)
+    z_crit = _z_crit(report.alpha)
     rows = tuple(
         ForestRow(
             label=s.label,
@@ -280,15 +280,13 @@ _DIRECTION_WORDS = {
 
 
 def summary_sentence(
-    report: ReplicabilityReport,
-    measure: str = "raw",
-    alpha: float = 0.05,
-    templates: dict[str, str] | None = None,
+    report: ReplicabilityReport, measure: str = "raw", templates: dict[str, str] | None = None
 ) -> str:
     """One abstract-ready sentence describing the replicability finding.
 
-    Never claims replicability when the r-value exceeds alpha, and never
-    claims inconsistency unless both directional bounds are at least one.
+    Never claims replicability when the r-value exceeds the report's alpha,
+    and never claims inconsistency unless both directional bounds are at
+    least one.
     """
     words = _DIRECTION_WORDS[measure]
     text = dict(DEFAULT_TEMPLATES)
@@ -305,16 +303,13 @@ def summary_sentence(
             u_left=report.u_max_left,
             confidence=confidence,
         )
-    if report.r_value <= alpha:
+    if report.r_value <= report.alpha:
         right_leads = report.u_max_right >= report.u_max_left
         direction = words["up"] if right_leads else words["down"]
         article = words["article_up"] if right_leads else words["article_down"]
         count = max(report.u_max_right if right_leads else report.u_max_left, 2)
-        tail = (
-            text["replicable_tail_consistent"]
-            if report.consistency == "supports_consistency"
-            else ""
-        )
+        consistent = report.consistency == "supports_consistency"
+        tail = text["replicable_tail_consistent"] if consistent else ""
         return text["replicable"].format(
             direction=direction,
             direction_article=article,

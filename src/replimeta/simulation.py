@@ -24,10 +24,10 @@ import numpy as np
 
 from scipy import special
 
-from .meta import _pool_rows
+from .meta import _check_alpha, _pool_rows
 from .replicability import (
-    TruncationConfig,
     _bracket_rejections,
+    _check_t,
     _directional_rejections,
     _fe_z_extremes,
     _level_quantiles,
@@ -67,6 +67,8 @@ BENCHMARK_GROUP_SIZES: tuple[tuple[int, int], ...] = (
 _H_TEST = re.compile(r"^H(\d+)n$")
 # The test ids besides H{u}n.
 _TEST_IDS = ("meta_fe", "meta_re", "H2n_fe", "inconsistency_detected")
+DEFAULT_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "inconsistency_detected")
+_T_DEPENDENT_TESTS = ("H1n", "H2n", "H3n", "inconsistency_detected")
 
 
 def _standard_errors(group_sizes: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -269,11 +271,17 @@ def _check_tests(tests: Sequence[str], n: int) -> None:
             raise ValueError(error)
 
 
+def _runnable(tests: Sequence[str], n: int) -> tuple[str, ...]:
+    """The ids of ``tests`` that n studies allow, in order."""
+    return tuple(test_id for test_id in tests if _test_error(test_id, n) is None)
+
+
 def _evaluate_tests(
     theta_hat: np.ndarray,
     se: np.ndarray,
     tests: Sequence[str],
-    cfg: TruncationConfig,
+    t: float,
+    alpha: float,
     work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Boolean rejection indicators per requested test, one entry per replication.
@@ -296,7 +304,6 @@ def _evaluate_tests(
     if not tests:
         return {}
     n = theta_hat.shape[1]
-    alpha = cfg.alpha
     levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
     if "inconsistency_detected" in tests:
         levels.add(1)
@@ -312,7 +319,7 @@ def _evaluate_tests(
     if levels:
         theta_t /= se[:, None]
         logs = work[size : 2 * size].reshape(n, -1)
-        left, right = _directional_rejections(theta_t, cfg.t, levels, alpha / 2.0, logs)
+        left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, logs)
     out: dict[str, np.ndarray] = {}
     for test_id in tests:
         if test_id in decided:
@@ -326,18 +333,27 @@ def _evaluate_tests(
 
 
 def _simulate(
-    scenario: Scenario, configs: Sequence[TruncationConfig], tests: Sequence[str]
+    scenario: Scenario, t_values: Sequence[float], alpha: float, tests: Sequence[str] | None,
+    default_tests: Sequence[str] = DEFAULT_TESTS,
 ) -> list[PowerCurvePoint]:
-    """One point per config, all from the same draws: each chunk is drawn once."""
+    """One point per threshold t, all from the same draws: each chunk is drawn once.
+
+    With ``tests`` None, the ids of ``default_tests`` that the studies allow run.
+    """
+    for t in t_values:
+        _check_t(t)
+    _check_alpha(alpha)
     se = scenario.standard_errors
+    if tests is None:
+        tests = _runnable(default_tests, len(se))
     _check_tests(tests, len(se))
-    counts = [dict.fromkeys(tests, 0) for _ in configs]
+    counts = [dict.fromkeys(tests, 0) for _ in t_values]
     work = None
     for theta_hat in _draws(scenario):
         if work is None and tests:  # the first chunk is the largest
             work = np.empty(2 * theta_hat.size)
-        for cfg, count in zip(configs, counts):
-            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, cfg, work).items():
+        for t, count in zip(t_values, counts):
+            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, t, alpha, work).items():
                 count[test_id] += int(np.count_nonzero(rejected))
     _, _, default_param = scenario._marginal()
     param = scenario.param if scenario.param is not None else default_param
@@ -353,25 +369,26 @@ def _simulate(
     return points
 
 
-DEFAULT_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "inconsistency_detected")
-
-
 def simulate_fixed(
     scenario: FixedEffectsScenario,
-    tests: Sequence[str] = DEFAULT_TESTS,
-    cfg: TruncationConfig = TruncationConfig(),
+    tests: Sequence[str] | None = None,
+    t: float = 0.05,
+    alpha: float = 0.05,
 ) -> PowerCurvePoint:
-    """Rejection rates of the requested tests under a fixed effects vector."""
-    return _simulate(scenario, [cfg], tests)[0]
+    """Rejection rates under a fixed effects vector; ``tests`` defaults to the
+    ``DEFAULT_TESTS`` ids that the number of studies allows."""
+    return _simulate(scenario, (t,), alpha, tests)[0]
 
 
 def simulate_random(
     scenario: RandomEffectsScenario,
-    tests: Sequence[str] = DEFAULT_TESTS,
-    cfg: TruncationConfig = TruncationConfig(),
+    tests: Sequence[str] | None = None,
+    t: float = 0.05,
+    alpha: float = 0.05,
 ) -> PowerCurvePoint:
-    """Rejection rates when study effects are redrawn per replication."""
-    return _simulate(scenario, [cfg], tests)[0]
+    """Rejection rates when study effects are redrawn per replication; ``tests``
+    defaults to the ``DEFAULT_TESTS`` ids that the number of studies allows."""
+    return _simulate(scenario, (t,), alpha, tests)[0]
 
 
 def inconsistency_probability(mu: float, tau: float, n: int) -> float:
@@ -390,19 +407,24 @@ def inconsistency_probability(mu: float, tau: float, n: int) -> float:
 def truncation_comparison(
     scenario_grid: Sequence[Scenario],
     t_values: Sequence[float] = (0.05, 0.5, 1.0),
-    tests: Sequence[str] = ("H1n", "H2n", "H3n", "inconsistency_detected"),
+    tests: Sequence[str] | None = None,
     alpha: float = 0.05,
 ) -> dict[float, list[PowerCurvePoint]]:
     """Power curves for several truncation thresholds on common random numbers.
 
     Each chunk of a grid point's estimates is drawn once and tested at every
-    threshold, so curves differ only through the test, not the noise.
+    threshold, so curves differ only through the test, not the noise. By default
+    the t-dependent tests (H1n-H3n, inconsistency_detected) that n allows run.
     """
-    configs = [TruncationConfig(t=float(t), alpha=alpha) for t in t_values]
-    results: dict[float, list[PowerCurvePoint]] = {cfg.t: [] for cfg in configs}
+    t_values = [float(t) for t in t_values]
+    for i, t in enumerate(t_values):
+        if t in t_values[:i]:
+            raise ValueError(f"truncation threshold {t} is repeated in t_values")
+    results: dict[float, list[PowerCurvePoint]] = {t: [] for t in t_values}
     for scenario in scenario_grid:
-        for cfg, point in zip(configs, _simulate(scenario, configs, tests)):
-            results[cfg.t].append(point)
+        points = _simulate(scenario, t_values, alpha, tests, _T_DEPENDENT_TESTS)
+        for t, point in zip(t_values, points):
+            results[t].append(point)
     return results
 
 
@@ -623,7 +645,7 @@ def parse_scenario_config(
     n = len(group_sizes)
     replications = read("replications", _integer, 10_000)
     seed = read("seed", lambda text: _check_seed(_integer(text)), 0)
-    t = read("t", _number, 0.05)
+    t = read("t", lambda text: _check_t(_number(text)), 0.05)
     param = read("param", _number)
 
     def test_ids(text: str) -> tuple[str, ...]:
@@ -633,8 +655,7 @@ def parse_scenario_config(
         _check_tests(ids, n)
         return ids
 
-    default = tuple(tid for tid in DEFAULT_TESTS if _test_error(tid, n) is None)
-    tests = read("tests", test_ids, default)
+    tests = read("tests", test_ids, _runnable(DEFAULT_TESTS, n))
 
     if "theta" in values:
         if "mu" in values or "tau" in values:
@@ -675,16 +696,17 @@ def write_power_csv(points: Sequence[PowerCurvePoint], sink: TextIO) -> None:
 def run_points(
     scenarios: Sequence[Scenario],
     tests: Sequence[str],
-    cfg: TruncationConfig = TruncationConfig(),
+    t: float = 0.05,
+    alpha: float = 0.05,
 ) -> list[PowerCurvePoint]:
-    """Evaluate each scenario of a grid with the same tests and config.
+    """Evaluate each scenario of a grid with the same tests, t and alpha.
 
     Each point goes through its public entry point, ``simulate_fixed`` or
     ``simulate_random``, so that wrapping either one sees every grid point.
     """
     return [
         (simulate_fixed if isinstance(scenario, FixedEffectsScenario) else simulate_random)(
-            scenario, tests, cfg
+            scenario, tests, t, alpha
         )
         for scenario in scenarios
     ]

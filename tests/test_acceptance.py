@@ -17,7 +17,6 @@ from scipy.stats import chi2
 from replimeta.cli import main
 from replimeta.meta import StudySummary, fixed_effect_meta
 from replimeta.replicability import (
-    TruncationConfig,
     classify_consistency,
     fe_r_value,
     partial_conjunction_p,
@@ -62,9 +61,8 @@ def test_criterion_01_truncated_product_monte_carlo_oracle():
     for (length, t), vectors in cases.items():
         draws = rng.uniform(size=(1_000_000, length))
         c_null = -2.0 * np.where(draws <= t, np.log(draws), 0.0).sum(axis=1)
-        cfg = TruncationConfig(t=t)
         for vector in vectors:
-            exact = truncated_product_p(vector, cfg)
+            exact = truncated_product_p(vector, t=t)
             c_obs = -2.0 * sum(math.log(p) for p in vector if p <= t)
             empirical = float((c_null >= c_obs).mean())
             mc_se = math.sqrt(max(empirical * (1 - empirical), 1e-12) / c_null.size)
@@ -79,20 +77,18 @@ def test_criterion_01_truncated_product_monte_carlo_oracle():
 def test_criterion_02_fisher_reduction_at_t_one():
     """Untruncated combination equals the chi-square(2L) upper tail to 1e-10."""
     rng = np.random.default_rng(1002)
-    cfg = TruncationConfig(t=1.0)
     worst = 0.0
     for _ in range(100):
         length = int(rng.integers(1, 12))
         ps = rng.uniform(1e-6, 1.0 - 1e-9, size=length)
         c_stat = -2.0 * float(np.sum(np.log(ps)))
-        worst = max(worst, abs(truncated_product_p(ps, cfg) - chi2.sf(c_stat, 2 * length)))
+        worst = max(worst, abs(truncated_product_p(ps, t=1.0) - chi2.sf(c_stat, 2 * length)))
     _criterion(2, worst <= 1e-10, f"max |TPM(t=1) - chi2 tail| = {worst:.2e} over 100 vectors")
 
 
 def test_criterion_03_shortcut_equals_brute_force():
     """The sorted shortcut equals the exhaustive subset maximum exactly."""
     rng = np.random.default_rng(1003)
-    cfg = TruncationConfig()
     mismatches = 0
     vectors = 0
     for n in range(1, 9):
@@ -103,10 +99,10 @@ def test_criterion_03_shortcut_equals_brute_force():
                 ps = np.minimum(ps, rng.beta(0.2, 1.0, size=n))
             for u in range(1, n + 1):
                 brute = max(
-                    truncated_product_p([ps[i] for i in subset], cfg)
+                    truncated_product_p([ps[i] for i in subset], t=0.05)
                     for subset in combinations(range(n), n - u + 1)
                 )
-                if partial_conjunction_p(ps, u, cfg) != brute:
+                if partial_conjunction_p(ps, u, t=0.05) != brute:
                     mismatches += 1
     _criterion(
         3, mismatches == 0, f"{mismatches} mismatches over {vectors} vectors, all n <= 8, all u"

@@ -376,6 +376,39 @@ class TestLooCommand:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
+def test_study_commands_share_input_alpha_measure_and_output(command, raw_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    argv = [command, "--input", raw_file, "--alpha", "0.1", "--measure", "raw", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "" and out.read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+def test_truncation_is_checked(command, raw_file, capsys):
+    assert main([command, "--input", raw_file, "--truncation", "0.5"]) == 0
+    capsys.readouterr()
+    assert main([command, "--input", raw_file, "--truncation", "2"]) == 1
+    assert "truncation threshold t must be in (0, 1], got 2.0" in capsys.readouterr().err
+
+
+def test_loo_takes_no_truncation(raw_file, capsys):
+    assert main(["loo", "--input", raw_file, "--truncation", "0.5"]) == 1
+    assert "unrecognized arguments: --truncation" in capsys.readouterr().err
+
+
+def test_config_truncation_out_of_range_exits_1_before_any_draw(tmp_path, monkeypatch, capsys):
+    from replimeta import simulation
+
+    drawn = []
+    monkeypatch.setattr(simulation, "_draws", lambda scenario: drawn.append(scenario) or iter(()))
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("theta = 1 0\nt = 2\nnc = 25 25\nnt = 25 25\n")
+    assert main(["simulate", "--config", str(cfg), "--t", "0.5"]) == 1
+    assert "config line 2: t: truncation threshold t must be in (0, 1], got 2.0" in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "replimeta" in capsys.readouterr().out

@@ -33,7 +33,6 @@ from replimeta.meta import (
     random_effects_meta,
 )
 from replimeta.replicability import (
-    TruncationConfig,
     _bracket_rejections,
     _critical_bracket,
     _directional_rejections,
@@ -72,19 +71,19 @@ STUDIES = st.lists(
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def brute_force_pc(ps, u, cfg):
+def brute_force_pc(ps, u, t):
     """Independent oracle: explicit maximum over all (n-u+1)-subsets."""
     n = len(ps)
     return max(
-        truncated_product_p([ps[i] for i in subset], cfg)
+        truncated_product_p([ps[i] for i in subset], t=t)
         for subset in combinations(range(n), n - u + 1)
     )
 
 
-def reference_bound(ps, level, cfg):
+def reference_bound(ps, level, t):
     """The u before the first u whose partial-conjunction p-value exceeds the level."""
     for u in range(1, len(ps) + 1):
-        if partial_conjunction_p(ps, u, cfg) > level:
+        if partial_conjunction_p(ps, u, t=t) > level:
             return u - 1
     return len(ps)
 
@@ -159,9 +158,8 @@ def _studies(pairs):
 @given(ps=st.lists(P_VALUES, min_size=1, max_size=7), t=THRESHOLDS)
 def test_curve_equals_subset_oracle(ps, t):
     curve = _PCCurve(ps, t)
-    cfg = TruncationConfig(t=t)
     for u in range(1, len(ps) + 1):
-        assert curve(u)[0] == pytest.approx(brute_force_pc(ps, u, cfg), rel=1e-12, abs=0.0)
+        assert curve(u)[0] == pytest.approx(brute_force_pc(ps, u, t), rel=1e-12, abs=0.0)
 
 
 @PROPERTY
@@ -174,13 +172,12 @@ def test_curve_equals_subset_oracle(ps, t):
 # must stop at 0 although u=2 alone would be rejected.
 @example(ps=[0.44, 0.44], t=1.0, alpha=0.9)
 def test_walk_equals_first_non_rejection(ps, t, alpha):
-    cfg = TruncationConfig(t=t, alpha=alpha)
     level = alpha / 2.0
-    assert _leading_rejections(_PCCurve(ps, t), level) == reference_bound(ps, level, cfg)
+    assert _leading_rejections(_PCCurve(ps, t), level) == reference_bound(ps, level, t)
     right = [1.0 - p for p in ps]
-    assert confidence_bounds(ps, right, cfg) == (
-        reference_bound(ps, level, cfg),
-        reference_bound(right, level, cfg),
+    assert confidence_bounds(ps, right, t=t, alpha=alpha) == (
+        reference_bound(ps, level, t),
+        reference_bound(right, level, t),
     )
 
 
@@ -199,7 +196,7 @@ def test_analyze_agrees_with_bounds_table(pairs, t, alpha):
         with open(out, "r", encoding="utf-8") as handle:
             table = json.load(handle)
         studies = tuple(parse_studies(path))
-    request = AnalysisRequest(studies=studies, alpha=alpha, truncation=TruncationConfig(t, alpha))
+    request = AnalysisRequest(studies=studies, alpha=alpha, t=t)
     _, report, _ = analyze(request)
     assert (report.u_max_left, report.u_max_right) == (table["u_max_left"], table["u_max_right"])
     row = table["table"][1]
@@ -210,15 +207,16 @@ def test_analyze_agrees_with_bounds_table(pairs, t, alpha):
 @PROPERTY
 @given(pairs=STUDIES, t=THRESHOLDS, alpha=st.sampled_from([0.01, 0.2, 0.5]))
 def test_request_profile_is_at_the_request_alpha(pairs, t, alpha):
-    # The truncation keeps its default alpha of 0.05: the request's profile
-    # tests each side at the request's alpha / 2, not at truncation.alpha / 2.
-    request = AnalysisRequest(studies=_studies(pairs), alpha=alpha, truncation=TruncationConfig(t))
-    cfg = TruncationConfig(t, alpha)
+    # The alphas differ from the default of 0.05: the request's profile tests
+    # each side at the request's alpha / 2.
+    request = AnalysisRequest(studies=_studies(pairs), alpha=alpha, t=t)
+    assert request.profile.level == alpha / 2
     left, right = directional_pvalues(request)
     _, report, _ = analyze(request)
-    assert (report.u_max_left, report.u_max_right) == confidence_bounds(left, right, cfg)
+    assert report.alpha == alpha
+    assert (report.u_max_left, report.u_max_right) == confidence_bounds(left, right, t=t, alpha=alpha)
     for u in range(1, len(pairs) + 1):
-        assert partial_conjunction_summary(request, u) == asdict(r_value(left, right, u, cfg))
+        assert partial_conjunction_summary(request, u) == asdict(r_value(left, right, u, t=t))
 
 
 @PROPERTY
@@ -230,9 +228,8 @@ def test_request_profile_is_at_the_request_alpha(pairs, t, alpha):
 )
 def test_permuting_studies_changes_no_replicability_output(data, pairs, t, threshold):
     permuted = data.draw(st.permutations(pairs))
-    cfg = TruncationConfig(t=t)
     requests = [
-        AnalysisRequest(studies=_studies(p), truncation=cfg, conditional_threshold=threshold)
+        AnalysisRequest(studies=_studies(p), t=t, conditional_threshold=threshold)
         for p in (pairs, permuted)
     ]
     reports = [analyze(request)[1] for request in requests]
@@ -245,20 +242,20 @@ def test_permuting_studies_changes_no_replicability_output(data, pairs, t, thres
 @PROPERTY
 @given(pairs=STUDIES, t=THRESHOLDS, alpha=ALPHAS)
 def test_swapping_directions_swaps_results(pairs, t, alpha):
-    cfg = TruncationConfig(t=t, alpha=alpha)
     studies = _studies(pairs)
     flipped = tuple(StudySummary(s.label, -s.theta_hat, s.se) for s in studies)
-    _, report, _ = analyze(AnalysisRequest(studies=studies, alpha=alpha, truncation=cfg))
-    _, mirror, _ = analyze(AnalysisRequest(studies=flipped, alpha=alpha, truncation=cfg))
+    _, report, _ = analyze(AnalysisRequest(studies=studies, alpha=alpha, t=t))
+    _, mirror, _ = analyze(AnalysisRequest(studies=flipped, alpha=alpha, t=t))
     assert (mirror.u_max_left, mirror.u_max_right) == (report.u_max_right, report.u_max_left)
     assert mirror.r_value == report.r_value
     assert mirror.consistency == report.consistency
 
     z = np.array([est / se for est, se in pairs])
     left, right = special.ndtr(z), special.ndtr(-z)
-    assert confidence_bounds(right, left, cfg) == confidence_bounds(left, right, cfg)[::-1]
+    bounds = confidence_bounds(left, right, t=t, alpha=alpha)
+    assert confidence_bounds(right, left, t=t, alpha=alpha) == bounds[::-1]
     for u in range(1, len(pairs) + 1):
-        forward, backward = r_value(left, right, u, cfg), r_value(right, left, u, cfg)
+        forward, backward = r_value(left, right, u, t=t), r_value(right, left, u, t=t)
         assert (backward.r_left, backward.r_right) == (forward.r_right, forward.r_left)
         assert backward.r == forward.r
 
@@ -274,22 +271,23 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
     rng = np.random.default_rng(seed)
     se = rng.uniform(0.1, 1.5, size=n)
     theta_hat = rng.normal(0.0, scale, size=(100, n)) * se
-    cfg = TruncationConfig(t=t)
+    alpha = 0.05
     tests = ("H1n", "H2n", "H2n_fe", "H3n", "inconsistency_detected", "meta_fe", "meta_re")
-    out = _evaluate_tests(theta_hat, se, tests, cfg)
+    out = _evaluate_tests(theta_hat, se, tests, t=t, alpha=alpha)
     z = theta_hat / se[None, :]
     for i in range(theta_hat.shape[0]):
         pairs = list(zip(theta_hat[i].tolist(), se.tolist()))
         studies = _studies(pairs)
         z_min, z_max = common_effect_reference(pairs, n - 1)
         r_fe = min(1.0, 2.0 * min(special.ndtr(z_max), special.ndtr(-z_min)))
-        assert out["H2n_fe"][i] == (r_fe <= cfg.alpha)
-        assert out["meta_fe"][i] == (fixed_effect_meta(studies).p_two_sided <= cfg.alpha)
-        assert out["meta_re"][i] == (random_effects_meta(studies).p_two_sided <= cfg.alpha)
+        assert out["H2n_fe"][i] == (r_fe <= alpha)
+        assert out["meta_fe"][i] == (fixed_effect_meta(studies).p_two_sided <= alpha)
+        assert out["meta_re"][i] == (random_effects_meta(studies).p_two_sided <= alpha)
         left, right = special.ndtr(z[i]), special.ndtr(-z[i])
         for u in (1, 2, 3):
-            assert out[f"H{u}n"][i] == (r_value(left, right, u, cfg).r <= cfg.alpha)
-        assert out["inconsistency_detected"][i] == (min(confidence_bounds(left, right, cfg)) >= 1)
+            assert out[f"H{u}n"][i] == (r_value(left, right, u, t=t).r <= alpha)
+        bounds = confidence_bounds(left, right, t=t, alpha=alpha)
+        assert out["inconsistency_detected"][i] == (min(bounds) >= 1)
 
 
 def _float_bits(x):
@@ -663,7 +661,6 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
     that rejects lies 3 and -70 doubles from ndtri(1 - alpha/2).
     """
     base, se, move = _pooled_case(kind, n, data)
-    cfg = TruncationConfig(alpha=alpha)
 
     def row(bits_of_s):
         s = _from_bits(bits_of_s)
@@ -681,10 +678,11 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
         else:
             lo = mid
     rows = np.array([row(lo), row(hi)])
-    out = _evaluate_tests(rows, np.array(se), (test_id,), cfg)[test_id]
+    out = _evaluate_tests(rows, np.array(se), (test_id,), t=0.05, alpha=alpha)[test_id]
     assert out.tolist() == [False, True]
     for one, want in zip(rows, (False, True)):
-        assert bool(_evaluate_tests(one[None, :], np.array(se), (test_id,), cfg)[test_id][0]) == want
+        row_out = _evaluate_tests(one[None, :], np.array(se), (test_id,), t=0.05, alpha=alpha)
+        assert bool(row_out[test_id][0]) == want
 
 
 def _pow_squared_rows(seed):
@@ -740,8 +738,8 @@ def test_meta_re_decides_rows_whose_fast_z_straddles_the_critical_value():
         alpha = float(2.0 * special.ndtr(-max(z[i], exact[i])))
         want = bool(2.0 * special.ndtr(-exact[i]) <= alpha)
         flipped += want != bool(2.0 * special.ndtr(-z[i]) <= alpha)
-        cfg = TruncationConfig(alpha=alpha)
-        assert bool(_evaluate_tests(theta_hat[i : i + 1], se, ("meta_re",), cfg)["meta_re"][0]) == want
+        out = _evaluate_tests(theta_hat[i : i + 1], se, ("meta_re",), t=0.05, alpha=alpha)
+        assert bool(out["meta_re"][0]) == want
     assert flipped >= 5
 
 

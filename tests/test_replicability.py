@@ -16,7 +16,6 @@ from scipy.stats import chi2
 from replimeta import meta
 from replimeta.meta import StudySummary
 from replimeta.replicability import (
-    TruncationConfig,
     _fe_z_extremes,
     _PCCurve,
     classify_consistency,
@@ -30,52 +29,52 @@ from replimeta.replicability import (
 )
 from replimeta.statkernels import one_sided_p
 
-CFG = TruncationConfig()
+T = 0.05
+ALPHA = 0.05
 
 
-def brute_force_pc(ps, u, cfg):
+def brute_force_pc(ps, u, t):
     """Independent oracle: explicit maximum over all (n-u+1)-subsets."""
     n = len(ps)
     return max(
-        truncated_product_p([ps[i] for i in subset], cfg)
+        truncated_product_p([ps[i] for i in subset], t=t)
         for subset in combinations(range(n), n - u + 1)
     )
 
 
-class TestTruncationConfig:
+class TestThresholdValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TruncationConfig(t=0.0)
+            truncated_product_p([0.5], t=0.0)
         with pytest.raises(ValueError):
-            TruncationConfig(t=1.5)
+            truncated_product_p([0.5], t=1.5)
         with pytest.raises(ValueError):
-            TruncationConfig(alpha=1.0)
+            confidence_bounds([0.5], [0.5], t=T, alpha=1.0)
 
 
 class TestTruncatedProduct:
     def test_nothing_truncated_returns_one(self):
-        assert truncated_product_p([0.9] * 5, CFG) == 1.0
+        assert truncated_product_p([0.9] * 5, t=T) == 1.0
 
     def test_single_small_p(self):
         # analytic: 0.05 * (1 - F_1(log 5)) = 0.05 * 0.2 = 0.01
-        assert abs(truncated_product_p([0.01], CFG) - 0.01) < 1e-12
+        assert abs(truncated_product_p([0.01], t=T) - 0.01) < 1e-12
 
     def test_fisher_reduction_at_t_one(self):
         """With no truncation the p-value is the chi-square tail of the statistic."""
         rng = np.random.default_rng(101)
-        cfg = TruncationConfig(t=1.0)
         for _ in range(100):
             length = int(rng.integers(1, 11))
             ps = rng.uniform(0.001, 0.999, size=length)
             c_stat = -2.0 * float(np.sum(np.log(ps)))
-            assert abs(truncated_product_p(ps, cfg) - chi2.sf(c_stat, 2 * length)) < 1e-10
+            assert abs(truncated_product_p(ps, t=1.0) - chi2.sf(c_stat, 2 * length)) < 1e-10
 
     def test_order_invariance_is_exact(self):
         rng = np.random.default_rng(7)
         ps = rng.uniform(size=8)
-        base = truncated_product_p(ps, CFG)
+        base = truncated_product_p(ps, t=T)
         for _ in range(10):
-            assert truncated_product_p(rng.permutation(ps), CFG) == base
+            assert truncated_product_p(rng.permutation(ps), t=T) == base
 
     def test_monte_carlo_null_oracle_small(self):
         """Quick draw-based check; the acceptance suite runs the full version."""
@@ -83,7 +82,7 @@ class TestTruncatedProduct:
         draws = rng.uniform(size=(200_000, 3))
         c_null = -2.0 * np.where(draws <= 0.05, np.log(draws), 0.0).sum(axis=1)
         observed = [0.02, 0.3, 0.9]
-        exact = truncated_product_p(observed, CFG)
+        exact = truncated_product_p(observed, t=T)
         c_obs = -2.0 * sum(math.log(p) for p in observed if p <= 0.05)
         empirical = float((c_null >= c_obs).mean())
         mc_se = math.sqrt(empirical * (1 - empirical) / len(c_null))
@@ -91,48 +90,47 @@ class TestTruncatedProduct:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            truncated_product_p([], CFG)
+            truncated_product_p([], t=T)
         with pytest.raises(ValueError):
-            truncated_product_p([0.5, 1.2], CFG)
+            truncated_product_p([0.5, 1.2], t=T)
         with pytest.raises(ValueError):
-            truncated_product_p([0.5, -0.1], CFG)
+            truncated_product_p([0.5, -0.1], t=T)
 
     def test_extreme_p_values_stay_finite(self):
-        value = truncated_product_p([0.0, 1.0, 1e-320], CFG)
+        value = truncated_product_p([0.0, 1.0, 1e-320], t=T)
         assert 0.0 <= value <= 1.0
 
 
 class TestPartialConjunction:
     def test_all_ones(self):
         for u in (1, 2, 3):
-            assert partial_conjunction_p([1.0] * 4, u, CFG) == 1.0
+            assert partial_conjunction_p([1.0] * 4, u, t=T) == 1.0
 
     def test_u_one_uses_all_pvalues(self):
         rng = np.random.default_rng(13)
         ps = rng.uniform(size=6)
-        assert partial_conjunction_p(ps, 1, CFG) == truncated_product_p(ps, CFG)
+        assert partial_conjunction_p(ps, 1, t=T) == truncated_product_p(ps, t=T)
 
     def test_sorted_shortcut_matches_brute_force_fixture(self):
         ps = [0.001, 0.002, 0.01, 0.6, 0.7]
-        assert partial_conjunction_p(ps, 2, CFG) == brute_force_pc(ps, 2, CFG)
+        assert partial_conjunction_p(ps, 2, t=T) == brute_force_pc(ps, 2, t=T)
 
     @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
     def test_shortcut_equals_brute_force(self, t):
         rng = np.random.default_rng(int(t * 100))
-        cfg = TruncationConfig(t=t)
         for _ in range(25):
             n = int(rng.integers(1, 9))
             ps = rng.uniform(size=n)
             if rng.uniform() < 0.5:
                 ps = np.minimum(ps, rng.beta(0.2, 1.0, size=n))
             for u in range(1, n + 1):
-                assert partial_conjunction_p(ps, u, cfg) == brute_force_pc(list(ps), u, cfg)
+                assert partial_conjunction_p(ps, u, t=t) == brute_force_pc(list(ps), u, t)
 
     def test_u_out_of_range(self):
         with pytest.raises(ValueError):
-            partial_conjunction_p([0.5, 0.5], 3, CFG)
+            partial_conjunction_p([0.5, 0.5], 3, t=T)
         with pytest.raises(ValueError):
-            partial_conjunction_p([0.5, 0.5], 0, CFG)
+            partial_conjunction_p([0.5, 0.5], 0, t=T)
 
     def test_monotone_in_u_at_default_threshold(self):
         """At t=0.05 the p-value curve is nondecreasing in u.
@@ -157,18 +155,17 @@ class TestPartialConjunction:
 
     def test_non_monotone_at_t_one(self):
         """Fisher combination dilutes with large p-values, so r(u) can drop as u grows."""
-        cfg = TruncationConfig(t=1.0)
-        r1 = partial_conjunction_p([0.5, 0.5], 1, cfg)
-        r2 = partial_conjunction_p([0.5, 0.5], 2, cfg)
+        r1 = partial_conjunction_p([0.5, 0.5], 1, t=1.0)
+        r2 = partial_conjunction_p([0.5, 0.5], 2, t=1.0)
         assert r2 < r1
 
 
 class TestRValue:
     def test_all_half(self):
-        assert r_value([0.5] * 5, [0.5] * 5, 2, CFG).r == 1.0
+        assert r_value([0.5] * 5, [0.5] * 5, 2, t=T).r == 1.0
 
     def test_five_strong_studies(self):
-        result = r_value([1 - 0.001] * 5, [0.001] * 5, 2, CFG)
+        result = r_value([1 - 0.001] * 5, [0.001] * 5, 2, t=T)
         assert result.r < 1e-6
         assert result.r_right < result.r_left
 
@@ -176,8 +173,8 @@ class TestRValue:
         rng = np.random.default_rng(3)
         rights = rng.uniform(size=6)
         lefts = 1.0 - rights
-        forward = r_value(lefts, rights, 2, CFG)
-        swapped = r_value(rights, lefts, 2, CFG)
+        forward = r_value(lefts, rights, 2, t=T)
+        swapped = r_value(rights, lefts, 2, t=T)
         assert forward.r == swapped.r
         assert forward.r_left == swapped.r_right
 
@@ -186,31 +183,31 @@ class TestRValue:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             rights = rng.uniform(size=n)
-            result = r_value(1.0 - rights, rights, int(rng.integers(1, n + 1)), CFG)
+            result = r_value(1.0 - rights, rights, int(rng.integers(1, n + 1)), t=T)
             assert 0.0 <= result.r <= 1.0
             assert result.r == min(1.0, 2.0 * min(result.r_left, result.r_right))
-            assert result.t == CFG.t
+            assert result.t == T
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            r_value([0.5, 0.5], [0.5], 1, CFG)
+            r_value([0.5, 0.5], [0.5], 1, t=T)
 
     def test_pairing_checked(self):
         with pytest.raises(ValueError):
-            r_value([0.2, 0.2], [0.2, 0.2], 1, CFG)
+            r_value([0.2, 0.2], [0.2, 0.2], 1, t=T)
 
 
 class TestConfidenceBounds:
     def test_no_signal(self):
-        assert confidence_bounds([0.5] * 5, [0.5] * 5, CFG) == (0, 0)
+        assert confidence_bounds([0.5] * 5, [0.5] * 5, t=T, alpha=ALPHA) == (0, 0)
 
     def test_all_strong_right(self):
-        assert confidence_bounds([1 - 1e-6] * 5, [1e-6] * 5, CFG) == (0, 5)
+        assert confidence_bounds([1 - 1e-6] * 5, [1e-6] * 5, t=T, alpha=ALPHA) == (0, 5)
 
     def test_mixed_fixture(self):
         lefts = [1e-6, 1e-6, 1 - 1e-6, 1 - 1e-6, 1 - 1e-6]
         rights = [1.0 - l for l in lefts]
-        assert confidence_bounds(lefts, rights, CFG) == (2, 3)
+        assert confidence_bounds(lefts, rights, t=T, alpha=ALPHA) == (2, 3)
 
     def test_bounds_match_sequential_definition(self):
         rng = np.random.default_rng(71)
@@ -218,11 +215,11 @@ class TestConfidenceBounds:
             n = int(rng.integers(2, 9))
             rights = rng.uniform(size=n) ** 3
             lefts = 1.0 - rights
-            u_left, u_right = confidence_bounds(lefts, rights, CFG)
+            u_left, u_right = confidence_bounds(lefts, rights, t=T, alpha=ALPHA)
             for side_ps, bound in ((lefts, u_left), (rights, u_right)):
                 expected = 0
                 for u in range(1, n + 1):
-                    if partial_conjunction_p(side_ps, u, CFG) <= CFG.alpha / 2:
+                    if partial_conjunction_p(side_ps, u, t=T) <= ALPHA / 2:
                         expected = u
                     else:
                         break
@@ -234,9 +231,9 @@ class TestConfidenceBounds:
             n = int(rng.integers(2, 10))
             rights = rng.uniform(size=n) ** 2
             lefts = 1.0 - rights
-            u_left, u_right = confidence_bounds(lefts, rights, CFG)
-            assert u_right <= int((rights <= CFG.t).sum())
-            assert u_left <= int((lefts <= CFG.t).sum())
+            u_left, u_right = confidence_bounds(lefts, rights, t=T, alpha=ALPHA)
+            assert u_right <= int((rights <= T).sum())
+            assert u_left <= int((lefts <= T).sum())
             assert u_left + u_right <= n
 
 
@@ -348,13 +345,12 @@ class TestDeltaBound:
         """Direct evaluation at the returned delta brackets the rejection level."""
         studies = make_studies((1.8, 0.2), (2.2, 0.25), (2.0, 0.3), (1.5, 0.4), (2.4, 0.2))
         alpha = 0.05
-        cfg = TruncationConfig(t=alpha, alpha=alpha)
-        delta = delta_bound(studies, 2, alpha, "upper_positive", cfg)
+        delta = delta_bound(studies, 2, alpha, "upper_positive", t=alpha)
         assert delta is not None
 
         def shifted(d):
             ps = [one_sided_p(s.theta_hat, s.se, shift=d).right for s in studies]
-            return partial_conjunction_p(ps, 2, cfg)
+            return partial_conjunction_p(ps, 2, t=alpha)
 
         assert shifted(delta - 1e-4) <= alpha / 2
         assert shifted(delta + 1e-4) > alpha / 2
@@ -400,9 +396,8 @@ class TestDeltaBound:
             pairs = [one_sided_p(s.theta_hat, s.se, shift=sign * hi) for s in studies]
             ps = [pair.right if side == "upper_positive" else pair.left for pair in pairs]
             assert ps == [1.0] * n
-            cfg = TruncationConfig(t=t)
             for u in range(1, n + 1):
-                assert partial_conjunction_p(ps, u, cfg) > cfg.alpha / 2
+                assert partial_conjunction_p(ps, u, t=t) > ALPHA / 2
 
     @pytest.mark.parametrize("pairs, u, side, t, expected", [
         (((1.8, 0.2), (2.2, 0.25), (2.0, 0.3), (1.5, 0.4), (2.4, 0.2)), 2, "upper_positive",
@@ -413,8 +408,7 @@ class TestDeltaBound:
     ])
     def test_bounds_unchanged(self, pairs, u, side, t, expected):
         # Values recorded while delta_bound still tested its upper bracket end.
-        cfg = TruncationConfig(t=t, alpha=0.05)
-        assert delta_bound(make_studies(*pairs), u, 0.05, side, cfg) == expected
+        assert delta_bound(make_studies(*pairs), u, 0.05, side, t=t) == expected
 
 
 class TestConditionalTransform:

@@ -10,7 +10,7 @@ import pytest
 from replimeta import report as report_module
 from replimeta.forest import AnnotatedForest, ForestRow, render_forest
 from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
-from replimeta.replicability import ReplicabilityReport, TruncationConfig
+from replimeta.replicability import ReplicabilityReport
 from replimeta.report import (
     AnalysisRequest,
     StudyFileError,
@@ -207,20 +207,37 @@ class TestSentenceInvariants:
                 assert report.u_max_left >= 1 and report.u_max_right >= 1
 
     def test_custom_templates(self):
-        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", 0.95)
+        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.05)
         sentence = summary_sentence(
             report, templates={"replicable": "custom r={r} count={count}"}
         )
         assert sentence.startswith("custom r=0.001")
 
     def test_ratio_wording(self):
-        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", 0.95)
+        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.05)
         assert "increased" in summary_sentence(report, measure="odds_ratio")
         assert "positive" in summary_sentence(report, measure="raw")
 
     def test_r_value_formatting(self):
-        tiny = ReplicabilityReport(0, 3, 5e-5, "supports_consistency", 0.95)
+        tiny = ReplicabilityReport(0, 3, 5e-5, "supports_consistency", alpha=0.05)
         assert "<0.0001" in summary_sentence(tiny)
+
+    def test_no_replicability_claim_above_the_report_alpha(self):
+        # r(2) = 0.036 lies between the report's alpha of 0.01 and 0.05.
+        studies = studies_from((2.4, 1.0), (2.4, 1.0), (0.0, 1.0))
+        _, report, _ = analyze(AnalysisRequest(studies=studies, alpha=0.01))
+        assert 0.01 < report.r_value <= 0.05 and report.u_max_right == 1
+        sentence = summary_sentence(report)
+        assert "was replicable" not in sentence
+        assert "99% confidence" not in sentence
+        assert "single study" in sentence
+
+    def test_alpha_is_keyword_only_and_checked(self):
+        with pytest.raises(TypeError):
+            ReplicabilityReport(0, 3, 0.001, "supports_consistency", 0.95)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=1.0)
+        assert ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.1).confidence == 0.9
 
 
 class TestForest:
@@ -282,7 +299,7 @@ class TestForest:
         assert "<polygon" in svg
 
     def test_single_study_forest_rejected(self):
-        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", 0.95)
+        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", alpha=0.05)
         with pytest.raises(ValueError, match="at least two"):
             AnnotatedForest(
                 rows=(ForestRow("only", 0.5, (0.1, 0.9), 1.0),),
@@ -296,7 +313,7 @@ class TestForest:
             )
 
     def test_bad_weights_rejected(self):
-        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", 0.95)
+        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", alpha=0.05)
         with pytest.raises(ValueError, match="sum to 1"):
             AnnotatedForest(
                 rows=(

@@ -19,7 +19,6 @@ from scipy import special
 from replimeta import cli, meta, simulation
 from replimeta.meta import _pool_rows
 from replimeta.replicability import (
-    TruncationConfig,
     partial_conjunction_p,
     _fe_z_extremes,
     _PCCurve,
@@ -42,6 +41,9 @@ from replimeta.simulation import (
 )
 from test_properties import bits, common_effect_reference, pooling_reference
 
+# The ids of DEFAULT_TESTS that two studies allow: not H3n.
+TWO_STUDY_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "inconsistency_detected")
+
 
 class TestVectorizedAgainstScalar:
     """Every vectorized evaluator must reproduce its scalar counterpart exactly."""
@@ -59,9 +61,8 @@ class TestVectorizedAgainstScalar:
             curve = _PCCurve(matrix, t)
             for u in (1, 2, 3, 7):
                 rows = curve(u)
-                cfg = TruncationConfig(t=t)
                 for i in range(matrix.shape[0]):
-                    assert rows[i] == partial_conjunction_p(matrix[i], u, cfg)
+                    assert rows[i] == partial_conjunction_p(matrix[i], u, t=t)
 
     def _reference_rows(self):
         se = self.se.tolist()
@@ -83,7 +84,7 @@ class TestVectorizedAgainstScalar:
         # H2n_fe is the common-effect test at u = 2: the (n-1)-subsets of each row.
         size = self.theta_hat.shape[1] - 1
         z_min, z_max = _fe_z_extremes(self.theta_hat.T, self.se, size)
-        rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), TruncationConfig())
+        rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), t=0.05, alpha=0.05)
         se = self.se.tolist()
         for i, row in enumerate(self.theta_hat.tolist()):
             ref_min, ref_max = common_effect_reference(list(zip(row, se)), size)
@@ -225,8 +226,32 @@ class TestSimulateFixed:
         point = simulate_fixed(scenario, tests=())
         assert point.rejection_rate == {} and point.replications == 10
 
+    def test_default_tests_are_those_two_studies_allow(self):
+        scenario = FixedEffectsScenario(theta=(1.0, 0.0), group_sizes=((25, 25),) * 2, replications=10)
+        point = simulate_fixed(scenario)
+        assert tuple(point.rejection_rate) == TWO_STUDY_TESTS
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t": 0.0}, r"truncation threshold t must be in \(0, 1\], got 0.0"),
+        ({"t": 1.5}, r"truncation threshold t must be in \(0, 1\], got 1.5"),
+        ({"alpha": 1.0}, r"alpha must be in \(0, 1\), got 1.0"),
+    ])
+    def test_t_and_alpha_are_checked_before_any_draw(self, monkeypatch, kwargs, message):
+        drawn = []
+        monkeypatch.setattr(simulation, "_draws", lambda scenario: drawn.append(scenario) or iter(()))
+        scenario = FixedEffectsScenario(theta=(1.0, 0.0), group_sizes=((25, 25),) * 2, replications=10)
+        with pytest.raises(ValueError, match=message):
+            simulate_fixed(scenario, ("H1n",), **kwargs)
+        assert drawn == []
+
 
 class TestSimulateRandom:
+    def test_default_tests_are_those_two_studies_allow(self):
+        scenario = RandomEffectsScenario(
+            mu=0.5, tau=0.2, n=2, group_sizes=((25, 25),) * 2, replications=10
+        )
+        assert tuple(simulate_random(scenario).rejection_rate) == TWO_STUDY_TESTS
+
     def test_tau_zero_reduces_to_fixed(self):
         """A degenerate effects distribution must reproduce the fixed generator bitwise."""
         random_scenario = RandomEffectsScenario(
@@ -304,6 +329,18 @@ class TestInconsistencyProbability:
 
 
 class TestTruncationComparison:
+    def test_default_tests_are_the_t_dependent_ones_two_studies_allow(self):
+        scenario = FixedEffectsScenario(theta=(1.0, 0.0), group_sizes=((25, 25),) * 2, replications=10)
+        table = truncation_comparison([scenario], t_values=(0.05, 1.0))
+        for points in table.values():
+            assert tuple(points[0].rejection_rate) == ("H1n", "H2n", "inconsistency_detected")
+
+    @pytest.mark.parametrize("t_values, repeated", [((0.05, 0.05, 0.5), "0.05"), ((1, 0.5, 1.0), "1.0")])
+    def test_repeated_threshold_rejected(self, t_values, repeated):
+        scenario = FixedEffectsScenario(theta=(1.0, 0.0), group_sizes=((25, 25),) * 2, replications=10)
+        with pytest.raises(ValueError, match=rf"truncation threshold {repeated} is repeated"):
+            truncation_comparison([scenario], t_values=t_values, tests=("H1n",))
+
     def test_common_random_numbers_and_determinism(self):
         scenarios, _ = preset("mixed-signs", replications=400, seed=10)
         first = truncation_comparison(scenarios[:3], t_values=(0.05, 1.0), tests=("H2n",))
@@ -515,6 +552,13 @@ class TestConfigAndCsv:
         sizes = " ".join(["25"] * len(theta.split()))
         text = f"theta = {theta}\nnc = {sizes}\nnt = {sizes}\n"
         assert parse_scenario_config(io.StringIO(text))[1] == tests
+
+    @pytest.mark.parametrize("value", ["2", "0", "-0.5", "nan"])
+    def test_truncation_threshold_out_of_range_names_the_line(self, value):
+        text = f"theta = 1 0\nt = {value}\nnc = 25 25\nnt = 25 25\n"
+        message = r"^config line 2: t: truncation threshold t must be in \(0, 1\], got "
+        with pytest.raises(ValueError, match=message):
+            parse_scenario_config(io.StringIO(text))
 
     def test_random_config_value_names_key_and_line(self):
         with pytest.raises(ValueError, match=r"^config line 2: tau: expected a number, got '0.3x'"):
