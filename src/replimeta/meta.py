@@ -13,7 +13,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside each function that calls it, on first use:
+# it takes longer to load than the rest of the package, and a process that
+# exits before any kernel runs (--help, --version, an input error) never needs it.
 
 from .statkernels import one_sided_p
 
@@ -93,6 +96,8 @@ def _check_alpha(alpha: float) -> None:
 @lru_cache(maxsize=None)
 def _z_crit(alpha: float) -> float:
     """The two-sided normal critical value ndtri(1 - alpha/2)."""
+    from scipy import special
+
     return float(special.ndtri(1.0 - alpha / 2.0))
 
 
@@ -135,6 +140,8 @@ def q_test_p_value(q: float, n_studies: int) -> float:
     """Upper-tail chi-square p-value of Cochran's Q on n-1 degrees of freedom."""
     if n_studies < 2:
         raise ValueError("Q test requires at least two studies")
+    from scipy import special
+
     return float(special.chdtrc(n_studies - 1, q))
 
 

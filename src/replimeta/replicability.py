@@ -22,7 +22,7 @@ from typing import Callable, Collection, Literal, Sequence
 
 import numpy as np
 
-from scipy import special
+# scipy.special is imported on first use, inside each kernel that calls it (see meta).
 
 from . import meta
 from .meta import StudySummary
@@ -122,6 +122,8 @@ def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
     weakest possible p-value, exactly 1.
     """
     ks = np.arange(1, length + 1, dtype=float)
+    from scipy import special
+
     weights = np.asarray(_pmf_weights(length, t))
     # Conditional on k truncated p-values, -log(product / t^k) is Gamma(k, 1);
     # the upper tail is evaluated directly to avoid cancellation. The weighted
@@ -153,6 +155,8 @@ _LEVEL_MARGIN = 1e-6
 @lru_cache(maxsize=None)
 def _level_quantiles(p: float) -> tuple[float, float]:
     """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
+    from scipy import special
+
     low, high = special.ndtri([p * (1.0 - _LEVEL_MARGIN), p * (1.0 + _LEVEL_MARGIN)])
     return float(low), float(high)
 
@@ -294,6 +298,8 @@ def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     ``_tail_cut(t)``, in one masked pass over the matrix: every other entry
     has p > t and adds 0. The logs are written to ``out``, of zt's shape.
     """
+    from scipy import special
+
     cut = _tail_cut(t)
     if cut == math.inf:
         p = special.ndtr(zt, out=out)
@@ -388,6 +394,8 @@ def _directional_rejections(
     the p-value rows, bit for bit. ``logs``, a matrix of zt's shape, holds
     each side's truncated logs in turn; one is allocated when it is None.
     """
+    from scipy import special
+
     if logs is None:
         logs = np.empty_like(zt)
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from scipy import special
+# scipy.special is imported on first use, inside _pooled_rejections (see meta).
 
 from .meta import _check_alpha, _pool_rows
 from .replicability import (
@@ -214,6 +214,8 @@ def _pooled_rejections(
     the bracket by the bound B of ``_Pooled.re_abs_z_fast`` and runs the exact
     ``_pool_rows`` and ndtr.
     """
+    from scipy import special
+
     n = theta_t.shape[0]
     z_reject, z_accept = (-z for z in _level_quantiles(alpha / 2.0))
     decided: dict[str, np.ndarray] = {}
@@ -286,14 +288,31 @@ def _evaluate_tests(
 ) -> dict[str, np.ndarray]:
     """Boolean rejection indicators per requested test, one entry per replication.
 
+    ``_evaluate_thresholds`` at the one threshold t.
+    """
+    return _evaluate_thresholds(theta_hat, se, tests, (t,), alpha, work)[0]
+
+
+def _evaluate_thresholds(
+    theta_hat: np.ndarray,
+    se: np.ndarray,
+    tests: Sequence[str],
+    t_values: Sequence[float],
+    alpha: float,
+    work: np.ndarray | None = None,
+) -> list[dict[str, np.ndarray]]:
+    """Per threshold t of ``t_values``, boolean rejection indicators per requested test.
+
     Every test compares a statistic with a critical value and computes a
     normal tail or a truncated-product p-value only near it. The H-tests and
     inconsistency_detected ask each side's partial-conjunction test only
-    whether r(u) <= alpha/2, through ``_directional_rejections``. That is the
-    whole decision: doubling is exact, so min(1, 2 min(a, b)) <= alpha
-    exactly when a <= alpha/2 or b <= alpha/2. The pooled tests and H2n_fe
-    compare a |z| with the critical value through ``_pooled_rejections``;
-    rows near it run the exact pooling and ndtr.
+    whether r(u) <= alpha/2, through ``_directional_rejections``, once per t.
+    That is the whole decision: doubling is exact, so min(1, 2 min(a, b)) <=
+    alpha exactly when a <= alpha/2 or b <= alpha/2. The pooled tests and
+    H2n_fe do not depend on t: they are decided once, through
+    ``_pooled_rejections``, which compares a |z| with the critical value and
+    runs the exact pooling and ndtr only on rows near it; every t's dict
+    holds the same arrays for them.
 
     The test ids must have passed ``_check_tests``. ``work``, a vector of at
     least twice theta_hat's size, holds the chunk's two work matrices, so
@@ -302,7 +321,7 @@ def _evaluate_tests(
     allocated when it is None.
     """
     if not tests:
-        return {}
+        return [{} for _ in t_values]
     n = theta_hat.shape[1]
     levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
     if "inconsistency_detected" in tests:
@@ -315,28 +334,35 @@ def _evaluate_tests(
     theta_t = work[:size].reshape(n, -1)
     np.copyto(theta_t, theta_hat.T)
     decided = _pooled_rejections(theta_t, se, tests, alpha)
-    left = right = {}
+    sides = [({}, {})] * len(t_values)
     if levels:
         theta_t /= se[:, None]
         logs = work[size : 2 * size].reshape(n, -1)
-        left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, logs)
-    out: dict[str, np.ndarray] = {}
-    for test_id in tests:
-        if test_id in decided:
-            out[test_id] = decided[test_id]
-        elif test_id == "inconsistency_detected":
-            out[test_id] = left[1] & right[1]
-        else:
-            u = int(_H_TEST.match(test_id).group(1))
-            out[test_id] = left[u] | right[u]
-    return out
+        # Each call negates z in place for the right side and back, exactly.
+        sides = [
+            _directional_rejections(theta_t, t, levels, alpha / 2.0, logs) for t in t_values
+        ]
+    results = []
+    for left, right in sides:
+        out: dict[str, np.ndarray] = {}
+        for test_id in tests:
+            if test_id in decided:
+                out[test_id] = decided[test_id]
+            elif test_id == "inconsistency_detected":
+                out[test_id] = left[1] & right[1]
+            else:
+                u = int(_H_TEST.match(test_id).group(1))
+                out[test_id] = left[u] | right[u]
+        results.append(out)
+    return results
 
 
 def _simulate(
     scenario: Scenario, t_values: Sequence[float], alpha: float, tests: Sequence[str] | None,
     default_tests: Sequence[str] = DEFAULT_TESTS,
 ) -> list[PowerCurvePoint]:
-    """One point per threshold t, all from the same draws: each chunk is drawn once.
+    """One point per threshold t, all from the same draws: each chunk is drawn
+    once, and its tests that do not depend on t are decided once.
 
     With ``tests`` None, the ids of ``default_tests`` that the studies allow run.
     """
@@ -352,8 +378,9 @@ def _simulate(
     for theta_hat in _draws(scenario):
         if work is None and tests:  # the first chunk is the largest
             work = np.empty(2 * theta_hat.size)
-        for t, count in zip(t_values, counts):
-            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, t, alpha, work).items():
+        decided = _evaluate_thresholds(theta_hat, se, tests, t_values, alpha, work)
+        for count, rejections in zip(counts, decided):
+            for test_id, rejected in rejections.items():
                 count[test_id] += int(np.count_nonzero(rejected))
     _, _, default_param = scenario._marginal()
     param = scenario.param if scenario.param is not None else default_param
@@ -413,7 +440,8 @@ def truncation_comparison(
     """Power curves for several truncation thresholds on common random numbers.
 
     Each chunk of a grid point's estimates is drawn once and tested at every
-    threshold, so curves differ only through the test, not the noise. By default
+    threshold, so curves differ only through the test, not the noise; tests
+    that do not depend on t (meta_fe, meta_re, H2n_fe) run once. By default
     the t-dependent tests (H1n-H3n, inconsistency_detected) that n allows run.
     """
     t_values = [float(t) for t in t_values]
@@ -603,7 +631,7 @@ def parse_scenario_config(
     are comments. Without ``tests``, the ids of ``DEFAULT_TESTS`` that n
     studies allow are run. Returns (scenario, tests, truncation threshold). A
     value that does not parse, or a seed outside [0, 2**128), raises
-    ValueError naming its key and line.
+    ValueError naming its key and line; a key set twice names both lines.
     """
     if isinstance(source, str):
         # utf-8-sig drops the byte-order mark that Excel and some editors write.
@@ -620,7 +648,12 @@ def parse_scenario_config(
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().lower()] = (lineno, value.strip())
+        key = key.strip().lower()
+        if key in values:
+            raise ValueError(
+                f"config line {lineno}: {key!r} is already set on line {values[key][0]}"
+            )
+        values[key] = (lineno, value.strip())
 
     def read(key: str, convert: Callable[[str], object], default: object = None):
         if key not in values:

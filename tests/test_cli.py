@@ -199,6 +199,45 @@ def test_importing_the_cli_loads_no_xml_or_urllib():
     assert done.stdout.strip() == "[]"
 
 
+def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
+    # scipy.special and what it pulls in take longer to import than the rest
+    # of the package, so --version and an input error must not pay for them.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,estimate,se\na,0.1,0\nb,0.2,0.1\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "loaded = {}\n"
+        "import replimeta\n"
+        "loaded['import replimeta'] = 'scipy' in sys.modules\n"
+        "import replimeta.cli\n"
+        "loaded['import replimeta.cli'] = 'scipy' in sys.modules\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert replimeta.cli.main(['--version']) == 0\n"
+        "loaded['--version'] = 'scipy' in sys.modules\n"
+        "assert replimeta.cli.main(['analyze', '--input', sys.argv[1]]) == 1\n"
+        "loaded['invalid analyze'] = 'scipy' in sys.modules\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert replimeta.cli.main(['analyze', '--input', sys.argv[2]]) == 0\n"
+        "loaded['valid analyze'] = 'scipy.special' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(bad), raw_file],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import replimeta": False,
+        "import replimeta.cli": False,
+        "--version": False,
+        "invalid analyze": False,
+        "valid analyze": True,
+    }
+
+
 class TestSimulateCommand:
     def test_preset_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -407,6 +446,15 @@ def test_config_truncation_out_of_range_exits_1_before_any_draw(tmp_path, monkey
     assert main(["simulate", "--config", str(cfg), "--t", "0.5"]) == 1
     assert "config line 2: t: truncation threshold t must be in (0, 1], got 2.0" in capsys.readouterr().err
     assert drawn == []
+
+
+def test_repeated_config_key_exits_1_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("theta = 1 0\nt = 0.05\nnc = 25 25\nnt = 25 25\nt = 0.5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config line 5: 't' is already set on line 2" in captured.err
 
 
 def test_version_flag(capsys):

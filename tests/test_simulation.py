@@ -357,6 +357,35 @@ class TestTruncationComparison:
             for test_id, rate in points[0].rejection_rate.items():
                 assert rate <= bound, (t, test_id)
 
+    def test_each_threshold_equals_its_own_simulate_fixed(self):
+        scenario = FixedEffectsScenario(
+            theta=(0.6, 0.6, -0.4, 0.0, 0.2, 0.0), group_sizes=BENCHMARK_GROUP_SIZES[:6],
+            replications=3000, seed=23,
+        )
+        tests = ("meta_fe", "meta_re", "H1n", "H2n", "H3n", "H2n_fe", "inconsistency_detected")
+        t_values = (0.05, 0.5, 1.0)
+        table = truncation_comparison([scenario], t_values=t_values, tests=tests)
+        for t in t_values:
+            assert table[t] == [simulate_fixed(scenario, tests, t=t)]
+
+    def test_t_independent_tests_pool_once_per_chunk(self, monkeypatch):
+        calls = []
+        pool_rows = simulation._pool_rows
+        monkeypatch.setattr(
+            simulation, "_pool_rows", lambda *args: calls.append(1) or pool_rows(*args)
+        )
+        scenario = FixedEffectsScenario(
+            theta=(0.5,) * 4 + (0.0,) * 4, group_sizes=BENCHMARK_GROUP_SIZES,
+            replications=100_000, seed=5,
+        )
+        tests = ("meta_fe", "meta_re")
+        truncation_comparison([scenario], t_values=(0.05,), tests=tests)
+        one = len(calls)
+        calls.clear()
+        truncation_comparison([scenario], t_values=(0.05, 0.5, 1.0), tests=tests)
+        # 1e5 replications of 8 studies make 13 chunks of at most 2^16 estimates.
+        assert one == len(calls) == 13
+
     def test_mixed_signs_truncation_advantage_quick(self):
         scenarios, _ = preset("mixed-signs", replications=3000, seed=14)
         table = truncation_comparison(scenarios, t_values=(0.05, 1.0), tests=("H2n",))
@@ -558,6 +587,17 @@ class TestConfigAndCsv:
         text = f"theta = 1 0\nt = {value}\nnc = 25 25\nnt = 25 25\n"
         message = r"^config line 2: t: truncation threshold t must be in \(0, 1\], got "
         with pytest.raises(ValueError, match=message):
+            parse_scenario_config(io.StringIO(text))
+
+    @pytest.mark.parametrize("key, first, second", [("t", "0.05", "0.5"), ("seed", "3", "4")])
+    def test_repeated_key_names_both_lines(self, key, first, second):
+        text = f"theta = 1 0\n{key} = {first}\nnc = 25 25\nnt = 25 25\n{key} = {second}\n"
+        with pytest.raises(ValueError, match=rf"^config line 5: '{key}' is already set on line 2$"):
+            parse_scenario_config(io.StringIO(text))
+
+    def test_repeated_key_matches_in_any_case(self):
+        text = "theta = 1 0\nnc = 25 25\nnt = 25 25\nNC = 30 30\n"
+        with pytest.raises(ValueError, match=r"^config line 4: 'nc' is already set on line 2$"):
             parse_scenario_config(io.StringIO(text))
 
     def test_random_config_value_names_key_and_line(self):
