@@ -9,12 +9,15 @@ its seed, and the replications are drawn replication-major from that stream,
 in successive chunks of at most ``_CHUNK_ELEMENTS`` estimates. Chunked
 draws equal one draw of the whole block byte for byte, and rejection counts
 are whole numbers, so results are bit-reproducible for a given seed and
-independent of the chunk size. Grid builders give point i the seed
-``base_seed + i``.
+independent of the chunk size. The next chunk is drawn on one worker thread
+while the current one is tested; that one thread draws every chunk, in
+stream order, so the draws are the same bytes as without it. Grid builders
+give point i the seed ``base_seed + i``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ import numpy as np
 
 # scipy.special is imported on first use, inside _pooled_rejections (see meta).
 
-from .meta import _check_alpha, _pool_rows
+from .meta import StudySummary, _check_alpha, _overflow_index, _pool_rows
 from .replicability import (
     _bracket_rejections,
     _check_t,
@@ -94,11 +97,42 @@ def _check_scenario(scenario: Scenario) -> None:
         raise ValueError("at least one study is required")
     _check_finite("param", scenario.param)
     for pair in scenario.group_sizes:
-        if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
-            raise ValueError(f"group sizes must be positive (control, treatment) pairs, got {pair}")
+        if len(pair) != 2 or not (0 < pair[0] < math.inf and 0 < pair[1] < math.inf):
+            raise ValueError(
+                f"group sizes must be positive finite (control, treatment) pairs, got {pair}"
+            )
     if scenario.replications < 1:
         raise ValueError("replications must be at least 1")
     _check_seed(scenario.seed)
+
+
+# numpy's ziggurat draws a normal's tail as r - log(1 - U)/r, with r = 3.654
+# and U at most 1 - 2**-53, so no standard normal it draws exceeds 13.71 in
+# absolute value; every estimate lies within this many sd of its mean.
+_DRAW_BOUND = 16.0
+
+
+def _check_draw_range(key: str, mean, sd: np.ndarray, se: np.ndarray) -> None:
+    """Raise ValueError naming ``key`` where drawn estimates could overflow a pooling sum.
+
+    The estimates of study i lie in [mean_i - _DRAW_BOUND sd_i, mean_i +
+    _DRAW_BOUND sd_i]. ``meta``'s overflow rule for study files, applied to
+    both ends of every range as two studies with the study's se, bounds the
+    inverse-variance sums, the weighted sums of |estimate| and Cochran's Q
+    of every row drawn.
+    """
+    ends = [
+        (float(m) + sign * _DRAW_BOUND * float(s), float(e))
+        for m, s, e in zip(np.broadcast_to(mean, se.shape), sd, se)
+        for sign in (-1.0, 1.0)
+    ]
+    # Python floats overflow to inf without a warning.
+    finite = all(math.isfinite(end) for end, _ in ends)
+    if not finite or _overflow_index([StudySummary(key, end, e) for end, e in ends]) is not None:
+        raise ValueError(
+            f"{key}: estimates drawn within {_DRAW_BOUND:g} sd of their means can overflow "
+            "the inverse-variance sums of 1/se^2, |estimate|/se^2, 1/se^4 or Cochran's Q"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,6 +150,8 @@ class FixedEffectsScenario:
             raise ValueError("theta and group_sizes must have the same length")
         _check_finite("theta", *self.theta)
         _check_scenario(self)
+        se = self.standard_errors
+        _check_draw_range("theta", self.theta, se, se)
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -146,6 +182,12 @@ class RandomEffectsScenario:
         if self.n != len(self.group_sizes):
             raise ValueError("n must match the number of group-size pairs")
         _check_scenario(self)
+        se = self.standard_errors
+        _check_draw_range("mu", self.mu, se, se)
+        # The marginal sd sqrt(tau^2 + se^2) is at most tau + se. A tau whose
+        # square overflows, so that the sd would not be finite, fails here,
+        # before ``_marginal`` squares it.
+        _check_draw_range("tau", self.mu, self.tau + se, se)
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -199,6 +241,28 @@ def _draws(scenario: Scenario) -> Iterator[np.ndarray]:
         draw *= sd
         draw += mean
         yield draw
+
+
+def _drawn_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The items of ``chunks``, the next one drawn on a worker thread while the
+    caller holds the current one.
+
+    numpy's Generator fills release the GIL, so the draw of chunk k+1 runs
+    beside the tests of chunk k. The draw itself cannot be split: the
+    ziggurat takes a variable number of Philox outputs per normal, so a
+    chunk's place in the stream is known only once the chunk before it is
+    drawn. One thread advances ``chunks``, one item at a time and in order,
+    so the items are those a plain loop gets. Leaving the ``with`` block, on
+    exhaustion, on an error or on ``close``, waits for the draw in flight.
+    """
+    # Imported here, so that importing the package starts no executor machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(next, chunks, None)
+        while (chunk := pending.result()) is not None:
+            pending = worker.submit(next, chunks, None)
+            yield chunk
 
 
 def _pooled_rejections(
@@ -364,6 +428,12 @@ def _simulate(
     """One point per threshold t, all from the same draws: each chunk is drawn
     once, and its tests that do not depend on t are decided once.
 
+    While a chunk is tested on the calling thread, ``_drawn_ahead`` draws the
+    next one on a worker thread. Only the draws run there, in stream order,
+    so they are the bytes a plain loop draws, and the rejection counts are
+    whole numbers, so no point depends on the overlap. The tests stay on the
+    calling thread, under its ``np.errstate``.
+
     With ``tests`` None, the ids of ``default_tests`` that the studies allow run.
     """
     for t in t_values:
@@ -375,13 +445,14 @@ def _simulate(
     _check_tests(tests, len(se))
     counts = [dict.fromkeys(tests, 0) for _ in t_values]
     work = None
-    for theta_hat in _draws(scenario):
-        if work is None and tests:  # the first chunk is the largest
-            work = np.empty(2 * theta_hat.size)
-        decided = _evaluate_thresholds(theta_hat, se, tests, t_values, alpha, work)
-        for count, rejections in zip(counts, decided):
-            for test_id, rejected in rejections.items():
-                count[test_id] += int(np.count_nonzero(rejected))
+    with contextlib.closing(_drawn_ahead(_draws(scenario))) as chunks:
+        for theta_hat in chunks:
+            if work is None and tests:  # the first chunk is the largest
+                work = np.empty(2 * theta_hat.size)
+            decided = _evaluate_thresholds(theta_hat, se, tests, t_values, alpha, work)
+            for count, rejections in zip(counts, decided):
+                for test_id, rejected in rejections.items():
+                    count[test_id] += int(np.count_nonzero(rejected))
     _, _, default_param = scenario._marginal()
     param = scenario.param if scenario.param is not None else default_param
     replications = scenario.replications

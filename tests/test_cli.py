@@ -186,11 +186,12 @@ def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_ro
 def test_importing_the_cli_loads_no_xml_or_urllib():
     # xml.sax.saxutils pulls in urllib.request, http.client and email: about
     # 40 ms of every process, for an escape that html.escape also does.
+    # concurrent.futures serves only simulate's draw-ahead, which imports it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (
-        "import sys, replimeta.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+        "import sys, replimeta.cli; print(sorted(m for m in "
+        "('xml.sax', 'urllib.request', 'concurrent.futures') if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -355,6 +356,19 @@ class TestSimulateCommand:
         cfg.write_text("theta = 1 0\nnc = 25 25\nnt = 25 25\nseed = -5\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "config line 4: seed: seed must be in [0, 2**128), got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, key", [
+        ("mu = 0\ntau = 1e160\nnc = 25 25\nnt = 25 25", "tau"),
+        ("theta = 1e154 0.2\nnc = 20 20\nnt = 20 20", "theta"),
+    ])
+    def test_draws_that_could_overflow_exit_1_naming_the_key(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{lines}\nreplications = 100\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"replimeta: error: {key}: estimates drawn within 16 sd")
+        assert "Traceback" not in captured.err
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["simulate"]) == 1

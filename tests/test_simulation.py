@@ -11,6 +11,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +102,8 @@ class TestScenarios:
             FixedEffectsScenario(theta=(0.0,), group_sizes=((10, 10), (10, 10)))
         with pytest.raises(ValueError):
             FixedEffectsScenario(theta=(0.0,), group_sizes=((0, 10),))
+        with pytest.raises(ValueError, match="^group sizes must be positive finite"):
+            FixedEffectsScenario(theta=(0.0,), group_sizes=((math.inf, 10),))
         with pytest.raises(ValueError):
             FixedEffectsScenario(theta=(0.0,), group_sizes=((10, 10),), replications=0)
 
@@ -134,6 +139,30 @@ class TestScenarios:
     def test_standard_errors(self):
         scenario = FixedEffectsScenario(theta=(0.0,), group_sizes=((25, 25),))
         assert abs(scenario.standard_errors[0] - math.sqrt(2.0 / 25.0)) < 1e-12
+
+    @pytest.mark.parametrize("build, key", [
+        # se 0.316: |estimate| x se^-2 is finite, Cochran's Q bound is not.
+        (lambda: FixedEffectsScenario(theta=(1e154, 0.2), group_sizes=((20, 20),) * 2), "theta"),
+        # tau**2 overflows a Python float.
+        (lambda: RandomEffectsScenario(mu=0.0, tau=1e160, n=2, group_sizes=((25, 25),) * 2), "tau"),
+        # 12.5 x 1e307, a weight times an estimate, overflows.
+        (lambda: RandomEffectsScenario(mu=1e307, tau=0.3, n=2, group_sizes=((25, 25),) * 2), "mu"),
+        (lambda: RandomEffectsScenario(mu=-1e307, tau=0.0, n=1, group_sizes=((25, 25),)), "mu"),
+    ])
+    def test_draws_that_could_overflow_the_pooling_are_rejected_naming_the_key(self, build, key):
+        with pytest.raises(ValueError, match=rf"^{key}: estimates drawn within 16 sd .* overflow"):
+            build()
+
+    @pytest.mark.parametrize("scenario", [
+        FixedEffectsScenario(theta=(1e100, 0.2), group_sizes=((20, 20),) * 2, replications=200),
+        RandomEffectsScenario(mu=1e150, tau=1e140, n=3, group_sizes=((20, 20),) * 3,
+                              replications=200),
+    ])
+    def test_large_effects_inside_the_range_simulate_without_warnings(self, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = run_points([scenario], ("meta_fe", "meta_re", "H1n", "H2n_fe"))[0]
+        assert all(math.isfinite(rate) for rate in point.rejection_rate.values())
 
 
 class TestSimulateFixed:
@@ -438,6 +467,98 @@ class TestChunks:
         chunked = truncation_comparison([scenario], (0.05, 1.0), self.TESTS)
         monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 1 << 20)
         assert truncation_comparison([scenario], (0.05, 1.0), self.TESTS) == chunked
+
+    # The next chunk is drawn on a worker thread while the current one is
+    # tested: the worker must be gone however the point ends, and must not
+    # run more than one chunk ahead.
+
+    def test_draw_ahead_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * 7)  # eight chunks
+        before = threading.active_count()
+        simulate_fixed(self.FIXED, self.TESTS)
+        assert threading.active_count() == before
+
+    def test_error_in_the_tests_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * 7)
+        evaluate, calls = simulation._evaluate_thresholds, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("the second chunk's tests failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(simulation, "_evaluate_thresholds", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^the second chunk's tests failed$"):
+            simulate_fixed(self.FIXED, self.TESTS)
+        assert threading.active_count() == before
+
+    def test_error_in_the_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        def draws(scenario):
+            yield np.zeros((7, 5))
+            raise FloatingPointError("the second draw failed")
+
+        monkeypatch.setattr(simulation, "_draws", draws)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=r"^the second draw failed$"):
+            simulate_fixed(self.FIXED, self.TESTS)
+        assert threading.active_count() == before
+
+    def test_at_most_one_chunk_is_drawn_ahead(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * 7)
+        expected = simulate_fixed(self.FIXED, self.TESTS)
+        draws, evaluate = simulation._draws, simulation._evaluate_thresholds
+        yielded, tested = [0], [0]
+
+        def counted_draws(scenario):
+            for chunk in draws(scenario):
+                yielded[0] += 1
+                yield chunk
+
+        def counted_evaluate(*args):
+            # Time for a worker that runs further ahead to do so.
+            time.sleep(0.005)
+            # The chunk under test, and at most the one after it.
+            assert yielded[0] - tested[0] <= 2, (yielded[0], tested[0])
+            tested[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(simulation, "_draws", counted_draws)
+        monkeypatch.setattr(simulation, "_evaluate_thresholds", counted_evaluate)
+        assert simulate_fixed(self.FIXED, self.TESTS) == expected
+        assert yielded[0] == tested[0] == 8
+
+
+class TestLeastFavourableNull:
+    """The guarantee holds whatever the true effects are.
+
+    With u - 1 studies at 40 standard errors and the rest at 0, H^u (fewer
+    than u non-null effects in one direction) is true on both sides, and
+    this is the least favourable configuration for it (Benjamini & Heller,
+    2008): the u - 1 far studies always look non-null. H{u}n must stay at
+    level alpha at every n <= 8, u <= n and t.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_h_u_keeps_its_level(self, n):
+        alpha, replications = 0.05, 100_000
+        # 4 Monte Carlo standard errors: Bonferroni over the 108 (n, u, t)
+        # cases; at 3, even an exact test would fail about one seed choice in seven.
+        limit = alpha + 4.0 * math.sqrt(alpha * (1.0 - alpha) / replications)
+        group_sizes = BENCHMARK_GROUP_SIZES[:n]
+        se = simulation._standard_errors(group_sizes)
+        above = []
+        for u in range(1, n + 1):
+            scenario = FixedEffectsScenario(
+                theta=tuple(40.0 * float(s) for s in se[: u - 1]) + (0.0,) * (n - u + 1),
+                group_sizes=group_sizes, replications=replications, seed=1000 * n + 10 * u,
+            )
+            for t in (0.05, 0.5, 1.0):
+                rate = simulate_fixed(scenario, [f"H{u}n"], t=t).rejection_rate[f"H{u}n"]
+                if rate > limit:
+                    above.append((u, t, rate))
+        assert above == [], limit
 
 
 class TestCalibrateTau:
