@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,12 +66,9 @@ class StudySummary:
 
 
 def _has_finite_weight(se: float) -> bool:
-    """Whether se**2 and the inverse-variance weight 1/se**2 are finite and positive."""
-    try:
-        var = se**2
-    except OverflowError:
-        return False
-    return var > 0.0 and 1.0 / var < math.inf
+    """Whether se * se and the inverse-variance weight 1/(se * se) are finite and positive."""
+    var = se * se
+    return 0.0 < var < math.inf and 1.0 / var < math.inf
 
 
 @dataclass(frozen=True)
@@ -189,39 +186,6 @@ def _ordered_sum(columns: Iterable) -> np.ndarray:
     return total
 
 
-# ``_Pooled.re_abs_z_fast`` squares the deviations d from the fixed-effect
-# estimate as d * d, where ``_Pooled.q`` uses libm pow, and bounds the effect
-# on the random-effects z per row. Let e = 2^-52 and m = 2^-1022, the smallest
-# normal double. The bound assumes |pow(d, 2) - d * d| <= 1 ulp of d * d, that
-# is, at most e * max(d * d, m): both are within one ulp of d^2, d * d
-# rounded correctly. The factors 2 below cover second-order terms and the
-# roundings of the bound's own arithmetic.
-#
-# Q: each weighted square moves by at most w e max(d * d, m), and each of
-# the two sums of n nonnegative terms carries a relative error of at most
-# n e / 2 and an absolute one of n e m, so
-#     dQ = 2 (n + 1) e (Q + (W + n) m),  W the weight total.
-# Where Q + dQ <= n - 1, or where c <= 0, both tau-squared are exactly 0
-# and so is the bound: every later step is the same in both.
-# tau-squared = max((Q - (n - 1)) / c, 0) adds the rounding of a subtraction
-# and a division, and taking the maximum with 0 moves nothing further:
-#     dtau = 2 (dQ + 2 e (Q + n)) / c.
-# Weights 1/(v + tau-squared), v the smallest variance: with
-# rho = dtau / (v + tau-squared) <= 2^-10, each weight moves by a relative
-#     eta = 1.01 rho + 3 e
-# (rho over 1 - rho, plus the roundings of a sum and a reciprocal).
-# z = N / sqrt(R), N the weighted sum of the estimates and R the weight
-# total: R moves by a relative eta + n e, N by (eta + n e) A, A the sum of
-# the weights times the absolute estimates, at most R max|estimate|, plus
-# n e m for products that fall below m. The four roundings of re = N / R,
-# 1 / sqrt(R) and re / se add 2 e |z| on each side. So
-#     B = 2 (eta + (n + 8) e) (sqrt(R) max|estimate| + n m / sqrt(R) + |z|).
-# Rows with rho > 2^-10, with tau-squared > 2^1000 (weights near m) or with a
-# B that is not finite get B = inf: the caller decides them exactly.
-_RHO_LIMIT = 2.0**-10
-_TAU_SQUARED_LIMIT = 2.0**1000
-
-
 @dataclass(frozen=True, eq=False)
 class _Pooled:
     """Per-column results of ``_pool_rows``; each array has one value per column.
@@ -232,7 +196,9 @@ class _Pooled:
     nothing else. With a shared se vector, ``total``, ``fe_se`` and ``c``
     depend on no column and are scalars. The per-column sums start from 0.0
     and add the studies in order into vectors filled in place: a fresh
-    vector per term costs more than the arithmetic done on it.
+    vector per term costs more than the arithmetic done on it. The scalar
+    API reads one column, and the Monte Carlo harness's ``meta_fe`` and
+    ``meta_re`` read them all, so the two agree bit for bit.
     """
 
     theta_t: np.ndarray
@@ -245,15 +211,13 @@ class _Pooled:
     @cached_property
     def q(self) -> np.ndarray:
         """Cochran's Q, 0 for one study."""
+        q = np.zeros_like(self.fe)
         if len(self.theta_t) < 2:
-            return np.zeros_like(self.fe)
-        return self._q(lambda d: np.float_power(d, 2.0, out=d))
-
-    def _q(self, square: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Cochran's Q with the deviations from ``fe`` squared in place by ``square``."""
-        q, term = np.zeros_like(self.fe), np.empty_like(self.fe)
+            return q
+        term = np.empty_like(self.fe)
         for theta, w in zip(self.theta_t, self.w):
-            square(np.subtract(theta, self.fe, out=term))
+            np.subtract(theta, self.fe, out=term)
+            np.multiply(term, term, out=term)
             term *= w
             q += term
         return q
@@ -273,20 +237,16 @@ class _Pooled:
 
     @cached_property
     def tau_squared(self) -> np.ndarray:
-        """The DerSimonian-Laird estimate, truncated at zero."""
-        return self._tau_squared(self.q.copy())
-
-    def _tau_squared(self, q: np.ndarray) -> np.ndarray:
-        """max((Q - (n - 1)) / c, 0), and 0 where c <= 0, computed in the place of ``q``."""
+        """The DerSimonian-Laird estimate max((Q - (n - 1)) / c, 0), and 0 where c <= 0."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q -= len(self.theta_t) - 1
-            q /= self.c
+            tau_squared = self.q - (len(self.theta_t) - 1)
+            tau_squared /= self.c
             # fmax also turns NaN into 0.0.
-            np.fmax(q, 0.0, out=q)
+            np.fmax(tau_squared, 0.0, out=tau_squared)
         positive = self.c > 0.0
         if not np.all(positive):
-            np.copyto(q, 0.0, where=~positive)
-        return q
+            np.copyto(tau_squared, 0.0, where=~positive)
+        return tau_squared
 
     @cached_property
     def re(self) -> np.ndarray:
@@ -299,13 +259,11 @@ class _Pooled:
 
     @cached_property
     def _re_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._re_totals(self.tau_squared)
-
-    def _re_totals(self, tau_squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The totals of the weights 1/(se^2 + tau^2) and of weight x estimate.
 
         One study at a time, so that no weight matrix is held.
         """
+        tau_squared = self.tau_squared
         total, weighted = np.zeros_like(tau_squared), np.zeros_like(tau_squared)
         w, term = np.empty_like(tau_squared), np.empty_like(tau_squared)
         for var, theta in zip(self.var, self.theta_t):
@@ -313,50 +271,6 @@ class _Pooled:
             total += w
             weighted += np.multiply(w, theta, out=term)
         return total, weighted
-
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def re_abs_z_fast(self) -> tuple[np.ndarray, np.ndarray]:
-        """The random-effects |z| = |re / re_se| from d * d squares, and a bound B per column.
-
-        B bounds its distance from the |z| of ``re`` and ``re_se``, which
-        square with libm pow; d * d is 50 times faster, and B is derived in the
-        comment above. Only Q, the slack and B are computed here: the weights,
-        the fixed-effect estimate and c are the object's own.
-        """
-        n = len(self.theta_t)
-        q = self._q(lambda d: np.multiply(d, d, out=d))
-        term = np.empty_like(q)
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        # dQ, then where tau-squared is 0 both ways, then 2 (dQ + 2 e (Q + n)).
-        slack = (q + (self.total + n) * tiny) * (2.0 * (n + 1) * eps)
-        zero_tau = (np.add(q, slack, out=term) <= n - 1) | np.logical_not(self.c > 0.0)
-        slack += np.add(q, n, out=term) * (2.0 * eps)
-        slack *= 2.0
-        tau_squared = self._tau_squared(q)
-        total, weighted = self._re_totals(tau_squared)
-        top = np.maximum(self.theta_t.max(axis=0), -self.theta_t.min(axis=0))
-        # z = (weighted / total) / (1 / sqrt(total)), as re / re_se.
-        weighted /= total
-        root = np.sqrt(total, out=total)
-        weighted /= np.divide(1.0, root, out=term)
-        abs_re = np.abs(weighted, out=weighted)
-        # rho, then B = 2 (1.01 rho + (n + 11) e) (sqrt(R) top + n m / sqrt(R) + |z|).
-        rho = slack
-        rho /= self.c
-        rho /= np.add(tau_squared, self.var.min(axis=0), out=term)
-        exact = ~((rho <= _RHO_LIMIT) & (tau_squared <= _TAU_SQUARED_LIMIT))
-        bound = top
-        bound *= root
-        bound += np.divide(n * tiny, root, out=term)
-        bound += abs_re
-        rho *= 1.01
-        rho += (n + 11) * eps
-        bound *= rho
-        bound *= 2.0
-        exact |= ~(bound < math.inf)
-        bound[exact] = math.inf
-        bound[zero_tau] = 0.0
-        return abs_re, bound
 
     def result(self, row: int, model: str, alpha: float) -> MetaAnalysisResult:
         """The fixed-effect or random-effects result of one row."""
@@ -387,10 +301,10 @@ def _pool_rows(theta_t: np.ndarray, se: np.ndarray) -> _Pooled:
     column: the fixed-effect estimate and se, Cochran's Q and I-squared (both
     0 for one study), the DerSimonian-Laird tau-squared truncated at zero,
     and the random-effects estimate and se. Sums run in study order and
-    squares use libm ``pow`` (``np.square`` rounds differently), so results
-    equal the Python-float formulas bit for bit.
+    squares are products x * x, so results equal the Python-float formulas
+    bit for bit.
     """
-    var = np.float_power(se, 2.0)
+    var = se * se
     w, total = _weights(var, 0.0)
     fe, term = np.zeros(theta_t.shape[1:]), np.empty(theta_t.shape[1:])
     for theta, weight in zip(theta_t, w):
@@ -411,9 +325,9 @@ def _weights(var: np.ndarray, tau_squared) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forest_weights(studies: Sequence[StudySummary], tau_squared: float) -> list[float]:
-    """Each study's share of the total weight, 1/(se**2 + tau_squared), in study order."""
+    """Each study's share of the total weight, 1/(se * se + tau_squared), in study order."""
     _, se = _study_rows(studies)
-    w, total = _weights(np.float_power(se, 2.0), tau_squared)
+    w, total = _weights(se * se, tau_squared)
     return (w / total).tolist()
 
 
@@ -426,24 +340,25 @@ _OVERFLOW_MESSAGE = (
 def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
     """Index of the study at which a pooling sum first can leave the doubles, or None.
 
-    ``_pool_rows`` adds the weights 1/se**2, the products weight x estimate
-    and Cochran's Q terms weight x (estimate - pooled)**2 in study order, and
-    ``leave_one_out`` does so for every set without one study. The same sums
-    in Python floats overflow to inf without a warning, so running bounds on
-    them are checked here, for the studies so far. The sums of the weights
-    and of |weight x estimate| bound those of every subset. A subset's pooled
-    estimate is a weighted mean of its estimates, so each of them lies within
-    the spread max - min of it, and the weight total times the squared spread,
-    doubled to cover rounding, bounds Q of every subset. The DerSimonian-Laird
-    tau-squared also adds the squared weights; their running sum is checked
-    only once the other three hold on the whole set, so that a set whose
-    weights overflow is named at the row where their sum does.
+    ``_pool_rows`` adds the weights 1/(se * se), the products weight x
+    estimate and Cochran's Q terms weight x d * d, d = estimate - pooled, in
+    study order, and ``leave_one_out`` does so for every set without one
+    study. The same sums in Python floats overflow to inf without a warning,
+    so running bounds on them are checked here, for the studies so far. The
+    sums of the weights and of |weight x estimate| bound those of every
+    subset. A subset's pooled estimate is a weighted mean of its estimates, so
+    each of them lies within the spread max - min of it, and the weight total
+    times the squared spread, doubled to cover rounding, bounds Q of every
+    subset. The DerSimonian-Laird tau-squared also adds the squared weights;
+    their running sum is checked only once the other three hold on the whole
+    set, so that a set whose weights overflow is named at the row where their
+    sum does.
     """
     total = weighted = squares = 0.0
     lo, hi = math.inf, -math.inf
     first_square = None
     for index, study in enumerate(studies):
-        w = 1.0 / study.se**2
+        w = 1.0 / (study.se * study.se)
         total += w
         weighted += abs(w * study.theta_hat)
         squares += w * w

@@ -506,13 +506,13 @@ def _fe_z_extremes(
 
     ``theta_t`` is an (n, rows) estimate matrix, one study a row, and ``se`` a
     vector of n standard errors shared by all columns. A subset's pooled z
-    is sum(w * theta) / sqrt(sum(w)) with w = 1 / se**2. Weights square with
-    libm ``pow`` and each subset's sums run in ascending study order, so the
-    result equals the Python-float formulas bit for bit. Subsets are pooled in
-    blocks of at most ``meta._BLOCK_ELEMENTS`` elements (at least one subset).
+    is sum(w * theta) / sqrt(sum(w)) with w = 1 / (se * se). Each subset's
+    sums run in ascending study order, so the result equals the Python-float
+    formulas bit for bit. Subsets are pooled in blocks of at most
+    ``meta._BLOCK_ELEMENTS`` elements (at least one subset).
     """
     n, rows = theta_t.shape
-    w = 1.0 / np.float_power(se, 2.0)
+    w = 1.0 / (se * se)
     # Adding 0.0 turns -0.0 into 0.0, as Python's sum, which starts from 0,
     # does. Each study is one row, so gathering a study is a contiguous copy.
     weighted = np.empty((n, rows))

@@ -274,9 +274,8 @@ def _pooled_rejections(
     its pooled |z| alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a margin
     on the level holds for every alpha, while ndtri(1 - alpha/2), the critical
     value of the confidence intervals, is inf below alpha = 1.1e-16. Inside,
-    meta_fe and H2n_fe run ndtr on their z, which is exact; meta_re widens
-    the bracket by the bound B of ``_Pooled.re_abs_z_fast`` and runs the exact
-    ``_pool_rows`` and ndtr.
+    each runs ndtr on its z, which is exact. meta_fe and meta_re read the z
+    of ``_pool_rows``, as ``fixed_effect_meta`` and ``random_effects_meta`` do.
     """
     from scipy import special
 
@@ -285,24 +284,16 @@ def _pooled_rejections(
     decided: dict[str, np.ndarray] = {}
 
     def two_sided(abs_z: np.ndarray) -> np.ndarray:
-        return 2.0 * special.ndtr(-abs_z) <= alpha
-
-    def exact_re(band: np.ndarray) -> np.ndarray:
-        pooled = _pool_rows(theta_t[:, band], se)
-        return two_sided(np.abs(pooled.re / pooled.re_se))
+        return _bracket_rejections(
+            abs_z, z_accept, z_reject, lambda band: 2.0 * special.ndtr(-abs_z[band]) <= alpha
+        )
 
     if {"meta_fe", "meta_re"} & set(tests):
         pooled = _pool_rows(theta_t, se)
         if "meta_fe" in tests:
-            z_fe = np.abs(pooled.fe / pooled.fe_se)
-            decided["meta_fe"] = _bracket_rejections(
-                z_fe, z_accept, z_reject, lambda band: two_sided(z_fe[band])
-            )
+            decided["meta_fe"] = two_sided(np.abs(pooled.fe / pooled.fe_se))
         if "meta_re" in tests:
-            z_re, bound = pooled.re_abs_z_fast()
-            decided["meta_re"] = _bracket_rejections(
-                z_re, z_accept - bound, z_reject + bound, exact_re
-            )
+            decided["meta_re"] = two_sided(np.abs(pooled.re / pooled.re_se))
     if "H2n_fe" in tests:
         # The (n-1)-subsets of the common-effect test at u = 2, which rejects
         # where the larger of -z_max and z_min is beyond the critical value.

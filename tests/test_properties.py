@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from replimeta import meta, replicability, simulation
+from replimeta import replicability, simulation
 from replimeta.cli import main
 from replimeta.meta import (
     StudySummary,
@@ -100,17 +100,17 @@ def pooling_reference(pairs):
     """Independent oracle: fixed-effect, Q/I-squared and DerSimonian-Laird pooling.
 
     Plain Python on (estimate, se) float pairs. Sums run left to right and
-    squares are ``x ** 2`` (libm ``pow``), so the kernel must match every bit.
+    squares are ``x * x``, so the kernel must match every bit.
     """
     n = len(pairs)
-    w = [1.0 / se**2 for _, se in pairs]
+    w = [1.0 / (se * se) for _, se in pairs]
     total = add(w)
     fe = add(wi * x for wi, (x, _) in zip(w, pairs)) / total
-    q = add(wi * (x - fe) ** 2 for wi, (x, _) in zip(w, pairs)) if n >= 2 else 0.0
+    q = add(wi * ((x - fe) * (x - fe)) for wi, (x, _) in zip(w, pairs)) if n >= 2 else 0.0
     i_squared = max(0.0, (q - (n - 1)) / q) if q > 0 else 0.0
     c = total - add(wi * wi for wi in w) / total
     tau_squared = max(0.0, (q - (n - 1)) / c) if c > 0 else 0.0
-    re_w = [1.0 / (se**2 + tau_squared) for _, se in pairs]
+    re_w = [1.0 / (se * se + tau_squared) for _, se in pairs]
     re_total = add(re_w)
     re = add(wi * x for wi, (x, _) in zip(re_w, pairs)) / re_total
     return {
@@ -128,10 +128,10 @@ def common_effect_reference(pairs, size):
     """Independent oracle: the smallest and largest pooled z over every size-subset.
 
     Plain Python on (estimate, se) float pairs: each subset is pooled with a
-    left-to-right ``add`` and ``x ** 2`` (libm ``pow``), so the kernel must
-    match every bit.
+    left-to-right ``add`` and ``x * x`` squares, so the kernel must match
+    every bit.
     """
-    weights = [1.0 / se**2 for _, se in pairs]
+    weights = [1.0 / (se * se) for _, se in pairs]
     weighted_theta = [w * x for w, (x, _) in zip(weights, pairs)]
     z_min = math.inf
     z_max = -math.inf
@@ -436,20 +436,15 @@ def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
         assert out[u][1] == (_PCCurve(p_rows[1], t)(u)[0] <= level)
 
 
-def test_pooled_tests_send_nan_statistics_and_infinite_slack_to_exact(monkeypatch):
+def test_pooled_tests_send_nan_statistics_to_exact(monkeypatch):
     calls = spy_on_bands(monkeypatch, simulation)
     rng = np.random.default_rng(8)
     se = rng.uniform(0.2, 1.0, 5)
     theta_t = rng.normal(0.5, 1.0, (5, 60)) * se[:, None]
     theta_t[:, 3] = math.nan
-    # A slack limit of 0 gives every row with a positive tau-squared B = inf.
-    monkeypatch.setattr(meta, "_RHO_LIMIT", 0.0)
     decided = _pooled_rejections(theta_t, se, ("meta_fe", "meta_re"), 0.05)
     fe_band, re_band = calls
     assert 3 in fe_band and 3 in re_band
-    _, bound = _pool_rows(theta_t, se).re_abs_z_fast()
-    infinite = np.flatnonzero(bound == math.inf)
-    assert infinite.size > 10 and set(infinite) <= set(re_band)
     exact = _pool_rows(theta_t, se)
     want_re = 2.0 * special.ndtr(-np.abs(exact.re / exact.re_se)) <= 0.05
     want_fe = 2.0 * special.ndtr(-np.abs(exact.fe / exact.fe_se)) <= 0.05
@@ -655,10 +650,10 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
     """Rows whose exact pooled |z| straddles the critical value decide as the exact formulas.
 
     The estimates move with a parameter s, which is bisected over the bit
-    patterns of doubles to neighbours whose exact decisions differ. The
-    random-effects kernel squares with x * x, not libm pow, and must send
-    such rows to the exact pooling. At alpha = 0.1 and 0.001 the first |z|
-    that rejects lies 3 and -70 doubles from ndtri(1 - alpha/2).
+    patterns of doubles to neighbours whose exact decisions differ, and the
+    kernels must send such rows to ndtr on their exact z. At alpha = 0.1 and
+    0.001 the first |z| that rejects lies 3 and -70 doubles from
+    ndtri(1 - alpha/2).
     """
     base, se, move = _pooled_case(kind, n, data)
 
@@ -685,62 +680,77 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
         assert bool(row_out[test_id][0]) == want
 
 
-def _pow_squared_rows(seed):
-    """Rows of dominant-weight study sets whose Q lies near n - 1, and their shared se rows.
+def _straddling_sets():
+    """Estimate matrices, one study a column, each with its shared se vector.
 
-    There tau-squared is a few doubles above 0, and where libm pow and x * x
-    round a square differently, the two random-effects z can differ by far
-    more than their last bits.
+    First 60 rows of 8 random studies; then sets of 2 to 5 studies where one
+    weight dominates, each scaled over 400 neighbouring doubles around the
+    scale that puts Q at n - 1. There tau-squared is a few doubles above 0,
+    and any rounding of Q moves the random-effects z by far more than its
+    last bits. The dominant study's estimate is a few of its se, so that
+    the pooled z, and with it alpha, stays moderate.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(40):
+    rng = np.random.default_rng(5)
+    se = rng.uniform(0.1, 1.5, 8)
+    yield rng.normal(0.5, 1.0, (60, 8)) * se, se
+    for _ in range(12):
         n = int(rng.integers(2, 6))
         se = rng.uniform(0.5, 2.0, n)
         se[0] = 10.0 ** -rng.uniform(4, 7)
-        base = rng.normal(0.0, 1.0, n) + rng.uniform(0.0, 3.0)
+        base = rng.normal(0.0, 1.0, n)
+        base[0] = rng.normal(0.0, 2.0) * se[0]
         scale = math.sqrt((n - 1) / _pool_rows(base[:, None], se).q[0])
-        scales = (np.array([scale]).view(np.int64) + np.arange(-3000, 3000)).view(np.float64)
+        scales = (np.array([scale]).view(np.int64) + np.arange(-200, 200)).view(np.float64)
         yield scales[:, None] * base[None, :], se
 
 
-def test_random_effects_bound_covers_the_pow_squares():
-    """|z| from x * x squares lies within its bound B of the |z| of _pool_rows, pow squares."""
-    differ = exact_tau = infinite = 0
-    cases = list(_pow_squared_rows(3))
-    rng = np.random.default_rng(4)
-    se = rng.uniform(0.1, 1.5, 8)
-    cases.append((rng.normal(0.5, 1.0, (20000, 8)) * se, se))
-    for theta_hat, se in cases:
-        pooled = _pool_rows(theta_hat.T.copy(), se)
-        z, bound = pooled.re_abs_z_fast()
-        exact = np.abs(pooled.re / pooled.re_se)
-        assert np.all(np.abs(z - exact) <= bound)
-        differ += np.count_nonzero(z != exact)
-        exact_tau += np.count_nonzero(bound == 0.0)
-        infinite += np.count_nonzero(bound == math.inf)
-    # The check has teeth: some squares round differently, some rows have
-    # tau-squared 0 both ways, and some are left to the exact pooling.
-    assert differ > 50 and exact_tau > 1000 and infinite > 10
+def _straddling_decisions(test_id):
+    """The harness's decisions at alphas that each sit at one row's own two-sided p.
+
+    At alpha = 2 ndtr(-|z_i|), row i's pooled |z| is exactly the critical
+    value, so its decision rests on every bit of z and of the tail. Yields
+    alpha, the harness's decisions on every row of the set, and per row the
+    |pooled / se| and ``p_two_sided`` of the scalar API's fit, neither of
+    which depends on the fit's alpha.
+    """
+    fit = fixed_effect_meta if test_id == "meta_fe" else random_effects_meta
+    for theta_hat, se in _straddling_sets():
+        fits = [fit(_studies(list(zip(row, se)))) for row in theta_hat.tolist()]
+        z = np.array([abs(f.pooled / f.se) for f in fits])
+        p = np.array([f.p_two_sided for f in fits])
+        for alpha in 2.0 * special.ndtr(-z):
+            if 0.0 < alpha < 1.0:
+                alpha = float(alpha)
+                out = _evaluate_tests(theta_hat, se, (test_id,), t=0.05, alpha=alpha)[test_id]
+                yield alpha, out, z, p
 
 
-def test_meta_re_decides_rows_whose_fast_z_straddles_the_critical_value():
-    """At an alpha between the two z of a row, meta_re decides as the pow-squared pooling."""
-    rng = np.random.default_rng(5)
-    se = rng.uniform(0.1, 1.5, 8)
-    theta_hat = rng.normal(0.5, 1.0, (40000, 8)) * se
-    pooled = _pool_rows(theta_hat.T.copy(), se)
-    z, _ = pooled.re_abs_z_fast()
-    exact = np.abs(pooled.re / pooled.re_se)
-    rows = np.flatnonzero(z != exact)[:30]
-    assert rows.size >= 10
-    flipped = 0
-    for i in rows:
-        alpha = float(2.0 * special.ndtr(-max(z[i], exact[i])))
-        want = bool(2.0 * special.ndtr(-exact[i]) <= alpha)
-        flipped += want != bool(2.0 * special.ndtr(-z[i]) <= alpha)
-        out = _evaluate_tests(theta_hat[i : i + 1], se, ("meta_re",), t=0.05, alpha=alpha)
-        assert bool(out["meta_re"][0]) == want
-    assert flipped >= 5
+@pytest.mark.parametrize("test_id", ["meta_fe", "meta_re"])
+def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_pooling(test_id):
+    """Row by row, the harness decides as ndtr on the scalar API's pooled estimate / se.
+
+    So the harness and ``fixed_effect_meta`` or ``random_effects_meta`` agree
+    on every bit of the pooled z: one pooling kernel, with x * x squares,
+    serves both.
+    """
+    straddled = 0
+    for alpha, out, z, _ in _straddling_decisions(test_id):
+        assert np.array_equal(out, 2.0 * special.ndtr(-z) <= alpha)
+        straddled += 1
+    assert straddled > 4000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: the scalar p_two_sided comes from math.erfc and the harness's "
+    "from scipy's ndtr, which differ in the last bits",
+)
+@pytest.mark.parametrize("test_id", ["meta_fe", "meta_re"])
+def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_p_value(test_id):
+    """Row by row, the harness decides as ``p_two_sided <= alpha`` of the scalar API."""
+    for alpha, out, _, p in _straddling_decisions(test_id):
+        assert np.array_equal(out, p <= alpha)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0 - 1e-9])
