@@ -1,6 +1,6 @@
 """Module entry point: python -m replimeta."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -13,11 +13,13 @@ overrides the seed from a config or preset default.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
 from . import __version__
 from .forest import format_number, render_forest
@@ -68,9 +70,9 @@ def _build_parser() -> _Parser:
                                help="meta-analysis plus replicability report")
     analyze_p.add_argument("--model", choices=("fixed", "random", "auto"), default="fixed")
     analyze_p.add_argument("--u", type=int, default=2,
-                           help="replicability level to report alongside the default u=2")
+                           help="replicability level to report alongside u=2, and the level of --delta-bounds")
     analyze_p.add_argument("--delta-bounds", action="store_true",
-                           help="also bound the effect magnitude established in at least two studies")
+                           help="also bound the effect magnitude established in at least u studies")
     analyze_p.add_argument("--conditional-threshold", type=float, default=None, metavar="P",
                            help="publication-bias guard: keep only p-values at or below P, rescaled")
     analyze_p.add_argument("--format", choices=("text", "json", "svg"), default="text")
@@ -116,6 +118,9 @@ def _details_block(pairs: list[tuple[str, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DELTA_SIDES = ("upper_positive", "lower_negative")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.delta_bounds and args.conditional_threshold is not None:
         raise ValueError(
@@ -136,8 +141,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     deltas = None
     if args.delta_bounds:
-        deltas = {side: delta_bound(studies, 2, args.alpha, side, args.truncation)
-                  for side in ("upper_positive", "lower_negative")}
+        deltas = {"u": args.u}
+        for side in _DELTA_SIDES:
+            deltas[side] = delta_bound(studies, args.u, args.alpha, side, args.truncation)
 
     provenance = {
         "package": "replimeta",
@@ -218,7 +224,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         (f"r(u={args.u})", extra_pc["r"]),
     ]
     if deltas is not None:
-        details += [(f"delta_{side}", "none" if d is None else d) for side, d in deltas.items()]
+        details += [(f"delta_{side}(u={args.u})", "none" if deltas[side] is None else deltas[side])
+                    for side in _DELTA_SIDES]
     sections.append("details (full precision)\n" + _details_block(details))
     _write_output("\n".join(sections), args.output)
     return EXIT_OK
@@ -353,5 +360,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> NoReturn:
+    """Process entry point: exit with the status that ``main()`` returns.
+
+    The collector is frozen once ``main()`` has returned, so that the
+    interpreter's shutdown collections skip the objects that numpy and
+    scipy.special created, about a seventh of a short command's time.
+    Output, flushing, ``atexit`` handlers and the exit status stay as they
+    are. In-process callers of ``main()`` never freeze.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

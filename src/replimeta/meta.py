@@ -232,8 +232,23 @@ class _Pooled:
 
     @cached_property
     def c(self) -> np.ndarray:
-        """The DerSimonian-Laird scale W - sum(w^2) / W, W the weight total."""
-        return self.total - _ordered_sum(w * w for w in self.w) / self.total
+        """The DerSimonian-Laird scale W - sum(w^2) / W, W the weight total.
+
+        W^2 - sum(w^2) is twice the sum of w_i w_j over the pairs i < j, so c
+        is summed as 2 sum_j w_j P_j / W, where P_j is the sum of the weights
+        before study j: every term is positive, so nothing cancels when one
+        weight dominates, as the subtraction would. Each P_j is divided by W
+        before it is multiplied, so that no term exceeds w_j and the sum
+        cannot overflow.
+        """
+        c, before = np.zeros_like(self.total), np.zeros_like(self.total)
+        term = np.empty_like(self.total)
+        for w in self.w:
+            np.divide(before, self.total, out=term)
+            term *= w
+            c += term
+            before += w
+        return 2.0 * c
 
     @cached_property
     def tau_squared(self) -> np.ndarray:
@@ -349,10 +364,12 @@ def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
     subset. A subset's pooled estimate is a weighted mean of its estimates, so
     each of them lies within the spread max - min of it, and the weight total
     times the squared spread, doubled to cover rounding, bounds Q of every
-    subset. The DerSimonian-Laird tau-squared also adds the squared weights;
-    their running sum is checked only once the other three hold on the whole
-    set, so that a set whose weights overflow is named at the row where their
-    sum does.
+    subset. A set is also rejected where the running sum of the squared
+    weights, the sum(w^2) of the DerSimonian-Laird scale W - sum(w^2) / W,
+    leaves the doubles; ``_Pooled.c`` sums that scale without squaring a
+    weight, so this is a limit on the input, not on a sum that is formed.
+    It is checked only once the other three hold on the whole set, so that
+    a set whose weights overflow is named at the row where their sum does.
     """
     total = weighted = squares = 0.0
     lo, hi = math.inf, -math.inf

@@ -500,7 +500,7 @@ def classify_consistency(u_max_left: int, u_max_right: int) -> Consistency:
 # Python floats overflow to inf, and inf - inf gives NaN, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def _fe_z_extremes(
-    theta_t: np.ndarray, se: np.ndarray, size: int
+    theta_t: np.ndarray, se: np.ndarray, size: int, work: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest pooled z over every ``size``-subset of studies, per column.
 
@@ -510,32 +510,59 @@ def _fe_z_extremes(
     sums run in ascending study order, so the result equals the Python-float
     formulas bit for bit. Subsets are pooled in blocks of at most
     ``meta._BLOCK_ELEMENTS`` elements (at least one subset).
+
+    The first ``_fe_work_size(n, rows, size)`` elements of the vector
+    ``work`` hold the weighted estimates and a block's sums and gathered
+    rows, so that a loop over chunks that passes the same vector allocates
+    no matrix. One is allocated when ``work`` is None or shorter.
     """
     n, rows = theta_t.shape
     w = 1.0 / (se * se)
+    step = _fe_block_subsets(rows, size)
+    needed = _fe_work_size(n, rows, size)
+    if work is None or work.size < needed:
+        work = np.empty(needed)
     # Adding 0.0 turns -0.0 into 0.0, as Python's sum, which starts from 0,
     # does. Each study is one row, so gathering a study is a contiguous copy.
-    weighted = np.empty((n, rows))
+    weighted = work[: n * rows].reshape(n, rows)
     np.multiply(theta_t, w[:, None], out=weighted)
     weighted += 0.0
     z_min = np.full(rows, math.inf)
     z_max = np.full(rows, -math.inf)
-    step = max(1, meta._BLOCK_ELEMENTS // (rows + size))
     subsets = combinations(range(n), size)
     while True:
         block = np.fromiter(chain.from_iterable(islice(subsets, step)), dtype=np.intp)
         if not block.size:
             return z_min, z_max
         block = block.reshape(-1, size)
-        num = weighted[block[:, 0]]
+        count = len(block)
+        num = work[n * rows : (n + count) * rows].reshape(count, rows)
+        gathered = work[(n + count) * rows : (n + 2 * count) * rows].reshape(count, rows)
+        # take buffers its output in mode "raise"; every index is in range,
+        # so "clip" gathers the same rows straight into ``out``.
+        np.take(weighted, block[:, 0], axis=0, out=num, mode="clip")
         den = w[block[:, 0]]
         for j in range(1, size):
-            num += weighted[block[:, j]]
+            np.take(weighted, block[:, j], axis=0, out=gathered, mode="clip")
+            num += gathered
             den += w[block[:, j]]
-        z = num / np.sqrt(den)[:, None]
+        num /= np.sqrt(den)[:, None]
         # fmin/fmax pass over NaN, as the comparisons of a Python loop do.
-        np.fmin(z_min, np.fmin.reduce(z, axis=0), out=z_min)
-        np.fmax(z_max, np.fmax.reduce(z, axis=0), out=z_max)
+        extreme = gathered[0]
+        np.fmin(z_min, np.fmin.reduce(num, axis=0, out=extreme), out=z_min)
+        np.fmax(z_max, np.fmax.reduce(num, axis=0, out=extreme), out=z_max)
+
+
+def _fe_block_subsets(rows: int, size: int) -> int:
+    """Subsets per block of ``_fe_z_extremes``: at least one, else at most
+    ``meta._BLOCK_ELEMENTS`` elements of estimates and indices."""
+    return max(1, meta._BLOCK_ELEMENTS // (rows + size))
+
+
+def _fe_work_size(n: int, rows: int, size: int) -> int:
+    """Elements of ``_fe_z_extremes``'s work vector: the weighted estimates,
+    and a block's sums and gathered rows."""
+    return (n + 2 * min(_fe_block_subsets(rows, size), math.comb(n, size))) * rows
 
 
 def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionResult:

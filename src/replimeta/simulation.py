@@ -32,6 +32,7 @@ from .replicability import (
     _bracket_rejections,
     _check_t,
     _directional_rejections,
+    _fe_work_size,
     _fe_z_extremes,
     _level_quantiles,
 )
@@ -266,7 +267,11 @@ def _drawn_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
 
 
 def _pooled_rejections(
-    theta_t: np.ndarray, se: np.ndarray, tests: Sequence[str], alpha: float
+    theta_t: np.ndarray,
+    se: np.ndarray,
+    tests: Sequence[str],
+    alpha: float,
+    work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """The requested ones of meta_fe, meta_re and H2n_fe, per column of an (n, rows) matrix.
 
@@ -276,6 +281,7 @@ def _pooled_rejections(
     value of the confidence intervals, is inf below alpha = 1.1e-16. Inside,
     each runs ndtr on its z, which is exact. meta_fe and meta_re read the z
     of ``_pool_rows``, as ``fixed_effect_meta`` and ``random_effects_meta`` do.
+    H2n_fe passes ``work`` on to ``_fe_z_extremes`` as its work space.
     """
     from scipy import special
 
@@ -297,7 +303,7 @@ def _pooled_rejections(
     if "H2n_fe" in tests:
         # The (n-1)-subsets of the common-effect test at u = 2, which rejects
         # where the larger of -z_max and z_min is beyond the critical value.
-        z_min, z_max = _fe_z_extremes(theta_t, se, n - 1)
+        z_min, z_max = _fe_z_extremes(theta_t, se, n - 1, work)
 
         def exact_fe(band: np.ndarray) -> np.ndarray:
             tails = np.minimum(special.ndtr(z_max[band]), special.ndtr(-z_min[band]))
@@ -370,10 +376,10 @@ def _evaluate_thresholds(
     holds the same arrays for them.
 
     The test ids must have passed ``_check_tests``. ``work``, a vector of at
-    least twice theta_hat's size, holds the chunk's two work matrices, so
-    that a loop over chunks allocates none: a fresh matrix of a chunk's size
-    costs more in page faults than the arithmetic done on it. One is
-    allocated when it is None.
+    least ``_work_size(theta_hat, tests)`` elements, holds the chunk's work
+    matrices, so that a loop over chunks allocates none: a fresh matrix of a
+    chunk's size costs more in page faults than the arithmetic done on it.
+    One is allocated when it is None.
     """
     if not tests:
         return [{} for _ in t_values]
@@ -383,12 +389,13 @@ def _evaluate_thresholds(
         levels.add(1)
     size = theta_hat.size
     if work is None:
-        work = np.empty(2 * size)
+        work = np.empty(_work_size(theta_hat, tests))
     # (n, rows), so that each study is one contiguous row. It becomes the
     # H-tests' z matrix in place once the pooled tests are done with it.
     theta_t = work[:size].reshape(n, -1)
     np.copyto(theta_t, theta_hat.T)
-    decided = _pooled_rejections(theta_t, se, tests, alpha)
+    # The rest of ``work`` is H2n_fe's until the logs need it.
+    decided = _pooled_rejections(theta_t, se, tests, alpha, work[size:])
     sides = [({}, {})] * len(t_values)
     if levels:
         theta_t /= se[:, None]
@@ -410,6 +417,16 @@ def _evaluate_thresholds(
                 out[test_id] = left[u] | right[u]
         results.append(out)
     return results
+
+
+def _work_size(theta_hat: np.ndarray, tests: Sequence[str]) -> int:
+    """Elements of ``_evaluate_thresholds``'s work vector: the (n, rows) matrix,
+    then the H-tests' log matrix or, if larger, H2n_fe's ``_fe_z_extremes`` work space."""
+    rows, n = theta_hat.shape
+    rest = theta_hat.size
+    if "H2n_fe" in tests:
+        rest = max(rest, _fe_work_size(n, rows, n - 1))
+    return theta_hat.size + rest
 
 
 def _simulate(
@@ -439,7 +456,7 @@ def _simulate(
     with contextlib.closing(_drawn_ahead(_draws(scenario))) as chunks:
         for theta_hat in chunks:
             if work is None and tests:  # the first chunk is the largest
-                work = np.empty(2 * theta_hat.size)
+                work = np.empty(_work_size(theta_hat, tests))
             decided = _evaluate_thresholds(theta_hat, se, tests, t_values, alpha, work)
             for count, rejections in zip(counts, decided):
                 for test_id, rejected in rejections.items():

@@ -11,6 +11,7 @@ import pytest
 
 from replimeta import report
 from replimeta.cli import main
+from replimeta.replicability import delta_bound
 from replimeta.statkernels import one_sided_p
 
 RAW_CSV = (
@@ -118,6 +119,23 @@ class TestAnalyzeCommand:
         deltas = payload["replicability"]["delta_bounds"]
         assert deltas["upper_positive"] is not None and deltas["upper_positive"] > 0
         assert deltas["lower_negative"] is None
+
+    def test_delta_bounds_follow_u(self, raw_file, capsys):
+        deltas = {}
+        for u in (2, 3):
+            argv = ["analyze", "--input", raw_file, "--u", str(u), "--delta-bounds"]
+            assert main(argv + ["--format", "json"]) == 0
+            deltas[u] = json.loads(capsys.readouterr().out)["replicability"]["delta_bounds"]
+            assert main(argv) == 0
+            assert f"delta_upper_positive(u={u})" in capsys.readouterr().out
+        studies = report.parse_studies(raw_file, "raw")
+        assert deltas[2] == {
+            "u": 2,
+            "upper_positive": delta_bound(studies, 2, 0.05, "upper_positive", 0.05),
+            "lower_negative": None,
+        }
+        assert deltas[3]["u"] == 3 and deltas[3]["lower_negative"] is None
+        assert 0.0 < deltas[3]["upper_positive"] < deltas[2]["upper_positive"]
 
     def test_conditional_threshold(self, raw_file, capsys):
         code = main(["analyze", "--input", raw_file, "--conditional-threshold", "0.05",
@@ -474,3 +492,62 @@ def test_repeated_config_key_exits_1_naming_both_lines(tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "replimeta" in capsys.readouterr().out
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_module(*argv):
+    """``python -m replimeta`` with ``argv``, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "replimeta", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_entry_point_writes_main_output_and_exit_status(tmp_path, raw_file, capsys):
+    argv = ["analyze", "--format", "json", "--input", raw_file]
+    done = _run_module(*argv)
+    assert main(argv) == 0
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == capsys.readouterr().out
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,estimate,se\nA,0.5,0.2\nB,0.6,0\n")
+    done = _run_module("analyze", "--input", str(bad))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("replimeta: error: ") and "row 3" in done.stderr
+
+    done = _run_module("analyze", "--input", str(tmp_path / "missing.csv"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("replimeta: i/o error: ") and "missing.csv" in done.stderr
+
+
+def test_console_script_and_module_call_the_same_entry_point(monkeypatch):
+    import importlib
+    import runpy
+
+    from replimeta import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as handle:
+        module_name, _, name = tomllib.load(handle)["project"]["scripts"]["replimeta"].partition(":")
+    assert getattr(importlib.import_module(module_name), name) is cli.run
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    monkeypatch.delitem(sys.modules, "replimeta.__main__", raising=False)
+    runpy.run_module("replimeta", run_name="__main__")
+    assert calls == ["run"]
+
+
+def test_entry_point_freezes_once_after_main_returns(monkeypatch):
+    from replimeta import cli
+
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 3
+    assert events == ["main", "freeze"]

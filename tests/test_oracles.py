@@ -225,8 +225,7 @@ def test_pooling_kernel_on_full_mantissas_against_mpmath(rows):
       an exact Q of 0;
     - I-squared within 1e-14 absolute;
     - tau-squared within 5e-12 of (Q + n - 1) / c, the size of the terms its
-      subtraction cancels: c = W - sum(w^2) / W itself cancels, and loses up
-      to log2(W / c) bits, 9 at this weight spread;
+      subtraction cancels;
     - the RE estimate within 5e-12 of its weighted mean |estimate|, and the
       RE se within 5e-12 relative, as their weights carry tau-squared's error.
     The largest errors measured over two runs of 3,000 drawn sets were, in
@@ -250,6 +249,44 @@ def test_pooling_kernel_on_full_mantissas_against_mpmath(rows):
     assert abs(mpmath.mpf(pooled.i_squared[0]) - oracle["i_squared"]) <= 1e-14
     tau_error = abs(mpmath.mpf(pooled.tau_squared[0]) - oracle["tau_squared"])
     assert tau_error <= 5e-12 * (oracle["q"] + df) / oracle["c"]
+
+
+# Standard errors over [2^-8, 2^9), so that the weights span up to 2^34 and
+# one of them can hold all but a sliver of the total: W - sum(w^2) / W would
+# cancel up to 34 bits of the DerSimonian-Laird scale c.
+WIDE_WEIGHT_SETS = st.lists(
+    st.tuples(
+        st.one_of(full_mantissas(-8, 8), full_mantissas(-8, 8).map(lambda x: -x)),
+        full_mantissas(-8, 8),
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=WIDE_WEIGHT_SETS)
+def test_dersimonian_laird_fit_on_wide_weights_against_mpmath(rows):
+    """c, tau-squared and the random-effects fit when one weight dominates.
+
+    Tolerances: c within 1e-14 relative; tau-squared within 1e-13 of
+    (Q + n - 1) / c, the size of the terms its subtraction cancels; the RE
+    estimate within 1e-13 of its weighted mean |estimate|, and the RE se
+    within 1e-13 relative. The largest errors measured over two runs of
+    3,000 drawn sets were, in the same units, 5.3e-16 (c), 7.1e-16
+    (tau-squared), 1.8e-15 and 7.0e-15 (RE). Computed as W - sum(w^2) / W,
+    c was off by up to 7.7e-7 relative, tau-squared by 2.0e-8 and the RE
+    estimate by 1.4e-8.
+    """
+    oracle = pooling_oracle(rows)
+    theta_t, se = np.array(rows).T[:, :, None]
+    pooled = _pool_rows(theta_t, se)
+    assert relative_error(pooled.c[0], oracle["c"]) <= 1e-14
+    tau_error = abs(mpmath.mpf(pooled.tau_squared[0]) - oracle["tau_squared"])
+    assert tau_error <= 1e-13 * (oracle["q"] + len(rows) - 1) / oracle["c"]
+    exact, exact_se, scale = oracle["random"]
+    assert abs(mpmath.mpf(pooled.re[0]) - exact) <= 1e-13 * scale
+    assert relative_error(pooled.re_se[0], exact_se) <= 1e-13
 
 
 def fe_z_extremes_oracle(rows, size):

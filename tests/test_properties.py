@@ -108,7 +108,10 @@ def pooling_reference(pairs):
     fe = add(wi * x for wi, (x, _) in zip(w, pairs)) / total
     q = add(wi * ((x - fe) * (x - fe)) for wi, (x, _) in zip(w, pairs)) if n >= 2 else 0.0
     i_squared = max(0.0, (q - (n - 1)) / q) if q > 0 else 0.0
-    c = total - add(wi * wi for wi in w) / total
+    # c = W - sum(w^2) / W as twice the sum of each weight times the
+    # weights before it, over W: positive terms, so nothing cancels.
+    before = [add(w[:i]) for i in range(n)]
+    c = 2.0 * add((p / total) * wi for wi, p in zip(w, before))
     tau_squared = max(0.0, (q - (n - 1)) / c) if c > 0 else 0.0
     re_w = [1.0 / (se * se + tau_squared) for _, se in pairs]
     re_total = add(re_w)

@@ -825,3 +825,22 @@ class TestGuards:
         small = self._peak_rss_mb(str(config), 100_000)
         large = self._peak_rss_mb(str(config), 800_000)
         assert large - small < 30.0, (small, large)
+
+    def test_common_effect_test_allocates_no_chunk_matrix_with_its_work_space(self):
+        # A fresh matrix of a chunk's size faults its pages in on every chunk;
+        # H2n_fe's weighted estimates, sums and gathered rows live in ``work``.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        se = rng.uniform(0.1, 1.5, 8)
+        theta_hat = rng.normal(0.3, 1.0, (8192, 8)) * se
+        work = np.empty(simulation._work_size(theta_hat, ("H2n_fe",)))
+        want = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05)["H2n_fe"]
+        tracemalloc.start()
+        try:
+            got = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05, work)["H2n_fe"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < theta_hat.nbytes, peak
