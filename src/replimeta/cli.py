@@ -7,7 +7,8 @@ any validation problem (including unknown flags), 2 on I/O errors.
 
 The environment variable ``REPLIMETA_CONFIG_DIR`` names a directory searched
 for scenario config files given by bare name; an explicit ``--seed`` always
-overrides the seed from a config or preset default.
+overrides the seed from a config or preset default. A ``replimeta`` process
+runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
 
 from __future__ import annotations
@@ -18,32 +19,25 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import NoReturn
 
 from . import __version__
-from .forest import format_number, render_forest
-from .meta import leave_one_out
-from .replicability import delta_bound
-from .report import (
-    AnalysisRequest,
-    StudyFileError,
-    analyze,
-    parse_studies,
-    partial_conjunction_summary,
-    summary_sentence,
-)
-from .simulation import (
-    parse_scenario_config,
-    preset,
-    preset_names,
-    run_points,
-    write_power_csv,
-)
+
+# Each command imports the modules it computes with, so that --version,
+# --help and a usage error load no numpy.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+
+class _PresetNames:
+    """The preset names for ``simulate --help``, read from ``simulation`` when it is shown."""
+
+    def __str__(self) -> str:
+        from .simulation import preset_names
+
+        return ", ".join(preset_names())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +73,9 @@ def _build_parser() -> _Parser:
     analyze_p.set_defaults(func=_cmd_analyze)
 
     simulate_p = sub.add_parser("simulate", help="Monte Carlo power study, CSV output")
-    simulate_p.add_argument("--scenario", default=None,
-                            help=f"preset name ({', '.join(preset_names())})")
+    scenario = simulate_p.add_argument("--scenario", default=None, help="preset name (%(presets)s)")
+    # argparse fills %(presets)s from the action's attributes when it renders the help.
+    scenario.presets = _PresetNames()
     simulate_p.add_argument("--config", default=None, help="scenario config file (key = value lines)")
     simulate_p.add_argument("--replications", type=int, default=None)
     simulate_p.add_argument("--seed", type=int, default=None)
@@ -122,6 +117,16 @@ _DELTA_SIDES = ("upper_positive", "lower_negative")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .forest import render_forest
+    from .replicability import delta_bound
+    from .report import (
+        AnalysisRequest,
+        analyze,
+        parse_studies,
+        partial_conjunction_summary,
+        summary_sentence,
+    )
+
     if args.delta_bounds and args.conditional_threshold is not None:
         raise ValueError(
             "--delta-bounds cannot be combined with --conditional-threshold: the conditional "
@@ -243,6 +248,10 @@ def _resolve_config_path(name: str) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .simulation import parse_scenario_config, preset, run_points, write_power_csv
+
     if (args.scenario is None) == (args.config is None):
         raise ValueError("give exactly one of --scenario or --config")
     if args.config is not None:
@@ -265,6 +274,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .forest import format_number
+    from .report import AnalysisRequest, parse_studies
+
     studies = parse_studies(args.input, args.measure)
     # AnalysisRequest rejects fewer than two studies.
     request = AnalysisRequest(studies=tuple(studies), alpha=args.alpha, t=args.truncation)
@@ -304,6 +316,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_loo(args: argparse.Namespace) -> int:
+    from .forest import format_number
+    from .meta import leave_one_out
+    from .report import parse_studies
+
     studies = parse_studies(args.input, args.measure)
     results = leave_one_out(studies, args.model, args.alpha)
 
@@ -349,9 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except StudyFileError as exc:
-        print(f"replimeta: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"replimeta: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -363,12 +376,18 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Process entry point: exit with the status that ``main()`` returns.
 
+    OpenBLAS starts its worker threads when numpy is imported, and nothing
+    in this package calls BLAS, so the process asks for one thread before
+    ``main()`` imports numpy. A value already in the environment wins.
+
     The collector is frozen once ``main()`` has returned, so that the
     interpreter's shutdown collections skip the objects that numpy and
     scipy.special created, about a seventh of a short command's time.
     Output, flushing, ``atexit`` handlers and the exit status stay as they
-    are. In-process callers of ``main()`` never freeze.
+    are. In-process callers of ``main()`` neither freeze nor change the
+    environment.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -347,7 +347,7 @@ def _forest_weights(studies: Sequence[StudySummary], tau_squared: float) -> list
 
 
 _OVERFLOW_MESSAGE = (
-    "the inverse-variance sums of 1/se^2, |estimate|/se^2, 1/se^4 or Cochran's Q "
+    "the inverse-variance sums of 1/se^2, |estimate|/se^2 or Cochran's Q "
     "up to this study can overflow a double"
 )
 
@@ -364,29 +364,20 @@ def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
     subset. A subset's pooled estimate is a weighted mean of its estimates, so
     each of them lies within the spread max - min of it, and the weight total
     times the squared spread, doubled to cover rounding, bounds Q of every
-    subset. A set is also rejected where the running sum of the squared
-    weights, the sum(w^2) of the DerSimonian-Laird scale W - sum(w^2) / W,
-    leaves the doubles; ``_Pooled.c`` sums that scale without squaring a
-    weight, so this is a limit on the input, not on a sum that is formed.
-    It is checked only once the other three hold on the whole set, so that
-    a set whose weights overflow is named at the row where their sum does.
+    subset.
     """
-    total = weighted = squares = 0.0
+    total = weighted = 0.0
     lo, hi = math.inf, -math.inf
-    first_square = None
     for index, study in enumerate(studies):
         w = 1.0 / (study.se * study.se)
         total += w
         weighted += abs(w * study.theta_hat)
-        squares += w * w
         lo, hi = min(lo, study.theta_hat), max(hi, study.theta_hat)
         spread = hi - lo
         q_bound = total * (spread * spread) * 2.0
         if not (math.isfinite(total) and math.isfinite(weighted) and math.isfinite(q_bound)):
             return index
-        if first_square is None and not math.isfinite(squares):
-            first_square = index
-    return first_square
+    return None
 
 
 def _study_rows(studies: Sequence[StudySummary]) -> np.ndarray:

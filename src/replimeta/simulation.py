@@ -132,7 +132,7 @@ def _check_draw_range(key: str, mean, sd: np.ndarray, se: np.ndarray) -> None:
     if not finite or _overflow_index([StudySummary(key, end, e) for end, e in ends]) is not None:
         raise ValueError(
             f"{key}: estimates drawn within {_DRAW_BOUND:g} sd of their means can overflow "
-            "the inverse-variance sums of 1/se^2, |estimate|/se^2, 1/se^4 or Cochran's Q"
+            "the inverse-variance sums of 1/se^2, |estimate|/se^2 or Cochran's Q"
         )
 
 
@@ -337,21 +337,6 @@ def _check_tests(tests: Sequence[str], n: int) -> None:
 def _runnable(tests: Sequence[str], n: int) -> tuple[str, ...]:
     """The ids of ``tests`` that n studies allow, in order."""
     return tuple(test_id for test_id in tests if _test_error(test_id, n) is None)
-
-
-def _evaluate_tests(
-    theta_hat: np.ndarray,
-    se: np.ndarray,
-    tests: Sequence[str],
-    t: float,
-    alpha: float,
-    work: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Boolean rejection indicators per requested test, one entry per replication.
-
-    ``_evaluate_thresholds`` at the one threshold t.
-    """
-    return _evaluate_thresholds(theta_hat, se, tests, (t,), alpha, work)[0]
 
 
 def _evaluate_thresholds(

@@ -14,6 +14,13 @@ from replimeta.cli import main
 from replimeta.replicability import delta_bound
 from replimeta.statkernels import one_sided_p
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _src_env():
+    """The current environment with ``src`` first on PYTHONPATH, for a fresh process."""
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
 RAW_CSV = (
     "label,estimate,se\n"
     "Alpha,0.52,0.18\n"
@@ -181,15 +188,12 @@ class TestAnalyzeCommand:
 # of the first row (row 2) is 1e310, and two weights of 1e308 add to inf at row 3.
 # Cochran's Q of the third set is inf, although its Σw·θ is 1. In the fourth,
 # the full set's Σw·θ is 1e308 but the set without b, which ``loo`` pools, sums
-# to inf; Σ|w·θ| reaches inf at b. In the fifth, every other sum holds but the
-# squared weights that tau-squared adds overflow at a (row 2); in the second
-# they overflow at row 2 too, but the weights themselves only at row 3.
+# to inf; Σ|w·θ| reaches inf at b.
 @pytest.mark.parametrize("rows, bad_row", [
     ("a,1e300,1e-5\nb,-1e300,1e-5\nc,1,1\n", 2),
     ("a,1,1e-154\nb,2,1e-154\nc,3,1e-154\n", 3),
     ("a,1e200,1\nb,-1e200,1\nc,1,1\n", 3),
     ("a,1e308,1\nb,-1e308,1\nc,1e308,1\n", 3),
-    ("a,1,1e-100\nb,2,1e-100\nc,3,1\n", 2),
 ])
 @pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
 def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_row, command):
@@ -199,6 +203,25 @@ def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_ro
     err = capsys.readouterr().err
     assert f"row {bad_row}: " in err and "overflow" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number in JSON output: {name}")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--model", "random"], ["bounds"], ["loo", "--model", "random"]])
+def test_a_set_whose_squared_weights_overflow_gives_finite_output(tmp_path, capsys, argv):
+    # Σw² leaves the doubles at a, but no pooling sum forms it: the
+    # DerSimonian-Laird scale c is summed without squaring a weight.
+    path = tmp_path / "squares.csv"
+    path.write_text("label,estimate,se\na,1,1e-100\nb,2,1e-100\nc,3,1\n")
+    assert main([*argv, "--input", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    if argv[0] == "analyze":
+        assert payload["meta"]["tau_squared"] == 0.5
+        assert payload["meta"]["pooled"] == pytest.approx(12 / 7, rel=1e-15)
 
 
 def test_importing_the_cli_loads_no_xml_or_urllib():
@@ -216,6 +239,86 @@ def test_importing_the_cli_loads_no_xml_or_urllib():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _imported_modules(*argv):
+    """The exit status of a fresh ``python -X importtime ARGV`` and the modules it imported."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    lines = done.stderr.splitlines()
+    return done.returncode, {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv, code, absent, present", [
+    (["-c", "import replimeta"], 0, ("numpy", "scipy"), ()),
+    (["-c", "import replimeta.cli"], 0, ("numpy", "scipy"), ()),
+    (["-m", "replimeta", "--version"], 0, ("numpy", "scipy"), ()),
+    (["-m", "replimeta", "--help"], 0, ("numpy", "scipy"), ()),
+    (["-m", "replimeta", "analyze", "--format", "csv"], 1, ("numpy", "scipy"), ()),
+    (["-m", "replimeta", "analyze", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
+    (["-m", "replimeta", "bounds", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
+    (["-m", "replimeta", "loo", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
+], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo"])
+def test_numpy_loads_only_with_a_command_that_computes(raw_file, argv, code, absent, present):
+    # numpy and compiling the package's modules are most of what a process
+    # pays before main() runs; the analyst's commands never need the Monte
+    # Carlo harness.
+    exit_code, modules = _imported_modules(*(arg.format(input=raw_file) for arg in argv))
+    assert exit_code == code
+    assert not modules & set(absent), sorted(modules & set(absent))
+    assert set(present) <= modules
+
+
+def test_package_names_resolve_on_first_access_to_their_modules_objects():
+    import replimeta
+
+    for name in replimeta.__all__:
+        value = getattr(replimeta, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("replimeta.") and getattr(module, name) is value, name
+    assert "__all__" in dir(replimeta) and set(replimeta.__all__) <= set(dir(replimeta))
+    namespace = {}
+    exec("from replimeta import *", namespace)
+    assert all(namespace[name] is getattr(replimeta, name) for name in replimeta.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        replimeta.no_such_name
+    # A submodule is an attribute of the package after a bare import, as before.
+    exit_code, _ = _imported_modules(
+        "-c", "import sys, replimeta; assert replimeta.simulation is sys.modules['replimeta.simulation']"
+    )
+    assert exit_code == 0
+
+
+@pytest.fixture
+def blas_unset(monkeypatch):
+    """OPENBLAS_NUM_THREADS unset during the test, and as it was before it afterwards.
+
+    Setting it first makes monkeypatch undo whatever ``run()`` sets, too.
+    """
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_entry_point_asks_for_one_blas_thread_before_numpy_loads(monkeypatch, blas_unset, preset, seen):
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    code = (
+        "import os, sys\n"
+        "from replimeta import cli\n"
+        "cli.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules) or 0\n"
+        "cli.run()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{seen} False\n", "")
+
+
+def test_main_leaves_the_environment_alone(blas_unset, raw_file, capsys):
+    before = dict(os.environ)
+    assert main(["analyze", "--input", raw_file]) == 0
+    assert main(["--version"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
@@ -494,15 +597,11 @@ def test_version_flag(capsys):
     assert "replimeta" in capsys.readouterr().out
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
 def _run_module(*argv):
     """``python -m replimeta`` with ``argv``, in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-m", "replimeta", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -541,7 +640,7 @@ def test_console_script_and_module_call_the_same_entry_point(monkeypatch):
     assert calls == ["run"]
 
 
-def test_entry_point_freezes_once_after_main_returns(monkeypatch):
+def test_entry_point_freezes_once_after_main_returns(monkeypatch, blas_unset):
     from replimeta import cli
 
     events = []

@@ -159,7 +159,8 @@ def test_q_test_p_value_against_the_upper_gamma(df):
 
 # (estimate, se) study sets: Q below its df (tau-squared and I-squared are 0),
 # a heterogeneous set of nine, mixed signs with a near-zero pooled estimate,
-# two studies, and weights spread over eight orders of magnitude.
+# two studies, weights spread over eight orders of magnitude, and weights of
+# 1e200 whose squares, the sum(w^2) of W - sum(w^2) / W, overflow a double.
 POOLING_SETS = {
     "homogeneous": ((0.52, 0.18), (0.61, 0.22), (0.44, 0.15), (0.70, 0.30), (0.55, 0.21)),
     "heterogeneous": ((-0.889, 0.571), (-1.585, 0.441), (-1.348, 0.142), (-1.442, 0.147),
@@ -168,6 +169,7 @@ POOLING_SETS = {
     "mixed-signs": ((1.2, 0.3), (-0.8, 0.25), (0.1, 0.4), (2.5, 0.5), (-1.9, 0.35), (0.05, 0.1)),
     "two-studies": ((0.3, 0.1), (-0.2, 0.2)),
     "wide-weights": ((0.1, 1e-3), (0.5, 10.0), (-0.3, 0.5), (0.2, 0.01)),
+    "overflowing-squares": ((1.0, 1e-100), (2.0, 1e-100), (3.0, 1.0)),
 }
 
 

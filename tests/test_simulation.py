@@ -30,7 +30,7 @@ from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
     RandomEffectsScenario,
-    _evaluate_tests,
+    _evaluate_thresholds,
     calibrate_tau,
     inconsistency_probability,
     parse_scenario_config,
@@ -87,7 +87,7 @@ class TestVectorizedAgainstScalar:
         # H2n_fe is the common-effect test at u = 2: the (n-1)-subsets of each row.
         size = self.theta_hat.shape[1] - 1
         z_min, z_max = _fe_z_extremes(self.theta_hat.T, self.se, size)
-        rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), t=0.05, alpha=0.05)
+        rejected = _evaluate_thresholds(self.theta_hat, self.se, ("H2n_fe",), (0.05,), 0.05)[0]
         se = self.se.tolist()
         for i, row in enumerate(self.theta_hat.tolist()):
             ref_min, ref_max = common_effect_reference(list(zip(row, se)), size)
@@ -835,10 +835,10 @@ class TestGuards:
         se = rng.uniform(0.1, 1.5, 8)
         theta_hat = rng.normal(0.3, 1.0, (8192, 8)) * se
         work = np.empty(simulation._work_size(theta_hat, ("H2n_fe",)))
-        want = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05)["H2n_fe"]
+        want = _evaluate_thresholds(theta_hat, se, ("H2n_fe",), (0.05,), 0.05)[0]["H2n_fe"]
         tracemalloc.start()
         try:
-            got = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05, work)["H2n_fe"]
+            got = _evaluate_thresholds(theta_hat, se, ("H2n_fe",), (0.05,), 0.05, work)[0]["H2n_fe"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
