@@ -51,7 +51,6 @@ _EXPORTS = {
     "simulate_fixed": "simulation",
     "simulate_random": "simulation",
     "truncation_comparison": "simulation",
-    "PValuePair": "statkernels",
     "binomial_pmf": "statkernels",
     "normal_cdf": "statkernels",
     "one_sided_p": "statkernels",
@@ -74,41 +73,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)
 
 
-__all__ = [
-    "AnalysisRequest",
-    "AnnotatedForest",
-    "FixedEffectsScenario",
-    "ForestRow",
-    "MetaAnalysisResult",
-    "PValuePair",
-    "PartialConjunctionResult",
-    "PowerCurvePoint",
-    "RandomEffectsScenario",
-    "ReplicabilityReport",
-    "StudySummary",
-    "analyze",
-    "binary_to_log_effect",
-    "binomial_pmf",
-    "calibrate_tau",
-    "classify_consistency",
-    "conditional_p_transform",
-    "confidence_bounds",
-    "delta_bound",
-    "fe_r_value",
-    "fixed_effect_meta",
-    "heterogeneity",
-    "inconsistency_probability",
-    "leave_one_out",
-    "normal_cdf",
-    "one_sided_p",
-    "parse_studies",
-    "partial_conjunction_p",
-    "r_value",
-    "random_effects_meta",
-    "render_forest",
-    "simulate_fixed",
-    "simulate_random",
-    "summary_sentence",
-    "truncated_product_p",
-    "truncation_comparison",
-]
+__all__ = sorted(_EXPORTS)

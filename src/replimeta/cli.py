@@ -3,7 +3,10 @@
 Subcommands: ``analyze`` (meta-analysis with the replicability report),
 ``simulate`` (power studies to CSV), ``bounds`` (the directional p-value table
 over u), and ``loo`` (leave-one-out refits). Exit status is 0 on success, 1 on
-any validation problem (including unknown flags), 2 on I/O errors.
+any validation problem (including unknown flags), 2 on I/O errors. Each
+command returns its text, and ``main()`` writes it to stdout or to the file
+named by ``--output`` (``simulate --out``). JSON output holds no NaN or
+infinity: a non-finite number ends the command with status 1.
 
 The environment variable ``REPLIMETA_CONFIG_DIR`` names a directory searched
 for scenario config files given by bare name; an explicit ``--seed`` always
@@ -80,7 +83,8 @@ def _build_parser() -> _Parser:
     simulate_p.add_argument("--replications", type=int, default=None)
     simulate_p.add_argument("--seed", type=int, default=None)
     simulate_p.add_argument("--t", type=float, default=None, help="truncation threshold override")
-    simulate_p.add_argument("--out", default=None, help="CSV file (default: stdout)")
+    simulate_p.add_argument("--out", dest="output", metavar="OUT", default=None,
+                            help="CSV file (default: stdout)")
     simulate_p.set_defaults(func=_cmd_simulate)
 
     bounds_p = sub.add_parser("bounds", parents=[studies, truncation],
@@ -96,12 +100,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def _json(payload: dict) -> str:
+    # allow_nan=False: a non-finite number is a ValueError, not invalid JSON.
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _details_block(pairs: list[tuple[str, object]]) -> str:
@@ -116,7 +117,7 @@ def _details_block(pairs: list[tuple[str, object]]) -> str:
 _DELTA_SIDES = ("upper_positive", "lower_negative")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> str:
     from .forest import render_forest
     from .replicability import delta_bound
     from .report import (
@@ -163,8 +164,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if args.format == "svg":
-        _write_output(render_forest(forest, "svg"), args.output)
-        return EXIT_OK
+        return render_forest(forest, "svg")
 
     # The JSON meta and replicability blocks and the text details, in order.
     meta_fields: list[tuple[str, object]] = [
@@ -216,8 +216,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             },
             "provenance": provenance,
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
+        return _json(payload)
 
     sections = [
         render_forest(forest, "text"),
@@ -232,8 +231,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         details += [(f"delta_{side}(u={args.u})", "none" if deltas[side] is None else deltas[side])
                     for side in _DELTA_SIDES]
     sections.append("details (full precision)\n" + _details_block(details))
-    _write_output("\n".join(sections), args.output)
-    return EXIT_OK
+    return "\n".join(sections)
 
 
 def _resolve_config_path(name: str) -> str:
@@ -247,7 +245,7 @@ def _resolve_config_path(name: str) -> str:
     raise FileNotFoundError(f"config file not found: {name}")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     from dataclasses import replace
 
     from .simulation import parse_scenario_config, preset, run_points, write_power_csv
@@ -269,11 +267,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     points = run_points(scenarios, tests, t if args.t is None else args.t, alpha=0.05)
     buffer = io.StringIO()
     write_power_csv(points, buffer)
-    _write_output(buffer.getvalue(), args.out)
-    return EXIT_OK
+    return buffer.getvalue()
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> str:
     from .forest import format_number
     from .report import AnalysisRequest, parse_studies
 
@@ -297,8 +294,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "u_max_right": u_max_right,
             "table": table,
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
+        return _json(payload)
 
     lines = [f"{'u':>3}  {'r_left':>12}  {'r_right':>12}  {'reject_left':>11}  {'reject_right':>12}"]
     for row in table:
@@ -311,11 +307,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         f"u_max(left)={u_max_left}, u_max(right)={u_max_right} "
         f"at per-side level {format_number(level)}"
     )
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_loo(args: argparse.Namespace) -> int:
+def _cmd_loo(args: argparse.Namespace) -> str:
     from .forest import format_number
     from .meta import leave_one_out
     from .report import parse_studies
@@ -340,8 +335,7 @@ def _cmd_loo(args: argparse.Namespace) -> int:
                 for study, result in zip(studies, results)
             ],
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
+        return _json(payload)
 
     label_width = max(len("omitted"), max(len(s.label) for s in studies))
     lines = [
@@ -353,8 +347,7 @@ def _cmd_loo(args: argparse.Namespace) -> int:
             f"{study.label:<{label_width}}  {format_number(result.pooled):>10}  {ci_text:>22}  "
             f"{format_number(result.p_two_sided):>10}  {str(result.p_two_sided <= args.alpha).lower()}"
         )
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,13 +357,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
         print(f"replimeta: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"replimeta: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def run() -> NoReturn:

@@ -522,7 +522,6 @@ def truncation_comparison(
 
 def calibrate_tau(
     target_i_squared: float,
-    mu: float = 0.0,
     group_sizes: Sequence[tuple[int, int]] = BENCHMARK_GROUP_SIZES,
     replications: int = 2000,
     seed: int = 0,
@@ -532,7 +531,9 @@ def calibrate_tau(
 
     The median I-squared across simulated replications is monotone in tau, so
     a bisection over tau converges; the heterogeneity of the generating
-    process itself is not published by the estimator, hence the search.
+    process itself is not published by the estimator, hence the search. The
+    effects are drawn around zero: I-squared does not change when every
+    estimate shifts by the same amount, so the mean effect plays no part.
     """
     if not 0.0 < target_i_squared < 1.0:
         raise ValueError("target_i_squared must be in (0, 1)")
@@ -545,7 +546,7 @@ def calibrate_tau(
     noise = _rng(seed).standard_normal((replications, n)).T.copy()
 
     def median_i2(tau: float) -> float:
-        theta_t = mu + noise * np.sqrt(tau**2 + se**2)[:, None]
+        theta_t = noise * np.sqrt(tau**2 + se**2)[:, None]
         return float(np.median(_pool_rows(theta_t, se).i_squared))
 
     lo, hi = 0.0, 10.0 * float(se.max())

@@ -224,6 +224,33 @@ def test_a_set_whose_squared_weights_overflow_gives_finite_output(tmp_path, caps
         assert payload["meta"]["pooled"] == pytest.approx(12 / 7, rel=1e-15)
 
 
+@pytest.mark.parametrize("command", ["analyze", "loo"])
+def test_json_output_with_a_non_finite_number_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    # At alpha = 1e-17 the critical value is infinite, so every interval is
+    # [-inf, inf]; JSON has no such numbers (RFC 8259).
+    path = tmp_path / "three.csv"
+    path.write_text("label,estimate,se\na,0.5,0.2\nb,0.3,0.25\nc,0.6,0.3\n")
+    assert main([command, "--input", str(path), "--alpha", "1e-17", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replimeta: error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{input}", "--output"],
+    ["bounds", "--input", "{input}", "--output"],
+    ["loo", "--input", "{input}", "--output"],
+    ["simulate", "--scenario", "two-same-sign", "--replications", "100", "--out"],
+], ids=["analyze", "bounds", "loo", "simulate"])
+def test_an_output_path_that_cannot_be_opened_exits_2(raw_file, tmp_path, capsys, argv):
+    out = tmp_path / "no_such_dir" / "out.txt"
+    assert main([arg.format(input=raw_file) for arg in argv] + [str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replimeta: i/o error: ")
+    assert not out.parent.exists()
+
+
 def test_importing_the_cli_loads_no_xml_or_urllib():
     # xml.sax.saxutils pulls in urllib.request, http.client and email: about
     # 40 ms of every process, for an escape that html.escape also does.

@@ -18,6 +18,7 @@ from replimeta import meta
 from replimeta.meta import StudySummary, _pool_rows, fixed_effect_meta, random_effects_meta
 from replimeta.replicability import _fe_z_extremes, partial_conjunction_p
 from replimeta.report import AnalysisRequest, partial_conjunction_summary
+from replimeta.simulation import preset, preset_names, simulate_fixed
 from replimeta.statkernels import normal_cdf, one_sided_p
 from test_properties import full_mantissas
 
@@ -379,3 +380,42 @@ def test_normal_tails_within_a_few_ulps():
     It holds today only for |z| below about 1.9 (at most 3.7 eps there).
     """
     assert np.all(normal_tail_errors() <= 4.0 * EPS)
+
+
+def meta_fe_power_oracle(theta, group_sizes, alpha):
+    """Rejection rate of the two-sided common-effect z test on fixed effects.
+
+    An estimate is its effect plus Normal(0, se^2) noise, se^2 = 1/nc + 1/nt,
+    so the pooled z = sum(w x) / sqrt(W), w = 1/se^2, is Normal(delta, 1) with
+    delta = sum(w theta) / sqrt(W): it rejects with probability
+    Phi(-z - delta) + Phi(-z + delta), z the two-sided critical value.
+    """
+    with mpmath.workdps(DIGITS):
+        weights = [1 / (mpmath.mpf(1) / nc + mpmath.mpf(1) / nt) for nc, nt in group_sizes]
+        delta = mpmath.fsum(w * e for w, e in zip(weights, theta)) / mpmath.sqrt(mpmath.fsum(weights))
+        z = z_crit_oracle(alpha)
+        return mpmath.ncdf(-z - delta) + mpmath.ncdf(-z + delta)
+
+
+META_FE_POINTS = [
+    (name, scenario)
+    for name, (scenarios, tests) in ((name, preset(name)) for name in preset_names())
+    if "meta_fe" in tests
+    for scenario in scenarios
+]
+
+
+@pytest.mark.parametrize(
+    "scenario", [s for _, s in META_FE_POINTS], ids=[f"{name}-{s.param:g}" for name, s in META_FE_POINTS]
+)
+def test_meta_fe_power_against_its_closed_form(scenario):
+    """Every preset point that runs meta_fe, at the presets' default seed and
+    replications, within 4 Monte Carlo SE of the closed form (Bonferroni over
+    the 26 points). The SE is that of the closed-form rate, as the estimated
+    one is 0 where every replication rejects.
+    """
+    alpha = 0.05
+    rate = simulate_fixed(scenario, ("meta_fe",), alpha=alpha).rejection_rate["meta_fe"]
+    exact = float(meta_fe_power_oracle(scenario.theta, scenario.group_sizes, alpha))
+    se = (exact * (1.0 - exact) / scenario.replications) ** 0.5
+    assert abs(rate - exact) <= 4.0 * se
