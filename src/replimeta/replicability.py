@@ -595,13 +595,16 @@ def fe_r_value(studies: Sequence[StudySummary], u: int) -> PartialConjunctionRes
     return PartialConjunctionResult(u, r_left, r_right, _two_sided(r_left, r_right))
 
 
+# delta_bound's bisection stops once its bracket is at most this wide.
+_DELTA_TOL = 1e-6
+
+
 def delta_bound(
     studies: Sequence[StudySummary],
     u: int,
     alpha: float = 0.05,
     side: str = "upper_positive",
     t: float | None = None,
-    tol: float = 1e-6,
 ) -> float | None:
     """Largest shift for which "at least u studies exceed the shift" still holds.
 
@@ -638,7 +641,7 @@ def delta_bound(
     lo = 0.0
     # The shifted p-value is monotone nondecreasing in delta, so plain
     # bisection localizes the rejection boundary.
-    while hi - lo > tol:
+    while hi - lo > _DELTA_TOL:
         mid = 0.5 * (lo + hi)
         if shifted_p(mid) <= level:
             lo = mid

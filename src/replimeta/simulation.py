@@ -339,26 +339,21 @@ def _runnable(tests: Sequence[str], n: int) -> tuple[str, ...]:
     return tuple(test_id for test_id in tests if _test_error(test_id, n) is None)
 
 
-def _evaluate_thresholds(
-    theta_hat: np.ndarray,
-    se: np.ndarray,
-    tests: Sequence[str],
-    t_values: Sequence[float],
-    alpha: float,
+def _evaluate_tests(
+    theta_hat: np.ndarray, se: np.ndarray, tests: Sequence[str], t: float, alpha: float,
     work: np.ndarray | None = None,
-) -> list[dict[str, np.ndarray]]:
-    """Per threshold t of ``t_values``, boolean rejection indicators per requested test.
+) -> dict[str, np.ndarray]:
+    """Boolean rejection indicators per requested test, one per row of ``theta_hat``.
 
     Every test compares a statistic with a critical value and computes a
     normal tail or a truncated-product p-value only near it. The H-tests and
-    inconsistency_detected ask each side's partial-conjunction test only
-    whether r(u) <= alpha/2, through ``_directional_rejections``, once per t.
-    That is the whole decision: doubling is exact, so min(1, 2 min(a, b)) <=
-    alpha exactly when a <= alpha/2 or b <= alpha/2. The pooled tests and
-    H2n_fe do not depend on t: they are decided once, through
+    inconsistency_detected ask each side's partial-conjunction test at
+    threshold t only whether r(u) <= alpha/2, through
+    ``_directional_rejections``. That is the whole decision: doubling is
+    exact, so min(1, 2 min(a, b)) <= alpha exactly when a <= alpha/2 or b <=
+    alpha/2. The pooled tests and H2n_fe are decided through
     ``_pooled_rejections``, which compares a |z| with the critical value and
-    runs the exact pooling and ndtr only on rows near it; every t's dict
-    holds the same arrays for them.
+    runs the exact pooling and ndtr only on rows near it.
 
     The test ids must have passed ``_check_tests``. ``work``, a vector of at
     least ``_work_size(theta_hat, tests)`` elements, holds the chunk's work
@@ -367,9 +362,11 @@ def _evaluate_thresholds(
     One is allocated when it is None.
     """
     if not tests:
-        return [{} for _ in t_values]
+        return {}
     n = theta_hat.shape[1]
-    levels = {int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
+    # The u of each H{u}n id.
+    us = {m.group(0): int(m.group(1)) for m in map(_H_TEST.match, tests) if m is not None}
+    levels = set(us.values())
     if "inconsistency_detected" in tests:
         levels.add(1)
     size = theta_hat.size
@@ -381,31 +378,20 @@ def _evaluate_thresholds(
     np.copyto(theta_t, theta_hat.T)
     # The rest of ``work`` is H2n_fe's until the logs need it.
     decided = _pooled_rejections(theta_t, se, tests, alpha, work[size:])
-    sides = [({}, {})] * len(t_values)
     if levels:
         theta_t /= se[:, None]
         logs = work[size : 2 * size].reshape(n, -1)
-        # Each call negates z in place for the right side and back, exactly.
-        sides = [
-            _directional_rejections(theta_t, t, levels, alpha / 2.0, logs) for t in t_values
-        ]
-    results = []
-    for left, right in sides:
-        out: dict[str, np.ndarray] = {}
-        for test_id in tests:
-            if test_id in decided:
-                out[test_id] = decided[test_id]
-            elif test_id == "inconsistency_detected":
-                out[test_id] = left[1] & right[1]
-            else:
-                u = int(_H_TEST.match(test_id).group(1))
-                out[test_id] = left[u] | right[u]
-        results.append(out)
-    return results
+        # Negates z in place for the right side and back, exactly.
+        left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, logs)
+        for test_id, u in us.items():
+            decided[test_id] = left[u] | right[u]
+        if "inconsistency_detected" in tests:
+            decided["inconsistency_detected"] = left[1] & right[1]
+    return {test_id: decided[test_id] for test_id in tests}
 
 
 def _work_size(theta_hat: np.ndarray, tests: Sequence[str]) -> int:
-    """Elements of ``_evaluate_thresholds``'s work vector: the (n, rows) matrix,
+    """Elements of ``_evaluate_tests``'s work vector: the (n, rows) matrix,
     then the H-tests' log matrix or, if larger, H2n_fe's ``_fe_z_extremes`` work space."""
     rows, n = theta_hat.shape
     rest = theta_hat.size
@@ -415,11 +401,9 @@ def _work_size(theta_hat: np.ndarray, tests: Sequence[str]) -> int:
 
 
 def _simulate(
-    scenario: Scenario, t_values: Sequence[float], alpha: float, tests: Sequence[str] | None,
-    default_tests: Sequence[str] = DEFAULT_TESTS,
-) -> list[PowerCurvePoint]:
-    """One point per threshold t, all from the same draws: each chunk is drawn
-    once, and its tests that do not depend on t are decided once.
+    scenario: Scenario, t: float, alpha: float, tests: Sequence[str] | None
+) -> PowerCurvePoint:
+    """The scenario's point at threshold t, its chunks tested as they are drawn.
 
     While a chunk is tested on the calling thread, ``_drawn_ahead`` draws the
     next one on a worker thread. Only the draws run there, in stream order,
@@ -427,37 +411,28 @@ def _simulate(
     whole numbers, so no point depends on the overlap. The tests stay on the
     calling thread, under its ``np.errstate``.
 
-    With ``tests`` None, the ids of ``default_tests`` that the studies allow run.
+    With ``tests`` None, the ids of ``DEFAULT_TESTS`` that the studies allow run.
     """
-    for t in t_values:
-        _check_t(t)
+    _check_t(t)
     _check_alpha(alpha)
     se = scenario.standard_errors
     if tests is None:
-        tests = _runnable(default_tests, len(se))
+        tests = _runnable(DEFAULT_TESTS, len(se))
     _check_tests(tests, len(se))
-    counts = [dict.fromkeys(tests, 0) for _ in t_values]
+    counts = dict.fromkeys(tests, 0)
     work = None
     with contextlib.closing(_drawn_ahead(_draws(scenario))) as chunks:
         for theta_hat in chunks:
             if work is None and tests:  # the first chunk is the largest
                 work = np.empty(_work_size(theta_hat, tests))
-            decided = _evaluate_thresholds(theta_hat, se, tests, t_values, alpha, work)
-            for count, rejections in zip(counts, decided):
-                for test_id, rejected in rejections.items():
-                    count[test_id] += int(np.count_nonzero(rejected))
+            for test_id, rejected in _evaluate_tests(theta_hat, se, tests, t, alpha, work).items():
+                counts[test_id] += int(np.count_nonzero(rejected))
     _, _, default_param = scenario._marginal()
     param = scenario.param if scenario.param is not None else default_param
     replications = scenario.replications
-    points = []
-    for count in counts:
-        rates = {tid: c / replications for tid, c in count.items()}
-        mc_se = {tid: math.sqrt(r * (1.0 - r) / replications) for tid, r in rates.items()}
-        points.append(PowerCurvePoint(
-            param=param, rejection_rate=rates, mc_se=mc_se, replications=replications,
-            seed=scenario.seed,
-        ))
-    return points
+    rates = {tid: c / replications for tid, c in counts.items()}
+    mc_se = {tid: math.sqrt(r * (1.0 - r) / replications) for tid, r in rates.items()}
+    return PowerCurvePoint(param, rates, mc_se, replications, scenario.seed)
 
 
 def simulate_fixed(
@@ -468,7 +443,7 @@ def simulate_fixed(
 ) -> PowerCurvePoint:
     """Rejection rates under a fixed effects vector; ``tests`` defaults to the
     ``DEFAULT_TESTS`` ids that the number of studies allows."""
-    return _simulate(scenario, (t,), alpha, tests)[0]
+    return _simulate(scenario, t, alpha, tests)
 
 
 def simulate_random(
@@ -479,7 +454,7 @@ def simulate_random(
 ) -> PowerCurvePoint:
     """Rejection rates when study effects are redrawn per replication; ``tests``
     defaults to the ``DEFAULT_TESTS`` ids that the number of studies allows."""
-    return _simulate(scenario, (t,), alpha, tests)[0]
+    return _simulate(scenario, t, alpha, tests)
 
 
 def inconsistency_probability(mu: float, tau: float, n: int) -> float:
@@ -503,21 +478,24 @@ def truncation_comparison(
 ) -> dict[float, list[PowerCurvePoint]]:
     """Power curves for several truncation thresholds on common random numbers.
 
-    Each chunk of a grid point's estimates is drawn once and tested at every
-    threshold, so curves differ only through the test, not the noise; tests
-    that do not depend on t (meta_fe, meta_re, H2n_fe) run once. By default
+    Each threshold's point of a scenario is drawn from the scenario's own
+    seed, so curves differ only through the test, not the noise. By default
     the t-dependent tests (H1n-H3n, inconsistency_detected) that n allows run.
+    Every threshold is checked before anything is drawn.
     """
-    t_values = [float(t) for t in t_values]
+    t_values = [_check_t(float(t)) for t in t_values]
     for i, t in enumerate(t_values):
         if t in t_values[:i]:
             raise ValueError(f"truncation threshold {t} is repeated in t_values")
-    results: dict[float, list[PowerCurvePoint]] = {t: [] for t in t_values}
-    for scenario in scenario_grid:
-        points = _simulate(scenario, t_values, alpha, tests, _T_DEPENDENT_TESTS)
-        for t, point in zip(t_values, points):
-            results[t].append(point)
-    return results
+    grid = [
+        (s, _runnable(_T_DEPENDENT_TESTS, len(s.group_sizes)) if tests is None else tests)
+        for s in scenario_grid
+    ]
+    return {t: [_simulate(s, t, alpha, s_tests) for s, s_tests in grid] for t in t_values}
+
+
+# calibrate_tau's bisection stops once its tau bracket is narrower than this.
+_TAU_TOL = 0.002
 
 
 def calibrate_tau(
@@ -525,7 +503,6 @@ def calibrate_tau(
     group_sizes: Sequence[tuple[int, int]] = BENCHMARK_GROUP_SIZES,
     replications: int = 2000,
     seed: int = 0,
-    tol: float = 0.002,
 ) -> float:
     """Find tau so the median estimated heterogeneity fraction hits a target.
 
@@ -558,7 +535,7 @@ def calibrate_tau(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < _TAU_TOL:
             break
     return 0.5 * (lo + hi)
 

@@ -56,7 +56,7 @@ from replimeta.report import (
     parse_studies,
     partial_conjunction_summary,
 )
-from replimeta.simulation import _evaluate_thresholds, _pooled_rejections
+from replimeta.simulation import _evaluate_tests, _pooled_rejections
 from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
@@ -276,7 +276,7 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
     theta_hat = rng.normal(0.0, scale, size=(100, n)) * se
     alpha = 0.05
     tests = ("H1n", "H2n", "H2n_fe", "H3n", "inconsistency_detected", "meta_fe", "meta_re")
-    out = _evaluate_thresholds(theta_hat, se, tests, (t,), alpha)[0]
+    out = _evaluate_tests(theta_hat, se, tests, t, alpha)
     z = theta_hat / se[None, :]
     for i in range(theta_hat.shape[0]):
         pairs = list(zip(theta_hat[i].tolist(), se.tolist()))
@@ -676,10 +676,10 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
         else:
             lo = mid
     rows = np.array([row(lo), row(hi)])
-    out = _evaluate_thresholds(rows, np.array(se), (test_id,), (0.05,), alpha)[0][test_id]
+    out = _evaluate_tests(rows, np.array(se), (test_id,), 0.05, alpha)[test_id]
     assert out.tolist() == [False, True]
     for one, want in zip(rows, (False, True)):
-        row_out = _evaluate_thresholds(one[None, :], np.array(se), (test_id,), (0.05,), alpha)[0]
+        row_out = _evaluate_tests(one[None, :], np.array(se), (test_id,), 0.05, alpha)
         assert bool(row_out[test_id][0]) == want
 
 
@@ -724,7 +724,7 @@ def _straddling_decisions(test_id):
         for alpha in 2.0 * special.ndtr(-z):
             if 0.0 < alpha < 1.0:
                 alpha = float(alpha)
-                out = _evaluate_thresholds(theta_hat, se, (test_id,), (0.05,), alpha)[0][test_id]
+                out = _evaluate_tests(theta_hat, se, (test_id,), 0.05, alpha)[test_id]
                 yield alpha, out, z, p
 
 

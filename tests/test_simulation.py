@@ -30,7 +30,7 @@ from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
     RandomEffectsScenario,
-    _evaluate_thresholds,
+    _evaluate_tests,
     calibrate_tau,
     inconsistency_probability,
     parse_scenario_config,
@@ -87,7 +87,7 @@ class TestVectorizedAgainstScalar:
         # H2n_fe is the common-effect test at u = 2: the (n-1)-subsets of each row.
         size = self.theta_hat.shape[1] - 1
         z_min, z_max = _fe_z_extremes(self.theta_hat.T, self.se, size)
-        rejected = _evaluate_thresholds(self.theta_hat, self.se, ("H2n_fe",), (0.05,), 0.05)[0]
+        rejected = _evaluate_tests(self.theta_hat, self.se, ("H2n_fe",), 0.05, 0.05)
         se = self.se.tolist()
         for i, row in enumerate(self.theta_hat.tolist()):
             ref_min, ref_max = common_effect_reference(list(zip(row, se)), size)
@@ -396,24 +396,30 @@ class TestTruncationComparison:
         table = truncation_comparison([scenario], t_values=t_values, tests=tests)
         for t in t_values:
             assert table[t] == [simulate_fixed(scenario, tests, t=t)]
+        # The default tests are the t-dependent ones that n allows.
+        random = RandomEffectsScenario(
+            mu=0.3, tau=0.4, n=2, group_sizes=BENCHMARK_GROUP_SIZES[:2], replications=500, seed=8
+        )
+        default = simulation._runnable(simulation._T_DEPENDENT_TESTS, 2)
+        table = truncation_comparison([random], t_values=t_values)
+        for t in t_values:
+            assert table[t] == [simulate_random(random, default, t=t)]
+        # An empty test set runs nothing, rather than the defaults.
+        for points in truncation_comparison([scenario, random], t_values, tests=()).values():
+            assert [point.rejection_rate for point in points] == [{}, {}]
 
-    def test_t_independent_tests_pool_once_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("t_values, message", [
+        ((0.05, 1.5), r"^truncation threshold t must be in \(0, 1\], got 1\.5$"),
+        ((0.05, 0.5, 0.05), r"^truncation threshold 0\.05 is repeated in t_values$"),
+    ])
+    def test_bad_threshold_fails_before_any_draw(self, monkeypatch, t_values, message):
         calls = []
-        pool_rows = simulation._pool_rows
-        monkeypatch.setattr(
-            simulation, "_pool_rows", lambda *args: calls.append(1) or pool_rows(*args)
-        )
-        scenario = FixedEffectsScenario(
-            theta=(0.5,) * 4 + (0.0,) * 4, group_sizes=BENCHMARK_GROUP_SIZES,
-            replications=100_000, seed=5,
-        )
-        tests = ("meta_fe", "meta_re")
-        truncation_comparison([scenario], t_values=(0.05,), tests=tests)
-        one = len(calls)
-        calls.clear()
-        truncation_comparison([scenario], t_values=(0.05, 0.5, 1.0), tests=tests)
-        # 1e5 replications of 8 studies make 13 chunks of at most 2^16 estimates.
-        assert one == len(calls) == 13
+        draws = simulation._draws
+        monkeypatch.setattr(simulation, "_draws", lambda s: calls.append(1) or draws(s))
+        grid, _ = preset("mixed-signs", replications=100)
+        with pytest.raises(ValueError, match=message):
+            truncation_comparison(grid, t_values=t_values)
+        assert calls == []
 
     def test_mixed_signs_truncation_advantage_quick(self):
         scenarios, _ = preset("mixed-signs", replications=3000, seed=14)
@@ -480,7 +486,7 @@ class TestChunks:
 
     def test_error_in_the_tests_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * 7)
-        evaluate, calls = simulation._evaluate_thresholds, []
+        evaluate, calls = simulation._evaluate_tests, []
 
         def failing(*args):
             calls.append(None)
@@ -488,7 +494,7 @@ class TestChunks:
                 raise RuntimeError("the second chunk's tests failed")
             return evaluate(*args)
 
-        monkeypatch.setattr(simulation, "_evaluate_thresholds", failing)
+        monkeypatch.setattr(simulation, "_evaluate_tests", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=r"^the second chunk's tests failed$"):
             simulate_fixed(self.FIXED, self.TESTS)
@@ -508,7 +514,7 @@ class TestChunks:
     def test_at_most_one_chunk_is_drawn_ahead(self, monkeypatch):
         monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 5 * 7)
         expected = simulate_fixed(self.FIXED, self.TESTS)
-        draws, evaluate = simulation._draws, simulation._evaluate_thresholds
+        draws, evaluate = simulation._draws, simulation._evaluate_tests
         yielded, tested = [0], [0]
 
         def counted_draws(scenario):
@@ -525,7 +531,7 @@ class TestChunks:
             return evaluate(*args)
 
         monkeypatch.setattr(simulation, "_draws", counted_draws)
-        monkeypatch.setattr(simulation, "_evaluate_thresholds", counted_evaluate)
+        monkeypatch.setattr(simulation, "_evaluate_tests", counted_evaluate)
         assert simulate_fixed(self.FIXED, self.TESTS) == expected
         assert yielded[0] == tested[0] == 8
 
@@ -835,10 +841,10 @@ class TestGuards:
         se = rng.uniform(0.1, 1.5, 8)
         theta_hat = rng.normal(0.3, 1.0, (8192, 8)) * se
         work = np.empty(simulation._work_size(theta_hat, ("H2n_fe",)))
-        want = _evaluate_thresholds(theta_hat, se, ("H2n_fe",), (0.05,), 0.05)[0]["H2n_fe"]
+        want = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05)["H2n_fe"]
         tracemalloc.start()
         try:
-            got = _evaluate_thresholds(theta_hat, se, ("H2n_fe",), (0.05,), 0.05, work)[0]["H2n_fe"]
+            got = _evaluate_tests(theta_hat, se, ("H2n_fe",), 0.05, 0.05, work)["H2n_fe"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
