@@ -51,7 +51,6 @@ _EXPORTS = {
     "simulate_fixed": "simulation",
     "simulate_random": "simulation",
     "truncation_comparison": "simulation",
-    "binomial_pmf": "statkernels",
     "normal_cdf": "statkernels",
     "one_sided_p": "statkernels",
 }

@@ -12,6 +12,7 @@ import html
 import math
 from dataclasses import dataclass
 
+from .meta import q_test_p_value
 from .replicability import ReplicabilityReport
 
 __all__ = ["AnnotatedForest", "ForestRow", "format_number", "format_r_value", "render_forest"]
@@ -47,7 +48,6 @@ class AnnotatedForest:
     model: str
     q: float
     i_squared: float
-    q_p_value: float
     replicability: ReplicabilityReport
     measure: str = "raw"
 
@@ -59,6 +59,11 @@ class AnnotatedForest:
         total = sum(row.weight for row in self.rows)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"study weights must sum to 1, got {total!r}")
+
+    @property
+    def q_p_value(self) -> float:
+        """The Q-test p-value of ``q`` on the forest's studies."""
+        return q_test_p_value(self.q, len(self.rows))
 
 
 def render_forest(forest: AnnotatedForest, format: str = "text") -> str:

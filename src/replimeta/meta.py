@@ -34,16 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Effect estimate and standard error for one study, on the analysis scale.
-
-    ``counts`` optionally carries the originating 2x2 table as
-    (events_treatment, total_treatment, events_control, total_control).
-    """
+    """Effect estimate and standard error for one study, on the analysis scale."""
 
     label: str
     theta_hat: float
     se: float
-    counts: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta_hat):
@@ -55,14 +50,6 @@ class StudySummary:
                 f"study {self.label!r}: se^2 and 1/se^2 must be finite and positive, "
                 f"got se = {self.se}"
             )
-        if self.counts is not None:
-            events_t, total_t, events_c, total_c = self.counts
-            if any(c < 0 or c != int(c) for c in self.counts):
-                raise ValueError(f"study {self.label!r}: counts must be nonnegative integers")
-            if total_t <= 0 or total_c <= 0:
-                raise ValueError(f"study {self.label!r}: group totals must be positive")
-            if events_t > total_t or events_c > total_c:
-                raise ValueError(f"study {self.label!r}: events cannot exceed group totals")
 
 
 def _has_finite_weight(se: float) -> bool:

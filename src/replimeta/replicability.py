@@ -26,7 +26,7 @@ import numpy as np
 
 from . import meta
 from .meta import StudySummary
-from .statkernels import LOG_CEIL, LOG_FLOOR, binomial_pmf, normal_cdf, one_sided_p
+from .statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
 
 __all__ = [
     "Consistency",
@@ -75,7 +75,6 @@ class ReplicabilityReport:
     u_max_left: int
     u_max_right: int
     r_value: float
-    consistency: Consistency
     alpha: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
@@ -87,6 +86,11 @@ class ReplicabilityReport:
     def confidence(self) -> float:
         """1 - alpha, the joint confidence of the two bounds."""
         return 1.0 - self.alpha
+
+    @property
+    def consistency(self) -> Consistency:
+        """The ``classify_consistency`` class of the two bounds."""
+        return classify_consistency(self.u_max_left, self.u_max_right)
 
 
 def _validate_pvalues(p_values: Sequence[float]) -> np.ndarray:
@@ -100,8 +104,20 @@ def _validate_pvalues(p_values: Sequence[float]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pmf_weights(length: int, t: float) -> tuple[float, ...]:
-    # P(exactly k of `length` independent uniforms fall at or below t), k=1..length
-    return tuple(binomial_pmf(k, length, t) for k in range(1, length + 1))
+    """P(exactly k of ``length`` independent uniforms fall at or below t), k = 1..length.
+
+    Each binomial mass is taken in log space, so that it does not underflow
+    to zero for lengths in the thousands.
+    """
+    if t == 1.0:
+        return tuple(float(k == length) for k in range(1, length + 1))
+    log_trials, log_t, log_rest = math.lgamma(length + 1), math.log(t), math.log1p(-t)
+    return tuple(
+        math.exp(
+            log_trials - math.lgamma(k + 1) - math.lgamma(length - k + 1) + k * log_t + (length - k) * log_rest
+        )
+        for k in range(1, length + 1)
+    )
 
 
 def _truncated_statistic(sorted_rows: np.ndarray, t: float) -> np.ndarray:

@@ -3,7 +3,7 @@
 The pipeline runs the chosen meta-analysis model, the u=2 replicability
 r-value, the directional confidence lower bounds, and the consistency
 classification, and assembles an annotated forest. Sentence templates follow
-the reporting style of systematic-review abstracts and are configurable.
+the reporting style of systematic-review abstracts.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from .meta import (
     _z_crit,
     binary_to_log_effect,
     fixed_effect_meta,
-    q_test_p_value,
     random_effects_meta,
 )
 from .replicability import (
     ReplicabilityReport,
     _TwoSidedProfile,
     _check_t,
-    classify_consistency,
     conditional_p_transform,
 )
 from .statkernels import one_sided_p
@@ -144,7 +142,7 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
                 if any(c != raw for c, raw in zip(counts, numbers)):
                     raise ValueError("counts must be integers")
                 theta, se = binary_to_log_effect(counts, measure)
-                studies.append(StudySummary(label, theta, se, counts=counts))
+                studies.append(StudySummary(label, theta, se))
             else:
                 estimate, se = numbers
                 studies.append(StudySummary(label, estimate, se))
@@ -203,14 +201,7 @@ def analyze(
     if model == "auto" and meta_result.i_squared == 0.0:
         meta_result = fixed_effect_meta(studies, alpha)
 
-    u_max_left, u_max_right = request.profile.bounds()
-    report = ReplicabilityReport(
-        u_max_left=u_max_left,
-        u_max_right=u_max_right,
-        r_value=request.profile.result(2).r,
-        consistency=classify_consistency(u_max_left, u_max_right),
-        alpha=alpha,
-    )
+    report = ReplicabilityReport(*request.profile.bounds(), request.profile.result(2).r, alpha=alpha)
     forest = _build_forest(studies, meta_result, report, request.effect_measure)
     return meta_result, report, forest
 
@@ -243,16 +234,14 @@ def _build_forest(
         model=meta_result.model,
         q=meta_result.q,
         i_squared=meta_result.i_squared,
-        q_p_value=q_test_p_value(meta_result.q, len(studies)),
         replicability=report,
         measure=measure,
     )
 
 
 # Sentence templates; ratio measures speak of increased/decreased effects,
-# raw effects of positive/negative ones. Override any entry via the
-# ``templates`` argument of summary_sentence.
-DEFAULT_TEMPLATES: dict[str, str] = {
+# raw effects of positive/negative ones.
+_TEMPLATES: dict[str, str] = {
     "replicable": (
         "The evidence towards {direction_article} {direction} effect was replicable "
         "(r-value = {r}). Moreover, with {confidence}% confidence, at least "
@@ -279,9 +268,7 @@ _DIRECTION_WORDS = {
 }
 
 
-def summary_sentence(
-    report: ReplicabilityReport, measure: str = "raw", templates: dict[str, str] | None = None
-) -> str:
+def summary_sentence(report: ReplicabilityReport, measure: str = "raw") -> str:
     """One abstract-ready sentence describing the replicability finding.
 
     Never claims replicability when the r-value exceeds the report's alpha,
@@ -289,14 +276,11 @@ def summary_sentence(
     least one.
     """
     words = _DIRECTION_WORDS[measure]
-    text = dict(DEFAULT_TEMPLATES)
-    if templates:
-        text.update(templates)
     confidence = format_number(report.confidence * 100)
     r_text = format_r_value(report.r_value)
 
     if report.consistency == "inconsistent":
-        return text["inconsistent"].format(
+        return _TEMPLATES["inconsistent"].format(
             increase_direction=f"{words['article_up']} {words['up']}",
             decrease_direction=f"{words['article_down']} {words['down']}",
             u_right=report.u_max_right,
@@ -309,8 +293,8 @@ def summary_sentence(
         article = words["article_up"] if right_leads else words["article_down"]
         count = max(report.u_max_right if right_leads else report.u_max_left, 2)
         consistent = report.consistency == "supports_consistency"
-        tail = text["replicable_tail_consistent"] if consistent else ""
-        return text["replicable"].format(
+        tail = _TEMPLATES["replicable_tail_consistent"] if consistent else ""
+        return _TEMPLATES["replicable"].format(
             direction=direction,
             direction_article=article,
             r=r_text,
@@ -318,4 +302,4 @@ def summary_sentence(
             count=count,
             tail=tail,
         )
-    return text["insufficient"].format(r=r_text)
+    return _TEMPLATES["insufficient"].format(r=r_text)

@@ -212,9 +212,13 @@ class PowerCurvePoint:
 
     param: float
     rejection_rate: dict[str, float]
-    mc_se: dict[str, float]
     replications: int
     seed: int
+
+    @property
+    def mc_se(self) -> dict[str, float]:
+        """sqrt(rate (1 - rate) / replications), the binomial standard error of each rate."""
+        return {tid: math.sqrt(r * (1.0 - r) / self.replications) for tid, r in self.rejection_rate.items()}
 
 
 # Replications are drawn and tested in chunks of at most this many estimates,
@@ -431,8 +435,7 @@ def _simulate(
     param = scenario.param if scenario.param is not None else default_param
     replications = scenario.replications
     rates = {tid: c / replications for tid, c in counts.items()}
-    mc_se = {tid: math.sqrt(r * (1.0 - r) / replications) for tid, r in rates.items()}
-    return PowerCurvePoint(param, rates, mc_se, replications, scenario.seed)
+    return PowerCurvePoint(param, rates, replications, scenario.seed)
 
 
 def simulate_fixed(
@@ -496,31 +499,26 @@ def truncation_comparison(
 
 # calibrate_tau's bisection stops once its tau bracket is narrower than this.
 _TAU_TOL = 0.002
+# calibrate_tau takes the median I-squared over this many replications.
+_TAU_REPLICATIONS = 2000
 
 
-def calibrate_tau(
-    target_i_squared: float,
-    group_sizes: Sequence[tuple[int, int]] = BENCHMARK_GROUP_SIZES,
-    replications: int = 2000,
-    seed: int = 0,
-) -> float:
+def calibrate_tau(target_i_squared: float, seed: int = 0) -> float:
     """Find tau so the median estimated heterogeneity fraction hits a target.
 
-    The median I-squared across simulated replications is monotone in tau, so
-    a bisection over tau converges; the heterogeneity of the generating
-    process itself is not published by the estimator, hence the search. The
-    effects are drawn around zero: I-squared does not change when every
-    estimate shifts by the same amount, so the mean effect plays no part.
+    The studies are those of ``BENCHMARK_GROUP_SIZES``. The median I-squared
+    across simulated replications is monotone in tau, so a bisection over
+    tau converges; the heterogeneity of the generating process itself is not
+    published by the estimator, hence the search. The effects are drawn
+    around zero: I-squared does not change when every estimate shifts by the
+    same amount, so the mean effect plays no part.
     """
     if not 0.0 < target_i_squared < 1.0:
         raise ValueError("target_i_squared must be in (0, 1)")
     _check_seed(seed)
-    se = _standard_errors(group_sizes)
-    n = len(se)
-    if n < 2:
-        raise ValueError("calibration requires at least two studies")
+    se = _standard_errors(BENCHMARK_GROUP_SIZES)
     # (n, replications), one study a row, as ``_pool_rows`` takes it.
-    noise = _rng(seed).standard_normal((replications, n)).T.copy()
+    noise = _rng(seed).standard_normal((_TAU_REPLICATIONS, len(se))).T.copy()
 
     def median_i2(tau: float) -> float:
         theta_t = noise * np.sqrt(tau**2 + se**2)[:, None]
@@ -761,9 +759,10 @@ def write_power_csv(points: Sequence[PowerCurvePoint], sink: TextIO) -> None:
     """One CSV row per grid point per test: param,test,rate,mc_se,replications,seed."""
     sink.write("param,test,rate,mc_se,replications,seed\n")
     for point in points:
+        mc_se = point.mc_se
         for test_id, rate in point.rejection_rate.items():
             sink.write(
-                f"{point.param!r},{test_id},{rate!r},{point.mc_se[test_id]!r},"
+                f"{point.param!r},{test_id},{rate!r},{mc_se[test_id]!r},"
                 f"{point.replications},{point.seed}\n"
             )
 

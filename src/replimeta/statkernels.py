@@ -15,7 +15,6 @@ __all__ = [
     "LOG_CEIL",
     "LOG_FLOOR",
     "PValuePair",
-    "binomial_pmf",
     "normal_cdf",
     "one_sided_p",
 ]
@@ -45,30 +44,6 @@ def normal_cdf(z: float) -> float:
     if math.isnan(z):
         raise ValueError("z must not be NaN")
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def binomial_pmf(k: int, trials: int, prob: float) -> float:
-    """Binomial point mass P(X = k), computed in log space.
-
-    Log-space evaluation keeps the result from underflowing to zero spuriously
-    for trial counts in the thousands.
-    """
-    if not 0 <= k <= trials:
-        raise ValueError(f"k must be in [0, {trials}], got {k}")
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"prob must be in [0, 1], got {prob}")
-    if prob == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if prob == 1.0:
-        return 1.0 if k == trials else 0.0
-    log_pmf = (
-        math.lgamma(trials + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(trials - k + 1)
-        + k * math.log(prob)
-        + (trials - k) * math.log1p(-prob)
-    )
-    return math.exp(log_pmf)
 
 
 def one_sided_p(theta_hat: float, se: float, shift: float = 0.0) -> PValuePair:

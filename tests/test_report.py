@@ -6,11 +6,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replimeta import report as report_module
 from replimeta.forest import AnnotatedForest, ForestRow, render_forest
 from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
-from replimeta.replicability import ReplicabilityReport
+from replimeta.replicability import ReplicabilityReport, classify_consistency
 from replimeta.report import (
     AnalysisRequest,
     StudyFileError,
@@ -58,7 +60,6 @@ class TestParseStudies:
         studies = parse_studies(io.StringIO(text), "odds_ratio")
         assert len(studies) == 2
         assert all(math.isfinite(s.theta_hat) and s.se > 0 for s in studies)
-        assert studies[1].counts == (0, 45, 4, 44)
 
     def test_binary_needs_ratio_measure(self):
         text = "label,events_t,total_t,events_c,total_c\nT1,3,12,1,11\n"
@@ -206,20 +207,13 @@ class TestSentenceInvariants:
             if "inconsistent" in sentence:
                 assert report.u_max_left >= 1 and report.u_max_right >= 1
 
-    def test_custom_templates(self):
-        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.05)
-        sentence = summary_sentence(
-            report, templates={"replicable": "custom r={r} count={count}"}
-        )
-        assert sentence.startswith("custom r=0.001")
-
     def test_ratio_wording(self):
-        report = ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.05)
+        report = ReplicabilityReport(0, 3, 0.001, alpha=0.05)
         assert "increased" in summary_sentence(report, measure="odds_ratio")
         assert "positive" in summary_sentence(report, measure="raw")
 
     def test_r_value_formatting(self):
-        tiny = ReplicabilityReport(0, 3, 5e-5, "supports_consistency", alpha=0.05)
+        tiny = ReplicabilityReport(0, 3, 5e-5, alpha=0.05)
         assert "<0.0001" in summary_sentence(tiny)
 
     def test_no_replicability_claim_above_the_report_alpha(self):
@@ -232,12 +226,38 @@ class TestSentenceInvariants:
         assert "99% confidence" not in sentence
         assert "single study" in sentence
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u_left=st.integers(0, 8),
+        u_right=st.integers(0, 8),
+        r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_no_report_contradicts_its_bounds(self, u_left, u_right, r, alpha):
+        report = ReplicabilityReport(u_left, u_right, r, alpha=alpha)
+        consistency = classify_consistency(u_left, u_right)
+        assert report.consistency == consistency
+        sentence = summary_sentence(report)
+        assert ("inconsistent evidence" in sentence) == (u_left >= 1 and u_right >= 1)
+        if "no indication of inconsistency" in sentence:
+            assert consistency == "supports_consistency"
+        forest = AnnotatedForest(
+            rows=(ForestRow("a", 0.5, (0.1, 0.9), 0.5), ForestRow("b", 0.4, (0.0, 0.8), 0.5)),
+            pooled=ForestRow("pooled", 0.45, (0.2, 0.7), 1.0),
+            model="fixed",
+            q=0.0,
+            i_squared=0.0,
+            replicability=report,
+        )
+        footer = render_forest(forest, "text").splitlines()[-1]
+        assert footer.endswith(f", consistency={consistency}")
+
     def test_alpha_is_keyword_only_and_checked(self):
         with pytest.raises(TypeError):
-            ReplicabilityReport(0, 3, 0.001, "supports_consistency", 0.95)
+            ReplicabilityReport(0, 3, 0.001, 0.95)
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=1.0)
-        assert ReplicabilityReport(0, 3, 0.001, "supports_consistency", alpha=0.1).confidence == 0.9
+            ReplicabilityReport(0, 3, 0.001, alpha=1.0)
+        assert ReplicabilityReport(0, 3, 0.001, alpha=0.1).confidence == 0.9
 
 
 class TestForest:
@@ -299,7 +319,7 @@ class TestForest:
         assert "<polygon" in svg
 
     def test_single_study_forest_rejected(self):
-        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", alpha=0.05)
+        report = ReplicabilityReport(0, 0, 1.0, alpha=0.05)
         with pytest.raises(ValueError, match="at least two"):
             AnnotatedForest(
                 rows=(ForestRow("only", 0.5, (0.1, 0.9), 1.0),),
@@ -307,13 +327,12 @@ class TestForest:
                 model="fixed",
                 q=0.0,
                 i_squared=0.0,
-                q_p_value=1.0,
                 replicability=report,
                 measure="raw",
             )
 
     def test_bad_weights_rejected(self):
-        report = ReplicabilityReport(0, 0, 1.0, "insufficient_evidence", alpha=0.05)
+        report = ReplicabilityReport(0, 0, 1.0, alpha=0.05)
         with pytest.raises(ValueError, match="sum to 1"):
             AnnotatedForest(
                 rows=(
@@ -324,7 +343,6 @@ class TestForest:
                 model="fixed",
                 q=0.0,
                 i_squared=0.0,
-                q_p_value=1.0,
                 replicability=report,
                 measure="raw",
             )

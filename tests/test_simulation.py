@@ -571,7 +571,7 @@ class TestCalibrateTau:
     def test_hits_target_median(self):
         from scipy import special
 
-        tau = calibrate_tau(0.70, replications=2000, seed=5)
+        tau = calibrate_tau(0.70, seed=5)
         # verify with an independent draw
         se = np.sqrt(
             1.0 / np.array([c for c, _ in BENCHMARK_GROUP_SIZES], float)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from replimeta.replicability import _pmf_weights
 from replimeta.statkernels import (
-    binomial_pmf,
     normal_cdf,
     one_sided_p,
 )
@@ -43,36 +43,34 @@ class TestNormalCdf:
 
 
 class TestBinomialPmf:
+    """The binomial masses P(k of L uniforms <= t), k = 1..L, that weigh the
+    truncated-product mixture (``replicability._pmf_weights``)."""
+
     def test_all_failures(self):
-        assert abs(binomial_pmf(0, 5, 0.05) - 0.95**5) < 1e-15
+        # The mass at k = 0, (1 - t)^L, is what the weights leave out.
+        assert abs((1.0 - math.fsum(_pmf_weights(5, 0.05))) - 0.95**5) < 1e-15
 
     def test_certainty(self):
-        assert binomial_pmf(5, 5, 1.0) == 1.0
-        assert binomial_pmf(0, 5, 0.0) == 1.0
-        assert binomial_pmf(3, 5, 1.0) == 0.0
+        assert _pmf_weights(5, 1.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
+        assert _pmf_weights(1, 1.0) == (1.0,)
+        # An empty side, as under a conditional threshold, has no weights.
+        assert _pmf_weights(0, 0.05) == ()
+        assert _pmf_weights(0, 1.0) == ()
 
     def test_exact_rational_value(self):
         # Fraction oracle: C(8,2) * (1/20)^2 * (19/20)^6 = 329321167/6400000000
-        assert abs(binomial_pmf(2, 8, 0.05) - 0.05145643234375) < 1e-12
+        assert abs(_pmf_weights(8, 0.05)[1] - 0.05145643234375) < 1e-12
 
     @pytest.mark.parametrize("trials", [1, 7, 33, 100])
     @pytest.mark.parametrize("prob", [0.01, 0.05, 0.5])
     def test_sums_to_one(self, trials, prob):
-        total = sum(binomial_pmf(k, trials, prob) for k in range(trials + 1))
-        assert abs(total - 1.0) < 1e-12
+        total = sum(_pmf_weights(trials, prob))
+        assert abs(total - (1.0 - (1.0 - prob) ** trials)) < 1e-12
 
     def test_large_trials_no_underflow(self):
-        value = binomial_pmf(5000, 10_000, 0.5)
+        value = _pmf_weights(10_000, 0.5)[4999]
         assert 0.0 < value < 1.0
         assert math.isfinite(value)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(6, 5, 0.3)
-        with pytest.raises(ValueError):
-            binomial_pmf(-1, 5, 0.3)
-        with pytest.raises(ValueError):
-            binomial_pmf(2, 5, 1.5)
 
 
 class TestOneSidedP:
