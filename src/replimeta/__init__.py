@@ -26,7 +26,6 @@ _EXPORTS = {
     "StudySummary": "meta",
     "binary_to_log_effect": "meta",
     "fixed_effect_meta": "meta",
-    "heterogeneity": "meta",
     "leave_one_out": "meta",
     "random_effects_meta": "meta",
     "PartialConjunctionResult": "replicability",

@@ -338,9 +338,8 @@ def _cmd_loo(args: argparse.Namespace) -> str:
         return _json(payload)
 
     label_width = max(len("omitted"), max(len(s.label) for s in studies))
-    lines = [
-        f"{'omitted':<{label_width}}  {'pooled':>10}  {'95% CI':>22}  {'p':>10}  significant"
-    ]
+    ci_header = f"{format_number((1.0 - args.alpha) * 100)}% CI"
+    lines = [f"{'omitted':<{label_width}}  {'pooled':>10}  {ci_header:>22}  {'p':>10}  significant"]
     for study, result in zip(studies, results):
         ci_text = f"[{format_number(result.ci[0])}, {format_number(result.ci[1])}]"
         lines.append(

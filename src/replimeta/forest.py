@@ -11,8 +11,10 @@ from __future__ import annotations
 import html
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
-from .meta import q_test_p_value
+from .meta import MetaAnalysisResult, StudySummary, _forest_weights, _z_crit, q_test_p_value
 from .replicability import ReplicabilityReport
 
 __all__ = ["AnnotatedForest", "ForestRow", "format_number", "format_r_value", "render_forest"]
@@ -41,29 +43,42 @@ class ForestRow:
 
 @dataclass(frozen=True)
 class AnnotatedForest:
-    """Study rows, the pooled summary, and the heterogeneity/replicability footer."""
+    """The forest of one analysis: its studies, their fit and the replicability report.
 
-    rows: tuple[ForestRow, ...]
-    pooled: ForestRow
-    model: str
-    q: float
-    i_squared: float
+    The study rows, the pooled row and the Q-test p-value are read from these,
+    so the plot cannot disagree with the analysis it draws. Study intervals are
+    at the report's confidence level, and each study's weight is its share of
+    the fit's inverse-variance total.
+    """
+
+    studies: Sequence[StudySummary]
+    fit: MetaAnalysisResult
     replicability: ReplicabilityReport
     measure: str = "raw"
 
     def __post_init__(self) -> None:
-        if len(self.rows) < 2:
+        if len(self.studies) < 2:
             raise ValueError("a forest needs at least two studies; replicability is undefined below two")
         if self.measure not in _MEASURE_LABEL:
             raise ValueError(f"measure must be one of {tuple(_MEASURE_LABEL)}, got {self.measure!r}")
-        total = sum(row.weight for row in self.rows)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"study weights must sum to 1, got {total!r}")
+
+    @cached_property
+    def rows(self) -> tuple[ForestRow, ...]:
+        z = _z_crit(self.replicability.alpha)
+        shares = _forest_weights(self.studies, self.fit.tau_squared)
+        return tuple(
+            ForestRow(s.label, s.theta_hat, (s.theta_hat - z * s.se, s.theta_hat + z * s.se), share)
+            for s, share in zip(self.studies, shares)
+        )
+
+    @property
+    def pooled(self) -> ForestRow:
+        return ForestRow(f"pooled ({self.fit.model})", self.fit.pooled, self.fit.ci, 1.0)
 
     @property
     def q_p_value(self) -> float:
-        """The Q-test p-value of ``q`` on the forest's studies."""
-        return q_test_p_value(self.q, len(self.rows))
+        """The Q-test p-value of the fit's Q on the forest's studies."""
+        return q_test_p_value(self.fit.q, len(self.studies))
 
 
 def render_forest(forest: AnnotatedForest, format: str = "text") -> str:
@@ -91,31 +106,36 @@ def _replicability_line(forest: AnnotatedForest) -> str:
 
 def _heterogeneity_line(forest: AnnotatedForest) -> str:
     return (
-        f"heterogeneity: Q={format_number(forest.q)} "
-        f"(df={len(forest.rows) - 1}, p={format_number(forest.q_p_value)}), "
-        f"I^2={format_number(forest.i_squared * 100)}%"
+        f"heterogeneity: Q={format_number(forest.fit.q)} "
+        f"(df={len(forest.studies) - 1}, p={format_number(forest.q_p_value)}), "
+        f"I^2={format_number(forest.fit.i_squared * 100)}%"
     )
 
 
 def _render_text(forest: AnnotatedForest) -> str:
-    label_width = max(
-        len("study"), len(forest.pooled.label), max(len(row.label) for row in forest.rows)
-    )
+    pooled = forest.pooled
+    label_width = max(len("study"), len(pooled.label), max(len(row.label) for row in forest.rows))
     unit = _MEASURE_LABEL[forest.measure]
-    lines = [f"{'study':<{label_width}}  {unit:>10}  {'95% CI':>22}  {'weight':>7}"]
+    ci_header = f"{format_number(forest.replicability.confidence * 100)}% CI"
+    lines = [f"{'study':<{label_width}}  {unit:>10}  {ci_header:>22}  {'weight':>7}"]
     for row in forest.rows:
         lines.append(_text_row(forest, row, label_width, f"{row.weight * 100:6.2f}%"))
-    lines.append(_text_row(forest, forest.pooled, label_width, f"{100.0:6.2f}%"))
+    lines.append(_text_row(forest, pooled, label_width, f"{100.0:6.2f}%"))
     lines.append(_heterogeneity_line(forest))
     lines.append(_replicability_line(forest))
     return "\n".join(lines) + "\n"
 
 
+def _interval_text(forest: AnnotatedForest, row: ForestRow) -> str:
+    """The row's interval as ``[lo, hi]`` on the display scale."""
+    lo, hi = (format_number(_display(forest, bound)) for bound in row.ci)
+    return f"[{lo}, {hi}]"
+
+
 def _text_row(forest: AnnotatedForest, row: ForestRow, label_width: int, weight_text: str) -> str:
-    lo, hi = (_display(forest, row.ci[0]), _display(forest, row.ci[1]))
-    estimate = _display(forest, row.estimate)
-    ci_text = f"[{format_number(lo)}, {format_number(hi)}]"
-    return f"{row.label:<{label_width}}  {format_number(estimate):>10}  {ci_text:>22}  {weight_text:>7}"
+    estimate = format_number(_display(forest, row.estimate))
+    ci_text = _interval_text(forest, row)
+    return f"{row.label:<{label_width}}  {estimate:>10}  {ci_text:>22}  {weight_text:>7}"
 
 
 # SVG geometry: fixed layout so output is byte-stable across runs.
@@ -153,8 +173,9 @@ def _escape(text: str) -> str:
 
 def _render_svg(forest: AnnotatedForest) -> str:
     ratio = forest.measure in _RATIO_MEASURES
+    pooled = forest.pooled
     values = [v for row in forest.rows for v in (row.ci[0], row.ci[1])]
-    values += [forest.pooled.ci[0], forest.pooled.ci[1]]
+    values += [pooled.ci[0], pooled.ci[1]]
     null_value = 0.0
     lo, hi = min(values + [null_value]), max(values + [null_value])
     if ratio:
@@ -182,7 +203,7 @@ def _render_svg(forest: AnnotatedForest) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_WIDTH}" height="{height}" font-family="monospace" font-size="12">',
         f'<text x="10" y="{_TOP - 16}" font-weight="bold">'
-        f"{_escape(forest.pooled.label)} forest plot ({_MEASURE_LABEL[forest.measure]})</text>",
+        f"{_escape(pooled.label)} forest plot ({_MEASURE_LABEL[forest.measure]})</text>",
         f'<line x1="{x_of(null_value):.2f}" y1="{_TOP - 8}" x2="{x_of(null_value):.2f}" '
         f'y2="{axis_y}" stroke="#888888" stroke-dasharray="4,3"/>',
     ]
@@ -200,24 +221,20 @@ def _render_svg(forest: AnnotatedForest) -> str:
         )
         parts.append(
             f'<text x="{_PLOT_RIGHT + 14}" y="{y + 4}">'
-            f"{format_number(_display(forest, row.estimate))} "
-            f"[{format_number(_display(forest, row.ci[0]))}, "
-            f"{format_number(_display(forest, row.ci[1]))}]  "
+            f"{format_number(_display(forest, row.estimate))} {_interval_text(forest, row)}  "
             f"{row.weight * 100:.1f}%</text>"
         )
 
     diamond_y = pooled_y
-    cx, lo_x, hi_x = (x_of(forest.pooled.estimate), x_of(forest.pooled.ci[0]), x_of(forest.pooled.ci[1]))
-    parts.append(f'<text x="10" y="{diamond_y + 4}">{_escape(forest.pooled.label)}</text>')
+    cx, lo_x, hi_x = (x_of(pooled.estimate), x_of(pooled.ci[0]), x_of(pooled.ci[1]))
+    parts.append(f'<text x="10" y="{diamond_y + 4}">{_escape(pooled.label)}</text>')
     parts.append(
         f'<polygon points="{lo_x:.2f},{diamond_y} {cx:.2f},{diamond_y - 7} '
         f'{hi_x:.2f},{diamond_y} {cx:.2f},{diamond_y + 7}" fill="#1a1a1a"/>'
     )
     parts.append(
         f'<text x="{_PLOT_RIGHT + 14}" y="{diamond_y + 4}">'
-        f"{format_number(_display(forest, forest.pooled.estimate))} "
-        f"[{format_number(_display(forest, forest.pooled.ci[0]))}, "
-        f"{format_number(_display(forest, forest.pooled.ci[1]))}]</text>"
+        f"{format_number(_display(forest, pooled.estimate))} {_interval_text(forest, pooled)}</text>"
     )
 
     parts.append(

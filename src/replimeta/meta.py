@@ -25,7 +25,6 @@ __all__ = [
     "StudySummary",
     "binary_to_log_effect",
     "fixed_effect_meta",
-    "heterogeneity",
     "leave_one_out",
     "q_test_p_value",
     "random_effects_meta",
@@ -105,19 +104,6 @@ def random_effects_meta(studies: Sequence[StudySummary], alpha: float = 0.05) ->
         raise ValueError("random-effects model requires at least two studies")
     _check_alpha(alpha)
     return _pool_studies(studies).result(0, "random", alpha)
-
-
-def heterogeneity(studies: Sequence[StudySummary]) -> tuple[float, float]:
-    """Cochran's Q and the I-squared fraction it implies.
-
-    I-squared is ``max(0, (Q - (n - 1)) / Q)`` for positive Q, and 0 when
-    Q is 0 (identical estimates).
-    """
-    studies = list(studies)
-    if len(studies) < 2:
-        raise ValueError("heterogeneity requires at least two studies")
-    pooled = _pool_studies(studies)
-    return float(pooled.q[0]), float(pooled.i_squared[0])
 
 
 def q_test_p_value(q: float, n_studies: int) -> float:

@@ -11,17 +11,15 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence, TextIO
+from typing import TextIO
 
-from .forest import AnnotatedForest, ForestRow, format_number, format_r_value
+from .forest import AnnotatedForest, format_number, format_r_value
 from .meta import (
     MetaAnalysisResult,
     _OVERFLOW_MESSAGE,
     StudySummary,
     _check_alpha,
-    _forest_weights,
     _overflow_index,
-    _z_crit,
     binary_to_log_effect,
     fixed_effect_meta,
     random_effects_meta,
@@ -192,7 +190,7 @@ def analyze(
     heterogeneity fraction is positive and the fixed-effect model otherwise;
     the resulting model is recorded on the returned result.
     """
-    studies = list(request.studies)
+    studies = request.studies
     alpha = request.alpha
 
     model = request.model
@@ -202,41 +200,7 @@ def analyze(
         meta_result = fixed_effect_meta(studies, alpha)
 
     report = ReplicabilityReport(*request.profile.bounds(), request.profile.result(2).r, alpha=alpha)
-    forest = _build_forest(studies, meta_result, report, request.effect_measure)
-    return meta_result, report, forest
-
-
-def _build_forest(
-    studies: Sequence[StudySummary],
-    meta_result: MetaAnalysisResult,
-    report: ReplicabilityReport,
-    measure: str,
-) -> AnnotatedForest:
-    z_crit = _z_crit(report.alpha)
-    rows = tuple(
-        ForestRow(
-            label=s.label,
-            estimate=s.theta_hat,
-            ci=(s.theta_hat - z_crit * s.se, s.theta_hat + z_crit * s.se),
-            weight=share,
-        )
-        for s, share in zip(studies, _forest_weights(studies, meta_result.tau_squared))
-    )
-    pooled = ForestRow(
-        label=f"pooled ({meta_result.model})",
-        estimate=meta_result.pooled,
-        ci=meta_result.ci,
-        weight=1.0,
-    )
-    return AnnotatedForest(
-        rows=rows,
-        pooled=pooled,
-        model=meta_result.model,
-        q=meta_result.q,
-        i_squared=meta_result.i_squared,
-        replicability=report,
-        measure=measure,
-    )
+    return meta_result, report, AnnotatedForest(studies, meta_result, report, request.effect_measure)
 
 
 # Sentence templates; ratio measures speak of increased/decreased effects,
@@ -275,6 +239,8 @@ def summary_sentence(report: ReplicabilityReport, measure: str = "raw") -> str:
     and never claims inconsistency unless both directional bounds are at
     least one.
     """
+    if measure not in _MEASURES:
+        raise ValueError(f"measure must be one of {_MEASURES}, got {measure!r}")
     words = _DIRECTION_WORDS[measure]
     confidence = format_number(report.confidence * 100)
     r_text = format_r_value(report.r_value)

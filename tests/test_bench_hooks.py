@@ -7,13 +7,16 @@ checks import nothing from ``bench/``; they keep that surface from changing
 unnoticed between runs of the benchmark's own smoke test.
 """
 
+import functools
 import importlib
 import inspect
+import json
 import math
 
 import pytest
 
-from replimeta import simulation
+import replimeta
+from replimeta import cli, simulation
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
@@ -77,6 +80,63 @@ def test_traced_modules_export_names_that_resolve(layer):
 
 
 def test_cli_main_exists():
-    from replimeta import cli
-
     assert callable(cli.main)
+
+
+# The functions behind the benchmark's call counts. Both directions of the
+# study set below are significant at u = 3, so delta_bound runs its
+# bisection on both sides.
+COUNTED = (
+    "fixed_effect_meta", "random_effects_meta", "one_sided_p", "partial_conjunction_p", "delta_bound",
+)
+BOTH_DIRECTIONS = (
+    "label,estimate,se\na,3.0,0.5\nb,2.6,0.5\nc,2.9,0.5\nd,-3.0,0.5\ne,-2.7,0.5\nf,-2.8,0.5\n"
+)
+
+
+def test_every_counted_call_runs_in_the_benchmark_analyze_command(monkeypatch, tmp_path, capsys):
+    """The benchmark's call counts read calls that ``analyze --delta-bounds`` still makes.
+
+    Each binding of a counted function in every traced module is wrapped, as
+    the benchmark's tracer does, so a refactor that routes around one of them
+    fails here rather than as a zero count in the benchmark's smoke test.
+    """
+    calls = dict.fromkeys(COUNTED, 0)
+    calls["partial_conjunction_p inside delta_bound"] = 0
+    depth = [0]
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "partial_conjunction_p" and depth[0]:
+                calls["partial_conjunction_p inside delta_bound"] += 1
+            depth[0] += name == "delta_bound"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= name == "delta_bound"
+
+        return wrapper
+
+    modules = [importlib.import_module(f"replimeta.{layer}") for layer in TRACED_MODULES + ("cli",)]
+    for name in COUNTED:
+        fn = getattr(replimeta, name)
+        wrapper = counted(name, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    path = tmp_path / "both.csv"
+    path.write_text(BOTH_DIRECTIONS)
+    argv = ["analyze", "--input", str(path), "--format", "json", "--model", "auto", "--u", "3",
+            "--delta-bounds"]
+    assert cli.main(argv) == 0
+    deltas = json.loads(capsys.readouterr().out)["replicability"]["delta_bounds"]
+    assert deltas["upper_positive"] is not None and deltas["lower_negative"] is not None
+    # meta.pool_calls counts both pooling calls; the rest count one function each.
+    assert calls["fixed_effect_meta"] + calls["random_effects_meta"] > 0
+    for name in ("one_sided_p", "partial_conjunction_p", "delta_bound",
+                 "partial_conjunction_p inside delta_bound"):
+        assert calls[name] > 0, name

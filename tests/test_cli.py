@@ -585,6 +585,15 @@ def test_study_commands_share_input_alpha_measure_and_output(command, raw_file, 
     assert capsys.readouterr().out == "" and out.read_text()
 
 
+@pytest.mark.parametrize("command", ["analyze", "loo"])
+@pytest.mark.parametrize("alpha_args, header", [((), "95% CI"), (("--alpha", "0.01"), "99% CI")])
+def test_interval_header_states_the_level_of_the_intervals(command, alpha_args, header, raw_file,
+                                                           capsys):
+    assert main([command, "--input", raw_file, *alpha_args]) == 0
+    first_line = capsys.readouterr().out.splitlines()[0]
+    assert re.findall(r"\S+% CI", first_line) == [header]
+
+
 @pytest.mark.parametrize("command", ["analyze", "bounds"])
 def test_truncation_is_checked(command, raw_file, capsys):
     assert main([command, "--input", raw_file, "--truncation", "0.5"]) == 0

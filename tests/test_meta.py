@@ -10,7 +10,6 @@ from replimeta.meta import (
     StudySummary,
     binary_to_log_effect,
     fixed_effect_meta,
-    heterogeneity,
     leave_one_out,
     q_test_p_value,
     random_effects_meta,
@@ -117,31 +116,28 @@ class TestRandomEffects:
 
 class TestHeterogeneity:
     def test_identical_estimates(self):
-        assert heterogeneity(make((1.0, 0.5), (1.0, 0.5))) == (0.0, 0.0)
+        result = fixed_effect_meta(make((1.0, 0.5), (1.0, 0.5)))
+        assert (result.q, result.i_squared) == (0.0, 0.0)
 
     def test_small_q_floors_i_squared(self):
         # Q below n-1 must report 0%, not a negative fraction
-        q, i2 = heterogeneity(make((1.0, 1.0), (1.1, 1.0), (0.9, 1.0)))
-        assert q < 2.0
-        assert i2 == 0.0
+        result = fixed_effect_meta(make((1.0, 1.0), (1.1, 1.0), (0.9, 1.0)))
+        assert result.q < 2.0
+        assert result.i_squared == 0.0
 
     def test_hand_value(self):
-        q, i2 = heterogeneity(make((0.0, 1.0), (2.0, 1.0)))
-        assert abs(q - 2.0) < 1e-12
-        assert abs(i2 - 0.5) < 1e-12
+        result = fixed_effect_meta(make((0.0, 1.0), (2.0, 1.0)))
+        assert abs(result.q - 2.0) < 1e-12
+        assert abs(result.i_squared - 0.5) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(31)
         studies = random_studies(rng, 6)
-        q1, i1 = heterogeneity(studies)
+        first = fixed_effect_meta(studies)
         order = rng.permutation(6)
-        q2, i2 = heterogeneity([studies[i] for i in order])
-        assert abs(q1 - q2) < 1e-10
-        assert abs(i1 - i2) < 1e-10
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            heterogeneity(make((1.0, 1.0)))
+        second = fixed_effect_meta([studies[i] for i in order])
+        assert abs(first.q - second.q) < 1e-10
+        assert abs(first.i_squared - second.i_squared) < 1e-10
 
     def test_q_p_value(self):
         assert abs(q_test_p_value(0.0, 4) - 1.0) < 1e-12
@@ -251,7 +247,6 @@ OVERFLOWING_SETS = [
 LIBRARY_FITS = [
     fixed_effect_meta,
     random_effects_meta,
-    heterogeneity,
     lambda studies: leave_one_out(studies, "fixed"),
     lambda studies: leave_one_out(studies, "random"),
 ]

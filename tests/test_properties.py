@@ -28,7 +28,6 @@ from replimeta.meta import (
     StudySummary,
     _pool_rows,
     fixed_effect_meta,
-    heterogeneity,
     leave_one_out,
     random_effects_meta,
 )
@@ -556,7 +555,8 @@ def test_scalar_pooling_equals_reference_bitwise(pairs):
     assert _fit_bits(fixed_effect_meta(studies)) == _reference_bits(ref, "fixed")
     if n >= 2:
         assert _fit_bits(random_effects_meta(studies)) == _reference_bits(ref, "random")
-        assert bits(*heterogeneity(studies)) == bits(ref["q"], ref["i_squared"])
+        fit = fixed_effect_meta(studies)
+        assert bits(fit.q, fit.i_squared) == bits(ref["q"], ref["i_squared"])
     if n >= 3:
         for model in ("fixed", "random"):
             for i, result in enumerate(leave_one_out(studies, model)):

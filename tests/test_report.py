@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replimeta import report as report_module
-from replimeta.forest import AnnotatedForest, ForestRow, render_forest
+from replimeta.forest import AnnotatedForest, render_forest
 from replimeta.meta import StudySummary, fixed_effect_meta, random_effects_meta
 from replimeta.replicability import ReplicabilityReport, classify_consistency
 from replimeta.report import (
@@ -212,6 +212,11 @@ class TestSentenceInvariants:
         assert "increased" in summary_sentence(report, measure="odds_ratio")
         assert "positive" in summary_sentence(report, measure="raw")
 
+    def test_unknown_measure_names_the_allowed_ones(self):
+        report = ReplicabilityReport(0, 3, 0.001, alpha=0.05)
+        with pytest.raises(ValueError, match=r"'raw', 'odds_ratio', 'risk_ratio'.*'log_odds'"):
+            summary_sentence(report, "log_odds")
+
     def test_r_value_formatting(self):
         tiny = ReplicabilityReport(0, 3, 5e-5, alpha=0.05)
         assert "<0.0001" in summary_sentence(tiny)
@@ -241,14 +246,8 @@ class TestSentenceInvariants:
         assert ("inconsistent evidence" in sentence) == (u_left >= 1 and u_right >= 1)
         if "no indication of inconsistency" in sentence:
             assert consistency == "supports_consistency"
-        forest = AnnotatedForest(
-            rows=(ForestRow("a", 0.5, (0.1, 0.9), 0.5), ForestRow("b", 0.4, (0.0, 0.8), 0.5)),
-            pooled=ForestRow("pooled", 0.45, (0.2, 0.7), 1.0),
-            model="fixed",
-            q=0.0,
-            i_squared=0.0,
-            replicability=report,
-        )
+        studies = (StudySummary("a", 0.5, 0.2), StudySummary("b", 0.4, 0.2))
+        forest = AnnotatedForest(studies, fixed_effect_meta(studies), report)
         footer = render_forest(forest, "text").splitlines()[-1]
         assert footer.endswith(f", consistency={consistency}")
 
@@ -320,32 +319,9 @@ class TestForest:
 
     def test_single_study_forest_rejected(self):
         report = ReplicabilityReport(0, 0, 1.0, alpha=0.05)
+        studies = (StudySummary("only", 0.5, 0.2),)
         with pytest.raises(ValueError, match="at least two"):
-            AnnotatedForest(
-                rows=(ForestRow("only", 0.5, (0.1, 0.9), 1.0),),
-                pooled=ForestRow("pooled", 0.5, (0.1, 0.9), 1.0),
-                model="fixed",
-                q=0.0,
-                i_squared=0.0,
-                replicability=report,
-                measure="raw",
-            )
-
-    def test_bad_weights_rejected(self):
-        report = ReplicabilityReport(0, 0, 1.0, alpha=0.05)
-        with pytest.raises(ValueError, match="sum to 1"):
-            AnnotatedForest(
-                rows=(
-                    ForestRow("a", 0.5, (0.1, 0.9), 0.9),
-                    ForestRow("b", 0.5, (0.1, 0.9), 0.3),
-                ),
-                pooled=ForestRow("pooled", 0.5, (0.1, 0.9), 1.0),
-                model="fixed",
-                q=0.0,
-                i_squared=0.0,
-                replicability=report,
-                measure="raw",
-            )
+            AnnotatedForest(studies, fixed_effect_meta(studies), report, measure="raw")
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
