@@ -311,7 +311,7 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
 
 
 def _cmd_loo(args: argparse.Namespace) -> str:
-    from .forest import format_number
+    from .forest import _format_level, format_number
     from .meta import leave_one_out
     from .report import parse_studies
 
@@ -338,7 +338,7 @@ def _cmd_loo(args: argparse.Namespace) -> str:
         return _json(payload)
 
     label_width = max(len("omitted"), max(len(s.label) for s in studies))
-    ci_header = f"{format_number((1.0 - args.alpha) * 100)}% CI"
+    ci_header = f"{_format_level(args.alpha)}% CI"
     lines = [f"{'omitted':<{label_width}}  {'pooled':>10}  {ci_header:>22}  {'p':>10}  significant"]
     for study, result in zip(studies, results):
         ci_text = f"[{format_number(result.ci[0])}, {format_number(result.ci[1])}]"

@@ -28,6 +28,20 @@ def format_number(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _format_level(alpha: float) -> str:
+    """The confidence level 100 (1 - alpha), in percent, as ``format_number`` prints it.
+
+    Where that reads 100, the level is 100 less 100 alpha rounded to one
+    digit, taken from alpha, since 1 - alpha rounds to 1.0 below 2^-53.
+    """
+    text = format_number(100.0 * (1.0 - alpha))
+    if text != "100":
+        return text
+    digit, exponent = f"{100.0 * alpha:.0e}".split("e")
+    digits = str(10 ** (2 - int(exponent)) - int(digit))
+    return f"{digits[:2]}.{digits[2:]}"
+
+
 def format_r_value(r: float) -> str:
     """r-values below 1e-4 are reported as a bound rather than a tiny numeral."""
     return "<0.0001" if r < 1e-4 else format_number(r)
@@ -99,7 +113,7 @@ def _replicability_line(forest: AnnotatedForest) -> str:
     return (
         f"replicability: r-value={format_r_value(rep.r_value)}, "
         f"u_max(left)={rep.u_max_left}, u_max(right)={rep.u_max_right}, "
-        f"confidence={format_number(rep.confidence * 100)}%, "
+        f"confidence={_format_level(rep.alpha)}%, "
         f"consistency={rep.consistency}"
     )
 
@@ -116,7 +130,7 @@ def _render_text(forest: AnnotatedForest) -> str:
     pooled = forest.pooled
     label_width = max(len("study"), len(pooled.label), max(len(row.label) for row in forest.rows))
     unit = _MEASURE_LABEL[forest.measure]
-    ci_header = f"{format_number(forest.replicability.confidence * 100)}% CI"
+    ci_header = f"{_format_level(forest.replicability.alpha)}% CI"
     lines = [f"{'study':<{label_width}}  {unit:>10}  {ci_header:>22}  {'weight':>7}"]
     for row in forest.rows:
         lines.append(_text_row(forest, row, label_width, f"{row.weight * 100:6.2f}%"))

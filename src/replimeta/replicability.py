@@ -120,19 +120,23 @@ def _pmf_weights(length: int, t: float) -> tuple[float, ...]:
     )
 
 
-def _truncated_statistic(sorted_rows: np.ndarray, t: float) -> np.ndarray:
-    """The statistic c = -2 log(product of the p-values at or below t), per row.
+def _truncated_terms(p: np.ndarray, t: float) -> np.ndarray:
+    """The terms of the statistic c = -2 log(product of the p-values at or below t), in place.
 
-    Rows must be clipped to [LOG_FLOOR, LOG_CEIL] and sorted, which makes the
-    statistic a canonical function of the multiset of p-values. Every clipped
-    log is negative, so c is 0 exactly when no p-value is at or below t.
+    Each p is clipped to [LOG_FLOOR, LOG_CEIL] and replaced by its log, or by
+    0 when it is above t. Every clipped log is negative, so the terms sort as
+    the p-values do, and c is 0 exactly when no p-value is at or below t.
     """
-    truncated = sorted_rows <= t
-    return -2.0 * np.sum(np.where(truncated, np.log(sorted_rows), 0.0), axis=1)
+    np.clip(p, LOG_FLOOR, LOG_CEIL, out=p)
+    above = p > t
+    terms = np.log(p, out=p)
+    # A masked store: np.where with a scalar 0.0 is several times slower.
+    terms[above] = 0.0
+    return terms
 
 
 def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
-    """Null p-value of each statistic c of ``_truncated_statistic`` on rows of ``length``.
+    """Null p-value of each statistic c, -2 times a sum of ``length`` ``_truncated_terms``.
 
     A statistic of 0 (nothing truncated, an empty product of 1) gets the
     weakest possible p-value, exactly 1.
@@ -150,11 +154,6 @@ def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
     out = np.clip(mixture, 0.0, 1.0)
     out[c_stat <= 0.0] = 1.0
     return out
-
-
-def _truncated_product_rows(sorted_rows: np.ndarray, t: float) -> np.ndarray:
-    """Combination p-value for each row of a clipped, sorted (rows, L) p-value matrix."""
-    return _product_tail(_truncated_statistic(sorted_rows, t), sorted_rows.shape[1], t)
 
 
 # A relative margin for decisions made on a rounded tail function: a row is
@@ -229,27 +228,32 @@ def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float
 
 
 class _PCCurve:
-    """r(1), r(2), ... for each row of a p-value matrix; a sequence is one row.
+    """r(1), r(2), ... for each row of a ``_truncated_terms`` matrix.
 
     r(u), the p-value of "at least u of the row's studies have an effect", is
-    the truncated-product p-value of the row's n-u+1 largest values. Rows are
-    clipped and sorted once, here, and each r(u) is computed on first use. For
-    u > n the suffix is empty and r(u) is 1: fewer than u cannot establish u.
+    the truncated-product p-value of the row's n-u+1 largest p-values, whose
+    terms are the n-u+1 largest. Rows are sorted once, here, and each r(u) is
+    computed on first use. For u > n the suffix is empty and r(u) is 1: fewer
+    than u cannot establish u.
     """
 
-    def __init__(self, p_rows: np.ndarray, t: float) -> None:
-        rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
-        self._sorted = np.clip(rows, LOG_FLOOR, LOG_CEIL)
-        self._sorted.sort(axis=1)
+    def __init__(self, terms: np.ndarray, t: float) -> None:
+        self._sorted = np.sort(terms, axis=1)
         self._t = t
         self._values: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def from_p_values(cls, p_rows: Sequence[float] | np.ndarray, t: float) -> _PCCurve:
+        """The curve of each row of a p-value matrix; a sequence is one row."""
+        return cls(_truncated_terms(np.array(p_rows, dtype=float, ndmin=2), t), t)
 
     def __len__(self) -> int:
         return self._sorted.shape[1]
 
     def __call__(self, u: int) -> np.ndarray:
         if u not in self._values:
-            self._values[u] = _truncated_product_rows(self._sorted[:, u - 1 :], self._t)
+            suffix = self._sorted[:, u - 1 :]
+            self._values[u] = _product_tail(-2.0 * np.sum(suffix, axis=1), suffix.shape[1], self._t)
         return self._values[u]
 
 
@@ -281,8 +285,8 @@ class _TwoSidedProfile:
     def __init__(
         self, left_ps: Sequence[float], right_ps: Sequence[float], t: float, alpha: float | None = None
     ):
-        self.left = _PCCurve(left_ps, t)
-        self.right = _PCCurve(right_ps, t)
+        self.left = _PCCurve.from_p_values(left_ps, t)
+        self.right = _PCCurve.from_p_values(right_ps, t)
         self.t = t
         self.level = None if alpha is None else alpha / 2.0
 
@@ -306,56 +310,48 @@ def _tail_cut(t: float) -> float:
     return math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else _level_quantiles(t)[1]
 
 
-def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    """Per entry of an (n, rows) z matrix, log p where p = ndtr(z), clipped, is <= t; else 0.
+def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray, right: bool) -> np.ndarray:
+    """The ``_truncated_terms`` of one side's p-values, per entry of an (n, rows) z matrix.
 
-    These are the terms the exact kernel adds, p being clipped to
-    [LOG_FLOOR, LOG_CEIL]. ndtr runs only on the candidates z <=
-    ``_tail_cut(t)``, in one masked pass over the matrix: every other entry
-    has p > t and adds 0. The logs are written to ``out``, of zt's shape.
+    The left p-values are ndtr(z), the right ones ndtr(-z). ndtr runs only on
+    the candidates, z <= ``_tail_cut(t)`` on the left and z >= -``_tail_cut(t)``
+    on the right, in one masked pass over the matrix: every other entry has
+    p > t and adds 0. Only the candidates are negated, in a copy, so zt is
+    read and never written. The terms are written to ``out``, of zt's shape.
     """
     from scipy import special
 
     cut = _tail_cut(t)
     if cut == math.inf:
-        p = special.ndtr(zt, out=out)
-    else:
-        # Flat indices: a take and a put cost half what a boolean mask does.
-        candidates = np.flatnonzero(zt <= cut)
-        p = np.take(zt, candidates)
-        special.ndtr(p, out=p)
-    np.clip(p, LOG_FLOOR, LOG_CEIL, out=p)
-    above = p > t
-    terms = np.log(p, out=p)
-    # A masked store: np.where with a scalar 0.0 is several times slower.
-    terms[above] = 0.0
-    if cut != math.inf:
-        out.fill(0.0)
-        np.put(out, candidates, terms)
+        p = np.negative(zt, out=out) if right else zt
+        return _truncated_terms(special.ndtr(p, out=out), t)
+    # Flat indices: a take and a put cost half what a boolean mask does.
+    candidates = np.flatnonzero(zt >= -cut if right else zt <= cut)
+    p = np.take(zt, candidates)
+    if right:
+        np.negative(p, out=p)
+    out.fill(0.0)
+    np.put(out, candidates, _truncated_terms(special.ndtr(p, out=p), t))
     return out
 
 
 def _truncated_rejections(
-    logs: np.ndarray,
-    rows: int,
-    us: Collection[int],
-    t: float,
-    level: float,
-    exact_rows: Callable[[np.ndarray], np.ndarray],
+    logs: np.ndarray, us: Collection[int], t: float, level: float
 ) -> dict[int, np.ndarray]:
-    """``r(u) <= level`` for each u in ``us``, per entry of ``rows``-long log vectors.
+    """``r(u) <= level`` for each u in ``us``, per column of an (n, rows) log matrix.
 
-    ``logs`` is the (n, rows) ``_truncated_logs`` matrix, one study a row. r(u)
-    leaves out the u - 1 smallest p-values, so its statistic is c(u) =
-    -2 (T - S(u-1)), T being the total of a row's logs and S(k) the sum of
+    ``logs`` holds the ``_truncated_terms`` of the p-values, one study a row.
+    r(u) leaves out the u - 1 smallest p-values, so its statistic is c(u) =
+    -2 (T - S(u-1)), T being the total of a column's logs and S(k) the sum of
     its k most negative ones, kept by a running minimum/maximum insertion
-    over the studies. Rows clearly beyond the critical bracket of
-    ``_product_tail`` reject, rows clearly short of it accept, and only rows
-    within ``_LEVEL_MARGIN`` and the summation slack of it, or with a NaN
-    statistic, run the exact kernel (``_bracket_rejections``), on the p-value
-    rows ``exact_rows(band)`` returns. A row with fewer than u truncated logs
-    has c(u) = 0 exactly in that kernel, and within the slack of 0 here.
+    over the studies. Columns clearly beyond the critical bracket of
+    ``_product_tail`` reject, columns clearly short of it accept, and only
+    columns within ``_LEVEL_MARGIN`` and the summation slack of it, or with a
+    NaN statistic, run ``_PCCurve`` on their own logs (``_bracket_rejections``).
+    A column with fewer than u truncated logs has c(u) = 0 exactly in that
+    kernel, and within the slack of 0 here.
     """
+    rows = logs.shape[1]
     total = np.zeros(rows)
     smallest = np.zeros((max(us) - 1, rows))
     carry, spare = np.empty(rows), np.empty(rows)
@@ -394,7 +390,7 @@ def _truncated_rejections(
             c_stat,
             max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - slack,
             c_reject * (1.0 + _LEVEL_MARGIN) + slack,
-            lambda band: _PCCurve(exact_rows(band), t)(u) <= level,
+            lambda band: _PCCurve(logs[:, band].T, t)(u) <= level,
         )
     return out
 
@@ -404,28 +400,17 @@ def _directional_rejections(
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Left and right ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
 
-    Each study is one contiguous row of ``zt``. The left p-values are
-    ndtr(z), the right ones ndtr(-z): ``zt`` is negated in place for the
-    right side and negated back. Every decision is that of ``_PCCurve`` on
-    the p-value rows, bit for bit. ``logs``, a matrix of zt's shape, holds
-    each side's truncated logs in turn; one is allocated when it is None.
+    Each study is one contiguous row of ``zt``, which is only read. Every
+    decision is that of ``_PCCurve.from_p_values`` on the p-value rows, bit
+    for bit. ``logs``, a matrix of zt's shape, holds each side's truncated
+    logs in turn; one is allocated when it is None.
     """
-    from scipy import special
-
     if logs is None:
         logs = np.empty_like(zt)
-
-    def side() -> dict[int, np.ndarray]:
-        return _truncated_rejections(
-            _truncated_logs(zt, t, logs), zt.shape[1], us, t, level,
-            lambda band: special.ndtr(zt[:, band].T),
-        )
-
-    left = side()
-    np.negative(zt, out=zt)
-    right = side()
-    np.negative(zt, out=zt)
-    return left, right
+    return tuple(
+        _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
+        for right in (False, True)
+    )
 
 
 def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:
@@ -439,7 +424,7 @@ def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:
     arr = _validate_pvalues(p_values)
     if arr.size == 0:
         raise ValueError("p_values must be nonempty")
-    return float(_PCCurve(arr, t)(1)[0])
+    return float(_PCCurve.from_p_values(arr, t)(1)[0])
 
 
 def partial_conjunction_p(p_one_sided: Sequence[float], u: int, t: float = 0.05) -> float:
@@ -455,7 +440,7 @@ def partial_conjunction_p(p_one_sided: Sequence[float], u: int, t: float = 0.05)
         raise ValueError("p_one_sided must be nonempty")
     if not 1 <= u <= arr.size:
         raise ValueError(f"u must be in [1, {arr.size}], got {u}")
-    return float(_PCCurve(arr, t)(u)[0])
+    return float(_PCCurve.from_p_values(arr, t)(u)[0])
 
 
 def _paired_profile(

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import TextIO
 
-from .forest import AnnotatedForest, format_number, format_r_value
+from .forest import AnnotatedForest, _format_level, format_r_value
 from .meta import (
     MetaAnalysisResult,
     _OVERFLOW_MESSAGE,
@@ -242,7 +242,7 @@ def summary_sentence(report: ReplicabilityReport, measure: str = "raw") -> str:
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}, got {measure!r}")
     words = _DIRECTION_WORDS[measure]
-    confidence = format_number(report.confidence * 100)
+    confidence = _format_level(report.alpha)
     r_text = format_r_value(report.r_value)
 
     if report.consistency == "inconsistent":

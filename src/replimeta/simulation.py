@@ -385,7 +385,6 @@ def _evaluate_tests(
     if levels:
         theta_t /= se[:, None]
         logs = work[size : 2 * size].reshape(n, -1)
-        # Negates z in place for the right side and back, exactly.
         left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, logs)
         for test_id, u in us.items():
             decided[test_id] = left[u] | right[u]

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replimeta import report
 from replimeta.cli import main
@@ -592,6 +597,93 @@ def test_interval_header_states_the_level_of_the_intervals(command, alpha_args, 
     assert main([command, "--input", raw_file, *alpha_args]) == 0
     first_line = capsys.readouterr().out.splitlines()[0]
     assert re.findall(r"\S+% CI", first_line) == [header]
+
+
+# Far from 0 on one side, so that the summary sentence claims replicability
+# and states its confidence at every alpha.
+STRONG_CSV = "label,estimate,se\na,10,0.5\nb,12,0.6\nc,11,0.4\n"
+# A stated level: an interval header, the footer's confidence= and the summary sentence's.
+STATED_LEVEL = re.compile(r"(\S+)% CI|confidence=(\S+)%|with (\S+)% confidence")
+
+
+def stated_levels(text):
+    return ["".join(groups) for groups in STATED_LEVEL.findall(text)]
+
+
+SVG_AT_1E_17 = pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="ROADMAP item 2: at alpha = 1e-17 every interval is [-inf, inf], and the SVG axis "
+    "cannot place ticks on an infinite span",
+)
+
+
+@pytest.mark.parametrize("command, stated", [
+    (["analyze"], 3), (["analyze", "--format", "svg"], 1), (["loo"], 1),
+], ids=["analyze-text", "analyze-svg", "loo"])
+@pytest.mark.parametrize("alpha, level", [
+    ("1e-5", "99.999"), ("1e-8", "99.999999"), ("1e-17", "99.999999999999999"),
+])
+def test_a_tiny_alpha_states_its_level_with_the_digits_it_needs(
+    command, stated, alpha, level, tmp_path, capsys, request
+):
+    if alpha == "1e-17" and "svg" in command:
+        request.applymarker(SVG_AT_1E_17)
+    path = tmp_path / "strong.csv"
+    path.write_text(STRONG_CSV)
+    assert main([*command, "--input", str(path), "--alpha", alpha]) == 0
+    assert stated_levels(capsys.readouterr().out) == [level] * stated
+
+
+def check_cli_contract(argv):
+    """``main(argv)`` exits 0 with finite, strict output and no level of 100%,
+    or exits 1 with ``replimeta: error:``, no traceback and no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert err.startswith("replimeta: error: ") and "Traceback" not in err and out == ""
+        return
+    assert code == 0, err
+    assert not re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE), out
+    assert "100" not in stated_levels(out), out
+    if "json" in argv:
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON number {constant}")
+
+        json.loads(out, parse_constant=reject)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from([
+        ["analyze"], ["analyze", "--format", "json"], ["analyze", "--model", "random"],
+        ["bounds"], ["bounds", "--format", "json"],
+        ["loo"], ["loo", "--format", "json"], ["loo", "--model", "random"],
+    ]),
+    alpha=st.floats(math.log(1e-15), math.log(0.5)).map(math.exp),
+    rows=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 5.0)), min_size=2, max_size=8),
+)
+def test_every_alpha_gives_finite_strict_output_or_a_named_error(command, alpha, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "studies.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("label,estimate,se\n")
+            handle.writelines(f"s{i},{est!r},{se!r}\n" for i, (est, se) in enumerate(rows))
+        check_cli_contract([*command, "--input", path, "--alpha", repr(alpha)])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: below alpha = 2^-53, ndtri(1 - alpha/2) is inf, so every interval "
+    "prints [-inf, inf]",
+)
+@pytest.mark.parametrize("command", ["analyze", "loo"])
+def test_text_output_at_an_alpha_below_two_to_the_minus_53_is_finite(command, raw_file):
+    check_cli_contract([command, "--input", raw_file, "--alpha", "1e-17"])
 
 
 @pytest.mark.parametrize("command", ["analyze", "bounds"])

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from replimeta import meta
 from replimeta.meta import StudySummary, _pool_rows, fixed_effect_meta, random_effects_meta
-from replimeta.replicability import _fe_z_extremes, partial_conjunction_p
+from replimeta import replicability
+from replimeta.replicability import _fe_z_extremes, delta_bound, partial_conjunction_p
 from replimeta.report import AnalysisRequest, partial_conjunction_summary
 from replimeta.simulation import preset, preset_names, simulate_fixed
 from replimeta.statkernels import normal_cdf, one_sided_p
@@ -461,3 +462,36 @@ def test_meta_fe_power_against_its_closed_form(scenario):
     exact = float(meta_fe_power_oracle(scenario.theta, scenario.group_sizes, alpha))
     se = (exact * (1.0 - exact) / scenario.replications) ** 0.5
     assert abs(rate - exact) <= 4.0 * se
+
+
+def shifted_r(studies, u, t, side, delta):
+    """The tested side's r(u) with the null effect moved to +delta (upper_positive) or -delta."""
+    if side == "upper_positive":
+        ps = [one_sided_p(s.theta_hat, s.se, shift=delta).right for s in studies]
+    else:
+        ps = [one_sided_p(s.theta_hat, s.se, shift=-delta).left for s in studies]
+    return partial_conjunction_p(ps, u, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.1, 2.0)), min_size=2, max_size=8),
+    side=st.sampled_from(["upper_positive", "lower_negative"]),
+    alpha=st.sampled_from([0.01, 0.05, 0.2]),
+    t=st.sampled_from([None, 0.5, 1.0]),
+)
+def test_delta_bound_is_the_root_of_the_shifted_r_value(pairs, side, alpha, t):
+    """None exactly where the unshifted test accepts; else the last rejecting shift, to
+    ``_DELTA_TOL``; and the shifted r(u) never falls as the shift grows."""
+    studies = [StudySummary(f"s{i}", est, se) for i, (est, se) in enumerate(pairs)]
+    level, t_used = alpha / 2.0, alpha if t is None else t
+    top = max(abs(est) for est, _ in pairs) + 10.0 * max(se for _, se in pairs)
+    for u in range(1, len(studies) + 1):
+        delta = delta_bound(studies, u, alpha=alpha, side=side, t=t)
+        rejects = shifted_r(studies, u, t_used, side, 0.0) <= level
+        assert (delta is None) == (not rejects)
+        if delta is not None:
+            assert shifted_r(studies, u, t_used, side, delta) <= level
+            assert shifted_r(studies, u, t_used, side, delta + replicability._DELTA_TOL) > level
+        grid = [shifted_r(studies, u, t_used, side, d) for d in np.linspace(0.0, top, 41)]
+        assert grid == sorted(grid)

@@ -41,7 +41,7 @@ from replimeta.replicability import (
     _PCCurve,
     _tail_cut,
     _truncated_rejections,
-    _truncated_statistic,
+    _truncated_terms,
     confidence_bounds,
     fe_r_value,
     partial_conjunction_p,
@@ -159,7 +159,7 @@ def _studies(pairs):
 @PROPERTY
 @given(ps=st.lists(P_VALUES, min_size=1, max_size=7), t=THRESHOLDS)
 def test_curve_equals_subset_oracle(ps, t):
-    curve = _PCCurve(ps, t)
+    curve = _PCCurve.from_p_values(ps, t)
     for u in range(1, len(ps) + 1):
         assert curve(u)[0] == pytest.approx(brute_force_pc(ps, u, t), rel=1e-12, abs=0.0)
 
@@ -175,7 +175,7 @@ def test_curve_equals_subset_oracle(ps, t):
 @example(ps=[0.44, 0.44], t=1.0, alpha=0.9)
 def test_walk_equals_first_non_rejection(ps, t, alpha):
     level = alpha / 2.0
-    assert _leading_rejections(_PCCurve(ps, t), level) == reference_bound(ps, level, t)
+    assert _leading_rejections(_PCCurve.from_p_values(ps, t), level) == reference_bound(ps, level, t)
     right = [1.0 - p for p in ps]
     assert confidence_bounds(ps, right, t=t, alpha=alpha) == (
         reference_bound(ps, level, t),
@@ -314,7 +314,7 @@ def _rows_straddling(target, t, truncated, untruncated):
         return np.sort(np.array(truncated + [_from_bits(bits)] + untruncated))
 
     def stat(bits):
-        return float(_truncated_statistic(row(bits)[None, :], t)[0])
+        return float(-2.0 * np.sum(_truncated_terms(row(bits)[None, :], t), axis=1)[0])
 
     lo, hi = _float_bits(LOG_FLOOR), _float_bits(top)
     if stat(hi) > target:
@@ -379,7 +379,7 @@ def test_critical_value_decisions_equal_the_exact_kernel_at_the_band_edges(
     smallest = min(row[0] for row in rows)
     below = sorted(data.draw(st.floats(LOG_FLOOR, smallest)) for _ in range(extra))
     matrix = np.array([below + row.tolist() for row in rows])
-    expected = _PCCurve(matrix, t)(u) <= level
+    expected = _PCCurve.from_p_values(matrix, t)(u) <= level
     assert np.array_equal(kernel_decisions(matrix, u, t, level), expected)
     for row, want in zip(matrix, expected):
         assert bool(kernel_decisions(row[None, :], u, t, level)[0]) == bool(want)
@@ -389,7 +389,7 @@ def kernel_decisions(p_rows, u, t, level):
     """``_truncated_rejections`` at u on the truncated logs of a (rows, n) p-value matrix."""
     clipped = np.clip(p_rows, LOG_FLOOR, LOG_CEIL)
     logs = np.where(clipped <= t, np.log(clipped), 0.0).T.copy()
-    return _truncated_rejections(logs, logs.shape[1], (u,), t, level, lambda band: p_rows[band])[u]
+    return _truncated_rejections(logs, (u,), t, level)[u]
 
 
 def test_bracket_rule_sends_the_band_nan_and_infinite_slack_to_exact():
@@ -432,10 +432,10 @@ def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
     p_rows = np.random.default_rng(7).uniform(0.0, 0.05, size=(6, 4))
     logs = np.log(p_rows).T.copy()
     logs[2, 1] = math.nan
-    out = _truncated_rejections(logs, 6, (1, 2, 3), t, level, lambda band: p_rows[band])
+    out = _truncated_rejections(logs, (1, 2, 3), t, level)
     assert len(calls) == 3 and all(1 in band for band in calls)
     for u in (1, 2, 3):
-        assert out[u][1] == (_PCCurve(p_rows[1], t)(u)[0] <= level)
+        assert out[u][1] == (_PCCurve(logs[:, 1:2].T, t)(u)[0] <= level)
 
 
 def test_pooled_tests_send_nan_statistics_to_exact(monkeypatch):
@@ -493,10 +493,11 @@ def test_directional_rejections_equal_the_exact_kernel_row_by_row(seed, n, t, al
     z = rng.normal(0.0, scale, size=(300, n)) + rng.choice([0.0, 2.5, -2.5], size=(300, 1))
     z[:60] = rng.choice(SPECIAL_Z, size=(60, n))
     level = alpha / 2.0
-    exact_left, exact_right = _PCCurve(special.ndtr(z), t), _PCCurve(special.ndtr(-z), t)
+    exact_left = _PCCurve.from_p_values(special.ndtr(z), t)
+    exact_right = _PCCurve.from_p_values(special.ndtr(-z), t)
     zt = z.T.copy()
     left, right = _directional_rejections(zt, t, range(1, n + 1), level)
-    assert np.array_equal(zt, z.T)  # negated for the right side, and back
+    assert np.array_equal(zt, z.T)  # read, never written
     for u in range(1, n + 1):
         assert np.array_equal(left[u], exact_left(u) <= level)
         assert np.array_equal(right[u], exact_right(u) <= level)
@@ -505,6 +506,47 @@ def test_directional_rejections_equal_the_exact_kernel_row_by_row(seed, n, t, al
     assert list(left) == list(right) == [n]
     assert np.array_equal(left[n], exact_left(n) <= level)
     assert np.array_equal(right[n], exact_right(n) <= level)
+
+
+def test_directional_rejections_only_read_z():
+    rng = np.random.default_rng(11)
+    z = rng.normal(0.0, 2.0, size=(6, 500)) + rng.choice([0.0, 2.5, -2.5], size=(1, 500))
+    for t in (0.05, 1.0):
+        want = _directional_rejections(z.copy(), t, (1, 2, 3), 0.025)
+        z.flags.writeable = False
+        got = _directional_rejections(z, t, (1, 2, 3), 0.025)
+        z.flags.writeable = True
+        for side, expected in zip(got, want):
+            assert all(np.array_equal(side[u], expected[u]) for u in (1, 2, 3))
+
+
+def clip_sort_sum_curve(p_rows, t, u):
+    """r(u) per row by the formula: clip, sort, and sum the logs at or below t of the suffix."""
+    rows = np.clip(np.array(p_rows, dtype=float, ndmin=2), LOG_FLOOR, LOG_CEIL)
+    rows.sort(axis=1)
+    suffix = rows[:, u - 1 :]
+    c_stat = -2.0 * np.sum(np.where(suffix <= t, np.log(suffix), 0.0), axis=1)
+    return replicability._product_tail(c_stat, suffix.shape[1], t)
+
+
+# Ties, p exactly at a threshold, 0, 1 and the clip bounds, besides draws.
+EDGE_P_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5, LOG_FLOOR, LOG_CEIL]), P_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(EDGE_P_VALUES, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    t=THRESHOLDS,
+)
+def test_curve_from_p_values_equals_the_clip_sort_sum_formula_bit_for_bit(rows, t):
+    curve = _PCCurve.from_p_values(np.array(rows), t)
+    for u in range(1, len(rows[0]) + 2):
+        want = clip_sort_sum_curve(rows, t, u)
+        assert bits(*curve(u)) == bits(*want)
+        for row, value in zip(rows, want):
+            assert bits(_PCCurve.from_p_values(row, t)(u)[0]) == bits(value)
 
 
 def full_mantissas(low, high):

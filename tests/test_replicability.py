@@ -144,7 +144,7 @@ class TestPartialConjunction:
         n = 6
         matrix = rng.uniform(size=(10_000, n))
         matrix[:3000] = np.minimum(matrix[:3000], rng.beta(0.2, 1.0, size=(3000, n)))
-        curve = _PCCurve(matrix, 0.05)
+        curve = _PCCurve.from_p_values(matrix, 0.05)
         curves = np.column_stack([curve(u) for u in range(1, n + 1)])
         drops = np.diff(curves, axis=1) < -1e-12
         bad_rows = np.nonzero(drops.any(axis=1))[0]
@@ -442,7 +442,7 @@ def test_size_under_global_null_quick():
 
     lefts = ndtr(z)
     rights = ndtr(-z)
-    r_l = _PCCurve(lefts, 0.05)(2)
-    r_r = _PCCurve(rights, 0.05)(2)
+    r_l = _PCCurve.from_p_values(lefts, 0.05)(2)
+    r_r = _PCCurve.from_p_values(rights, 0.05)(2)
     rate = float((np.minimum(1.0, 2 * np.minimum(r_l, r_r)) <= 0.05).mean())
     assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / replications)

@@ -5,6 +5,7 @@ scalar public operations they accelerate, so the harness cannot drift from the
 library it is meant to measure.
 """
 
+import functools
 import hashlib
 import io
 import math
@@ -22,9 +23,11 @@ from scipy import special
 from replimeta import cli, meta, simulation
 from replimeta.meta import _pool_rows
 from replimeta.replicability import (
-    partial_conjunction_p,
+    _directional_rejections,
     _fe_z_extremes,
     _PCCurve,
+    confidence_bounds,
+    partial_conjunction_p,
 )
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
@@ -61,7 +64,7 @@ class TestVectorizedAgainstScalar:
         matrix = rng.uniform(size=(60, 7))
         matrix[:20] = np.minimum(matrix[:20], rng.beta(0.2, 1.0, size=(20, 7)))
         for t in (0.05, 0.5, 1.0):
-            curve = _PCCurve(matrix, t)
+            curve = _PCCurve.from_p_values(matrix, t)
             for u in (1, 2, 3, 7):
                 rows = curve(u)
                 for i in range(matrix.shape[0]):
@@ -565,6 +568,78 @@ class TestLeastFavourableNull:
                 if rate > limit:
                     above.append((u, t, rate))
         assert above == [], limit
+
+
+# True effects in standard errors, one character a study: F far (40), N near
+# (0.5 to 3 across the studies), 0 null, lower case negative. Up to symmetry:
+# a sign flip swaps the sides, and the order of the studies does not matter.
+COVERAGE_PATTERNS = ["00", "F0", "0000", "F000", "FfN0", "00000000", "FN000000", "FFnn0000"]
+
+
+def _true_effects(pattern):
+    near = np.linspace(0.5, 3.0, len(pattern))
+    sizes = [{"F": 40.0, "N": near[i], "0": 0.0}[c.upper()] for i, c in enumerate(pattern)]
+    return np.array([-size if c.islower() else size for size, c in zip(sizes, pattern)])
+
+
+def _vectorised_bounds(z, t, alpha):
+    """(u_max_left, u_max_right) per row of a (rows, n) z matrix.
+
+    Each side's bound is the leading run of ``_directional_rejections`` at
+    every u, at level alpha / 2, as ``confidence_bounds`` walks one row.
+    """
+    sides = _directional_rejections(np.ascontiguousarray(z.T), t, range(1, z.shape[1] + 1), alpha / 2)
+    bounds = []
+    for side in sides:
+        leading = np.ones(len(z), dtype=bool)
+        count = np.zeros(len(z), dtype=int)
+        for u in sorted(side):
+            leading &= side[u]
+            count += leading
+        bounds.append(count)
+    return bounds
+
+
+class TestJointCoverage:
+    """u_max(left) and u_max(right) hold jointly at 1 - alpha, whatever the true effects.
+
+    Each side walks at alpha / 2 (Benjamini & Heller, 2008). Non-coverage is a
+    bound above the number of true effects on its side, a null counting on
+    neither. The limit is alpha plus 4 Monte Carlo standard errors, as in
+    ``TestLeastFavourableNull``.
+    """
+
+    ALPHA, ROWS = 0.05, 20_000
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _draw(pattern, t):
+        """The effects, z's first 1,000 rows and every row's bounds, drawn once for both tests."""
+        effects = _true_effects(pattern)
+        seed = COVERAGE_PATTERNS.index(pattern) * 10 + int(10 * t)
+        rows = TestJointCoverage.ROWS
+        z = np.random.default_rng(seed).standard_normal((rows, len(pattern))) + effects
+        return effects, z[:1000].copy(), _vectorised_bounds(z, t, TestJointCoverage.ALPHA)
+
+    def _limit(self, level):
+        return level + 4.0 * math.sqrt(level * (1.0 - level) / self.ROWS)
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("pattern", COVERAGE_PATTERNS)
+    def test_bounds_cover_jointly_and_agree_with_the_scalar_walk(self, pattern, t):
+        effects, z, (left, right) = self._draw(pattern, t)
+        missed = (right > np.sum(effects > 0)) | (left > np.sum(effects < 0))
+        assert missed.mean() <= self._limit(self.ALPHA)
+        for row, u_left, u_right in zip(z, left, right):
+            want = confidence_bounds(special.ndtr(row), special.ndtr(-row), t=t, alpha=self.ALPHA)
+            assert (u_left, u_right) == want
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("pattern", [p for p in COVERAGE_PATTERNS if p == p.upper()])
+    def test_inconsistency_is_rarely_claimed_when_every_effect_is_nonnegative(self, pattern, t):
+        _, _, (left, right) = self._draw(pattern, t)
+        inconsistent = (left >= 1) & (right >= 1)
+        assert inconsistent.mean() <= self._limit(self.ALPHA / 2)
 
 
 class TestCalibrateTau:
