@@ -188,8 +188,14 @@ def _escape(text: str) -> str:
 def _render_svg(forest: AnnotatedForest) -> str:
     ratio = forest.measure in _RATIO_MEASURES
     pooled = forest.pooled
-    values = [v for row in forest.rows for v in (row.ci[0], row.ci[1])]
-    values += [pooled.ci[0], pooled.ci[1]]
+    drawn = (*forest.rows, pooled)
+    for row in drawn:
+        if not (math.isfinite(row.ci[0]) and math.isfinite(row.ci[1])):
+            raise ValueError(
+                f"the SVG axis cannot place the non-finite interval [{row.ci[0]}, {row.ci[1]}] "
+                f"of {row.label!r}"
+            )
+    values = [v for row in drawn for v in row.ci]
     null_value = 0.0
     lo, hi = min(values + [null_value]), max(values + [null_value])
     if ratio:

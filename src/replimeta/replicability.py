@@ -335,6 +335,42 @@ def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray, right: bool) -> n
     return out
 
 
+def _summation_slack(n: int) -> float:
+    """A bound on how far two sums of the same n clipped logs, as -2 times a
+    difference of sums, can differ when they are summed in different orders.
+
+    Each clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of
+    them, in any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact
+    kernel makes one such sum; the top-k statistic of ``_truncated_rejections``
+    makes two, the row total T and the k smallest S(k), and one rounding of
+    T - S(k). With c = -2 (...) the two statistics differ by less than this
+    slack, 7.9e-11 at n = 8.
+    """
+    return 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)
+
+
+@lru_cache(maxsize=None)
+def _decisive_z(n: int, u: int, t: float, level: float) -> float:
+    """A z beyond which one study alone makes r(u) <= level in a row of n studies.
+
+    On the right every z at or above it, on the left every z at or below its
+    negative, has a clipped one-sided p-value at or below t whose log is below
+    -(c_reject (1 + _LEVEL_MARGIN) + slack) / 2, c_reject being that of
+    ``_critical_bracket(n - u + 1, t, level)`` and slack ``_summation_slack(n)``.
+    r(u) keeps the n - u + 1 largest terms, so a row with u such studies keeps
+    one, and its statistic is beyond c_reject by both margins of
+    ``_truncated_rejections``. The z is -ndtri(p* (1 - _LEVEL_MARGIN)), p*
+    being t or that log's exp if smaller; it is inf where that level is below
+    LOG_FLOOR, where the clip could lift a p-value above it, and where
+    c_reject is inf.
+    """
+    c_reject = _critical_bracket(n - u + 1, t, level)[1]
+    p_star = min(t, math.exp(-(c_reject * (1.0 + _LEVEL_MARGIN) + _summation_slack(n)) / 2.0))
+    if p_star * (1.0 - _LEVEL_MARGIN) < LOG_FLOOR:
+        return math.inf
+    return -_level_quantiles(p_star)[0]
+
+
 def _truncated_rejections(
     logs: np.ndarray, us: Collection[int], t: float, level: float
 ) -> dict[int, np.ndarray]:
@@ -367,13 +403,7 @@ def _truncated_rejections(
                 np.maximum(slot, carry, out=spare)
             np.minimum(slot, carry, out=slot)
             carry, spare = spare, carry
-    # The statistic is summed in another order than the exact kernel's. Each
-    # clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of them, in
-    # any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact kernel
-    # makes one such sum; the top-k statistic makes two, the row total T and
-    # the k smallest S(k), and one rounding of T - S(k). With c = -2 (...) the
-    # two statistics differ by less than this slack, 7.9e-11 at n = 8.
-    slack = 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)
+    slack = _summation_slack(n)
     # An exact statistic is 0 or at least one truncated log's worth, c_least;
     # below it a row accepts, as r(u) = 1 there, also where c_accept is 0.
     c_least = -2.0 * math.log(min(t, LOG_CEIL))
@@ -395,22 +425,71 @@ def _truncated_rejections(
     return out
 
 
+def _side_rejections(
+    zt: np.ndarray, t: float, us: Collection[int], level: float, logs: np.ndarray, right: bool
+) -> dict[int, np.ndarray]:
+    """One side's ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
+
+    Each column is first settled by two counts where it can be: with fewer
+    than u candidates of ``_truncated_logs`` it has fewer than u truncated
+    logs, so c(u) = 0 and it accepts at u; with at least u z beyond
+    ``_decisive_z`` it rejects at u. Only the columns some u leaves open run
+    ``_truncated_logs`` and ``_truncated_rejections``. When at most half the
+    columns are open, their z and logs are gathered into the front of
+    ``logs``; otherwise the whole matrix runs. At a ``_tail_cut`` of inf
+    every entry is a candidate and nothing is counted.
+    """
+    cut = _tail_cut(t)
+    if cut < math.inf:
+        n, rows = zt.shape
+        # The comparisons are written into ``logs`` as booleans before any log is.
+        flat = logs.reshape(-1)
+        beyond = flat.view(np.bool_)[: zt.size].reshape(zt.shape)
+        counted = np.min_scalar_type(n)
+
+        def count(bound: float) -> np.ndarray:
+            """Entries at or below ``bound`` on the left, at or above -``bound`` on the right."""
+            if right:
+                np.greater_equal(zt, -bound, out=beyond)
+            else:
+                np.less_equal(zt, bound, out=beyond)
+            return np.add.reduce(beyond, axis=0, dtype=counted)
+
+        candidates = count(cut)
+        out = {}
+        unsettled = np.zeros(rows, dtype=bool)
+        for u in us:
+            out[u] = count(-_decisive_z(n, u, t, level)) >= u
+            unsettled |= (candidates >= u) & ~out[u]
+        open_ = np.flatnonzero(unsettled)
+        m = open_.size
+        if 2 * m <= rows:
+            if m:
+                z_open = flat[: n * m].reshape(n, m)
+                np.take(zt, open_, axis=1, out=z_open, mode="clip")
+                logs_open = _truncated_logs(z_open, t, flat[n * m : 2 * n * m].reshape(n, m), right)
+                for u, rejected in _truncated_rejections(logs_open, us, t, level).items():
+                    out[u][open_] = rejected
+            return out
+    return _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
+
+
 def _directional_rejections(
     zt: np.ndarray, t: float, us: Collection[int], level: float, logs: np.ndarray | None = None
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Left and right ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
 
-    Each study is one contiguous row of ``zt``, which is only read. Every
-    decision is that of ``_PCCurve.from_p_values`` on the p-value rows, bit
-    for bit. ``logs``, a matrix of zt's shape, holds each side's truncated
-    logs in turn; one is allocated when it is None.
+    Each study is one contiguous row of ``zt``, which is only read. Each side
+    settles most columns by counting, per column, the z beyond two values,
+    and runs the normal tail and the top-k statistic only on the rest
+    (``_side_rejections``). Every decision is that of
+    ``_PCCurve.from_p_values`` on the p-value rows, bit for bit. ``logs``, a
+    matrix of zt's shape, is each side's work space in turn; one is
+    allocated when it is None.
     """
     if logs is None:
         logs = np.empty_like(zt)
-    return tuple(
-        _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
-        for right in (False, True)
-    )
+    return tuple(_side_rejections(zt, t, us, level, logs, right) for right in (False, True))
 
 
 def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:

@@ -612,9 +612,9 @@ def stated_levels(text):
 
 SVG_AT_1E_17 = pytest.mark.xfail(
     strict=True,
-    raises=OverflowError,
+    raises=AssertionError,
     reason="ROADMAP item 2: at alpha = 1e-17 every interval is [-inf, inf], and the SVG axis "
-    "cannot place ticks on an infinite span",
+    "cannot place ticks on an infinite span, so the command exits 1",
 )
 
 
@@ -684,6 +684,15 @@ def test_every_alpha_gives_finite_strict_output_or_a_named_error(command, alpha,
 @pytest.mark.parametrize("command", ["analyze", "loo"])
 def test_text_output_at_an_alpha_below_two_to_the_minus_53_is_finite(command, raw_file):
     check_cli_contract([command, "--input", raw_file, "--alpha", "1e-17"])
+
+
+def test_svg_of_non_finite_intervals_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "strong.csv"
+    path.write_text(STRONG_CSV)
+    argv = ["analyze", "--format", "svg", "--input", str(path), "--alpha", "1e-17"]
+    check_cli_contract(argv)
+    assert main(argv) == 1
+    assert "non-finite interval [-inf, inf] of 'a'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "bounds"])

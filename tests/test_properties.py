@@ -34,11 +34,14 @@ from replimeta.meta import (
 from replimeta.replicability import (
     _bracket_rejections,
     _critical_bracket,
+    _decisive_z,
     _directional_rejections,
     _leading_rejections,
     _fe_z_extremes,
+    _LEVEL_MARGIN,
     _level_quantiles,
     _PCCurve,
+    _summation_slack,
     _tail_cut,
     _truncated_rejections,
     _truncated_terms,
@@ -518,6 +521,102 @@ def test_directional_rejections_only_read_z():
         z.flags.writeable = True
         for side, expected in zip(got, want):
             assert all(np.array_equal(side[u], expected[u]) for u in (1, 2, 3))
+
+
+
+@pytest.mark.parametrize("n, u, t, level", [
+    (1, 1, 0.05, 0.025), (8, 1, 0.05, 0.025), (8, 3, 0.05, 0.025), (8, 8, 0.05, 0.005),
+    (2, 1, 1e-12, 0.025), (8, 2, 0.5, 0.1), (8, 4, 0.9, 0.025), (300, 260, 0.05, 0.025),
+    (4, 1, 1e-200, 0.025), (3, 2, 0.01, 1e-250),
+])
+def test_every_z_beyond_the_decisive_z_alone_rejects(n, u, t, level):
+    """One-sided p-values at or beyond ``_decisive_z`` are truncated, with a log below the reject edge.
+
+    The right p-value of z is ndtr(-z) and the left one of -z is the same
+    double, so the right side stands for both.
+    """
+    decisive = _decisive_z(n, u, t, level)
+    assert math.isfinite(decisive)
+    z = [decisive]
+    for _ in range(2000):
+        z.append(float(np.nextafter(z[-1], math.inf)))
+    rng = np.random.default_rng(n * 1000 + u)
+    beyond = [np.array(z), decisive + rng.exponential(1e-6, 2000), decisive + rng.exponential(3.0, 2000),
+              np.array([38.5, 40.0, 1e300, math.inf])]
+    p = np.clip(special.ndtr(-np.concatenate(beyond)), LOG_FLOOR, LOG_CEIL)
+    c_reject = _critical_bracket(n - u + 1, t, level)[1]
+    assert np.all(p <= t)
+    assert np.all(np.log(p) < -(c_reject * (1.0 + _LEVEL_MARGIN) + _summation_slack(n)) / 2.0)
+
+
+def test_the_decisive_z_is_inf_where_no_clipped_p_value_can_be_decisive():
+    # Below LOG_FLOOR no clipped p-value is at or below t.
+    assert _decisive_z(8, 1, 1e-310, 0.025) == math.inf
+    # The reject edge's log is below log LOG_FLOOR.
+    assert _decisive_z(1, 1, 0.05, 1e-305) == math.inf
+    # No statistic rejects, so c_reject is inf.
+    assert _critical_bracket(1, 0.05, -1.0)[1] == math.inf
+    assert _decisive_z(1, 1, 0.05, -1.0) == math.inf
+
+
+def spy_on_truncated_logs(monkeypatch):
+    """Record the number of columns of each ``_truncated_logs`` call."""
+    widths = []
+    real = replicability._truncated_logs
+
+    def spy(zt, t, out, right):
+        widths.append(zt.shape[1])
+        return real(zt, t, out, right)
+
+    monkeypatch.setattr(replicability, "_truncated_logs", spy)
+    return widths
+
+
+def assert_directional_rejections_are_exact(z, t, us, level):
+    """``_directional_rejections`` on a (rows, n) z matrix against ``_PCCurve`` on its p-values."""
+    left, right = _directional_rejections(np.ascontiguousarray(z.T), t, us, level)
+    exact_left = _PCCurve.from_p_values(special.ndtr(z), t)
+    exact_right = _PCCurve.from_p_values(special.ndtr(-z), t)
+    for u in us:
+        assert np.array_equal(left[u], exact_left(u) <= level), u
+        assert np.array_equal(right[u], exact_right(u) <= level), u
+
+
+def test_few_open_columns_are_gathered_and_most_run_whole(monkeypatch):
+    widths = spy_on_truncated_logs(monkeypatch)
+    rng = np.random.default_rng(21)
+    # Null rows and a few near the edge: a minority of columns stays open on each side.
+    z = rng.normal(0.0, 1.0, size=(400, 6))
+    z[:40] += rng.choice([2.0, -2.0], size=(40, 1))
+    assert_directional_rejections_are_exact(z, 0.05, range(1, 7), 0.025)
+    assert len(widths) == 2 and all(0 < width <= 200 for width in widths)
+    # Every left z a candidate and almost none decisive: the left runs whole,
+    # and the right, with no candidate, runs no normal tail.
+    widths.clear()
+    z = rng.normal(-2.0, 0.3, size=(400, 6))
+    assert_directional_rejections_are_exact(z, 0.05, range(1, 7), 0.025)
+    assert widths == [400]
+
+
+def test_counts_of_hundreds_of_studies_do_not_wrap():
+    n = 300
+    z = np.zeros((4, n))
+    z[0, :260] = -40.0  # 260 decisive on the left
+    z[0, 260:] = 1.0
+    z[1, :299] = -2.0  # 299 left candidates
+    z[1, 299] = 3.0
+    z[2] = np.random.default_rng(22).normal(0.0, 1.0, n)
+    z[3] = 40.0
+    assert_directional_rejections_are_exact(z, 0.05, (1, 2, 44, 256, 257, 260, 261, 299, 300), 0.025)
+
+
+def test_a_chunk_settled_by_counts_runs_no_normal_tail(monkeypatch):
+    widths = spy_on_truncated_logs(monkeypatch)
+    z = np.zeros((50, 5))
+    z[::2] = -40.0  # every left p-value decisive, no right candidate
+    z[1::4, 0] = 0.5
+    assert_directional_rejections_are_exact(z, 0.05, range(1, 6), 0.025)
+    assert widths == []
 
 
 def clip_sort_sum_curve(p_rows, t, u):
