@@ -1,0 +1,64 @@
+"""Fail a CI job on any test failure or error except the standing one.
+
+    python .github/scripts/tier1_gate.py tier1.xml [more.xml ...]
+
+Reads the JUnit XML reports that pytest writes with ``--junitxml``. Every
+failure or error fails the gate, except that of STANDING, acceptance
+criterion 8, which ROADMAP.md keeps as written while its window is not
+met. The gate also fails when STANDING passes, is skipped or is missing,
+so that a fix is noticed and the exception is removed with it. It runs
+every test that pytest ran; it deselects and edits none.
+"""
+
+from __future__ import annotations
+
+import sys
+import xml.etree.ElementTree as ET
+
+STANDING = ("tests.test_acceptance", "test_criterion_08_inconsistency_detection_rate")
+
+
+OUTCOMES = {"failure": "failed", "error": "error", "skipped": "skipped"}  # an xfail is skipped
+
+
+def outcome(case: ET.Element) -> str:
+    """'failed', 'error', 'skipped' or 'passed'."""
+    for tag, name in OUTCOMES.items():
+        if case.find(tag) is not None:
+            return name
+    return "passed"
+
+
+def problems(paths: list[str]) -> tuple[list[str], dict[str, int]]:
+    """The lines that fail the gate, and the count of each outcome."""
+    found, counts, standing = [], {}, []
+    for path in paths:
+        for case in ET.parse(path).iter("testcase"):
+            status = outcome(case)
+            counts[status] = counts.get(status, 0) + 1
+            test_id = f"{case.get('classname')}::{case.get('name')}"
+            if (case.get("classname"), case.get("name")) == STANDING:
+                standing.append(status)
+            elif status in ("failed", "error"):
+                found.append(f"{status}: {test_id}")
+    if standing != ["failed"]:
+        found.append(
+            f"{'::'.join(STANDING)}: expected one standing failure, got {standing or 'no run'}; "
+            "if it now passes, remove it from STANDING"
+        )
+    return found, counts
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: tier1_gate.py REPORT.xml [REPORT.xml ...]", file=sys.stderr)
+        return 2
+    found, counts = problems(argv)
+    print(", ".join(f"{n} {status}" for status, n in sorted(counts.items())))
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

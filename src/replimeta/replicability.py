@@ -316,8 +316,9 @@ def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray, right: bool) -> n
     The left p-values are ndtr(z), the right ones ndtr(-z). ndtr runs only on
     the candidates, z <= ``_tail_cut(t)`` on the left and z >= -``_tail_cut(t)``
     on the right, in one masked pass over the matrix: every other entry has
-    p > t and adds 0. Only the candidates are negated, in a copy, so zt is
-    read and never written. The terms are written to ``out``, of zt's shape.
+    p > t and adds 0. Only the candidates are negated, in a copy. The terms
+    are written to ``out``, of zt's shape, which may be zt itself. The z
+    must be finite (``_directional_rejections``).
     """
     from scipy import special
 
@@ -434,44 +435,40 @@ def _side_rejections(
     than u candidates of ``_truncated_logs`` it has fewer than u truncated
     logs, so c(u) = 0 and it accepts at u; with at least u z beyond
     ``_decisive_z`` it rejects at u. Only the columns some u leaves open run
-    ``_truncated_logs`` and ``_truncated_rejections``. When at most half the
-    columns are open, their z and logs are gathered into the front of
-    ``logs``; otherwise the whole matrix runs. At a ``_tail_cut`` of inf
-    every entry is a candidate and nothing is counted.
+    ``_truncated_logs`` and ``_truncated_rejections``: their z are gathered
+    into the front of ``logs``, and their logs are written over them. At a
+    ``_tail_cut`` of inf every entry is a candidate, nothing is counted and
+    the whole matrix runs. The z must be finite (``_directional_rejections``).
     """
     cut = _tail_cut(t)
-    if cut < math.inf:
-        n, rows = zt.shape
-        # The comparisons are written into ``logs`` as booleans before any log is.
-        flat = logs.reshape(-1)
-        beyond = flat.view(np.bool_)[: zt.size].reshape(zt.shape)
-        counted = np.min_scalar_type(n)
+    if cut == math.inf:
+        return _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
+    n, rows = zt.shape
+    beyond = np.empty(zt.shape, dtype=bool)
+    counted = np.min_scalar_type(n)
 
-        def count(bound: float) -> np.ndarray:
-            """Entries at or below ``bound`` on the left, at or above -``bound`` on the right."""
-            if right:
-                np.greater_equal(zt, -bound, out=beyond)
-            else:
-                np.less_equal(zt, bound, out=beyond)
-            return np.add.reduce(beyond, axis=0, dtype=counted)
+    def count(bound: float) -> np.ndarray:
+        """Entries at or below ``bound`` on the left, at or above -``bound`` on the right."""
+        if right:
+            np.greater_equal(zt, -bound, out=beyond)
+        else:
+            np.less_equal(zt, bound, out=beyond)
+        return np.add.reduce(beyond, axis=0, dtype=counted)
 
-        candidates = count(cut)
-        out = {}
-        unsettled = np.zeros(rows, dtype=bool)
-        for u in us:
-            out[u] = count(-_decisive_z(n, u, t, level)) >= u
-            unsettled |= (candidates >= u) & ~out[u]
-        open_ = np.flatnonzero(unsettled)
-        m = open_.size
-        if 2 * m <= rows:
-            if m:
-                z_open = flat[: n * m].reshape(n, m)
-                np.take(zt, open_, axis=1, out=z_open, mode="clip")
-                logs_open = _truncated_logs(z_open, t, flat[n * m : 2 * n * m].reshape(n, m), right)
-                for u, rejected in _truncated_rejections(logs_open, us, t, level).items():
-                    out[u][open_] = rejected
-            return out
-    return _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
+    candidates = count(cut)
+    out = {}
+    unsettled = np.zeros(rows, dtype=bool)
+    for u in us:
+        out[u] = count(-_decisive_z(n, u, t, level)) >= u
+        unsettled |= (candidates >= u) & ~out[u]
+    open_ = np.flatnonzero(unsettled)
+    if open_.size:
+        z_open = logs.reshape(-1)[: n * open_.size].reshape(n, -1)
+        np.take(zt, open_, axis=1, out=z_open, mode="clip")
+        logs_open = _truncated_logs(z_open, t, z_open, right)
+        for u, rejected in _truncated_rejections(logs_open, us, t, level).items():
+            out[u][open_] = rejected
+    return out
 
 
 def _directional_rejections(
@@ -482,10 +479,12 @@ def _directional_rejections(
     Each study is one contiguous row of ``zt``, which is only read. Each side
     settles most columns by counting, per column, the z beyond two values,
     and runs the normal tail and the top-k statistic only on the rest
-    (``_side_rejections``). Every decision is that of
-    ``_PCCurve.from_p_values`` on the p-value rows, bit for bit. ``logs``, a
-    matrix of zt's shape, is each side's work space in turn; one is
-    allocated when it is None.
+    (``_side_rejections``). The z must be finite, and then every decision
+    is that of ``_PCCurve.from_p_values`` on the p-value rows. A NaN z is
+    read as p > t where the count step or the candidate cut sees it, while
+    ``_PCCurve`` carries it to r = NaN and accepts. ``logs``, a matrix of
+    zt's shape, is each side's work space in turn; one is allocated when it
+    is None.
     """
     if logs is None:
         logs = np.empty_like(zt)

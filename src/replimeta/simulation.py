@@ -279,13 +279,15 @@ def _pooled_rejections(
 ) -> dict[str, np.ndarray]:
     """The requested ones of meta_fe, meta_re and H2n_fe, per column of an (n, rows) matrix.
 
-    Each decides 2 ndtr(-|z|) <= alpha through ``_bracket_rejections``, from
-    its pooled |z| alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a margin
+    Each decides 2 ndtr(-z) <= alpha through ``_bracket_rejections``, from
+    its pooled z alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a margin
     on the level holds for every alpha, while ndtri(1 - alpha/2), the critical
     value of the confidence intervals, is inf below alpha = 1.1e-16. Inside,
-    each runs ndtr on its z, which is exact. meta_fe and meta_re read the z
-    of ``_pool_rows``, as ``fixed_effect_meta`` and ``random_effects_meta`` do.
-    H2n_fe passes ``work`` on to ``_fe_z_extremes`` as its work space.
+    each runs ndtr on its z. meta_fe and meta_re read the |z| of
+    ``_pool_rows``, as ``fixed_effect_meta`` and ``random_effects_meta`` do.
+    H2n_fe, the common-effect test of the (n-1)-subsets at u = 2, reads
+    max(-z_max, z_min) of ``_fe_z_extremes``, the z of its less significant
+    direction; it passes ``work`` on to ``_fe_z_extremes`` as its work space.
     """
     from scipy import special
 
@@ -293,9 +295,9 @@ def _pooled_rejections(
     z_reject, z_accept = (-z for z in _level_quantiles(alpha / 2.0))
     decided: dict[str, np.ndarray] = {}
 
-    def two_sided(abs_z: np.ndarray) -> np.ndarray:
+    def two_sided(z: np.ndarray) -> np.ndarray:
         return _bracket_rejections(
-            abs_z, z_accept, z_reject, lambda band: 2.0 * special.ndtr(-abs_z[band]) <= alpha
+            z, z_accept, z_reject, lambda band: 2.0 * special.ndtr(-z[band]) <= alpha
         )
 
     if {"meta_fe", "meta_re"} & set(tests):
@@ -305,16 +307,8 @@ def _pooled_rejections(
         if "meta_re" in tests:
             decided["meta_re"] = two_sided(np.abs(pooled.re / pooled.re_se))
     if "H2n_fe" in tests:
-        # The (n-1)-subsets of the common-effect test at u = 2, which rejects
-        # where the larger of -z_max and z_min is beyond the critical value.
         z_min, z_max = _fe_z_extremes(theta_t, se, n - 1, work)
-
-        def exact_fe(band: np.ndarray) -> np.ndarray:
-            tails = np.minimum(special.ndtr(z_max[band]), special.ndtr(-z_min[band]))
-            return np.minimum(1.0, 2.0 * tails) <= alpha
-
-        z_least = np.maximum(-z_max, z_min)
-        decided["H2n_fe"] = _bracket_rejections(z_least, z_accept, z_reject, exact_fe)
+        decided["H2n_fe"] = two_sided(np.maximum(-z_max, z_min))
     return decided
 
 
@@ -356,7 +350,7 @@ def _evaluate_tests(
     ``_directional_rejections``. That is the whole decision: doubling is
     exact, so min(1, 2 min(a, b)) <= alpha exactly when a <= alpha/2 or b <=
     alpha/2. The pooled tests and H2n_fe are decided through
-    ``_pooled_rejections``, which compares a |z| with the critical value and
+    ``_pooled_rejections``, which compares a z with the critical value and
     runs the exact pooling and ndtr only on rows near it.
 
     The test ids must have passed ``_check_tests``. ``work``, a vector of at

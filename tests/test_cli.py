@@ -734,6 +734,15 @@ def test_version_flag(capsys):
     assert "replimeta" in capsys.readouterr().out
 
 
+def test_simulate_help_lists_the_preset_names(capsys):
+    from replimeta.simulation import preset_names
+
+    assert main(["simulate", "--help"]) == 0
+    # argparse wraps the help text, also at a name's hyphens, so whitespace is dropped.
+    help_text = "".join(capsys.readouterr().out.split())
+    assert f"presetname({','.join(preset_names())})" in help_text
+
+
 def _run_module(*argv):
     """``python -m replimeta`` with ``argv``, in a fresh process."""
     return subprocess.run(

@@ -276,3 +276,9 @@ def test_library_calls_pool_a_set_whose_squared_weights_overflow(fit):
     # DerSimonian-Laird scale c is summed without squaring a weight.
     numbers = _numbers(fit(make((1.0, 1e-100), (2.0, 1e-100), (3.0, 1.0))))
     assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+def test_a_q_test_of_one_study_is_a_named_error():
+    with pytest.raises(ValueError) as caught:
+        q_test_p_value(1.0, 1)
+    assert str(caught.value) == "Q test requires at least two studies"

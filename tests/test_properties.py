@@ -582,7 +582,7 @@ def assert_directional_rejections_are_exact(z, t, us, level):
         assert np.array_equal(right[u], exact_right(u) <= level), u
 
 
-def test_few_open_columns_are_gathered_and_most_run_whole(monkeypatch):
+def test_only_the_open_columns_are_gathered_for_the_normal_tail(monkeypatch):
     widths = spy_on_truncated_logs(monkeypatch)
     rng = np.random.default_rng(21)
     # Null rows and a few near the edge: a minority of columns stays open on each side.
@@ -590,8 +590,8 @@ def test_few_open_columns_are_gathered_and_most_run_whole(monkeypatch):
     z[:40] += rng.choice([2.0, -2.0], size=(40, 1))
     assert_directional_rejections_are_exact(z, 0.05, range(1, 7), 0.025)
     assert len(widths) == 2 and all(0 < width <= 200 for width in widths)
-    # Every left z a candidate and almost none decisive: the left runs whole,
-    # and the right, with no candidate, runs no normal tail.
+    # Every left z a candidate and almost none decisive: every left column is
+    # gathered, and the right, with no candidate, runs no normal tail.
     widths.clear()
     z = rng.normal(-2.0, 0.3, size=(400, 6))
     assert_directional_rejections_are_exact(z, 0.05, range(1, 7), 0.025)

@@ -16,8 +16,10 @@ from scipy.stats import chi2
 from replimeta import meta
 from replimeta.meta import StudySummary
 from replimeta.replicability import (
+    ReplicabilityReport,
     _fe_z_extremes,
     _PCCurve,
+    _validate_pvalues,
     classify_consistency,
     conditional_p_transform,
     confidence_bounds,
@@ -446,3 +448,21 @@ def test_size_under_global_null_quick():
     r_r = _PCCurve.from_p_values(rights, 0.05)(2)
     rate = float((np.minimum(1.0, 2 * np.minimum(r_l, r_r)) <= 0.05).mean())
     assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / replications)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ReplicabilityReport(-1, 0, 0.5, alpha=0.05), "bounds must be nonnegative"),
+        (lambda: _validate_pvalues([[0.1, 0.2]]), "p-values must form a one-dimensional sequence"),
+        (lambda: partial_conjunction_p([], 1), "p_one_sided must be nonempty"),
+        (lambda: r_value([0.1, 0.2], [0.9, 0.8], 3), "u must be in [1, 2], got 3"),
+        (lambda: fe_r_value([StudySummary("a", 0.1, 0.2)], 2), "at least two studies are required"),
+        (lambda: delta_bound([], 1), "at least one study is required"),
+    ],
+    ids=["negative-bound", "two-dimensional", "empty", "u-out-of-range", "fe-one-study", "delta-no-studies"],
+)
+def test_invalid_arguments_are_named_errors(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -331,3 +331,36 @@ class TestForest:
         text = render_forest(self._forest("odds_ratio"), "text")
         # log effect 0.52 should display near exp(0.52) = 1.68
         assert "1.682" in text
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AnalysisRequest(STRONG_POSITIVE, model="mixed"), ValueError,
+         "model must be 'fixed', 'random' or 'auto', got 'mixed'"),
+        (lambda: AnalysisRequest(STRONG_POSITIVE, effect_measure="hazard"), ValueError,
+         "effect_measure must be one of ('raw', 'odds_ratio', 'risk_ratio'), got 'hazard'"),
+        (lambda: AnalysisRequest(STRONG_POSITIVE, conditional_threshold=1.0), ValueError,
+         "conditional_threshold must be in (0, 1)"),
+        (lambda: parse_studies(io.StringIO("label,estimate,se\na,1,1\n"), measure="hazard"),
+         StudyFileError, "measure must be one of ('raw', 'odds_ratio', 'risk_ratio'), got 'hazard'"),
+        (lambda: parse_studies(
+            io.StringIO("label,events_t,total_t,events_c,total_c\na,10.5,20,3,20\n"), measure="odds_ratio"),
+         StudyFileError, "row 2: counts must be integers"),
+        (lambda: parse_studies(io.StringIO("label,estimate,se\n")), StudyFileError,
+         "study file has a header but no data rows"),
+    ],
+    ids=["model", "effect-measure", "conditional-threshold", "parse-measure", "non-integer-counts",
+         "header-only"],
+)
+def test_invalid_requests_and_study_files_are_named_errors(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_a_forest_with_an_unknown_measure_is_a_named_error():
+    report = ReplicabilityReport(0, 0, 0.5, alpha=0.05)
+    with pytest.raises(ValueError) as caught:
+        AnnotatedForest(STRONG_POSITIVE, fixed_effect_meta(STRONG_POSITIVE), report, measure="hazard")
+    assert str(caught.value) == "measure must be one of ('raw', 'odds_ratio', 'risk_ratio'), got 'hazard'"

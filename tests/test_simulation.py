@@ -641,6 +641,16 @@ class TestJointCoverage:
         inconsistent = (left >= 1) & (right >= 1)
         assert inconsistent.mean() <= self._limit(self.ALPHA / 2)
 
+    def test_the_walk_stops_at_the_first_non_rejection(self):
+        # At t = 1 and alpha = 0.99, right p-values (0.45, 0.45) give r(1) =
+        # 0.5259 > 0.495 >= r(2) = 0.45: the right side rejects at u = 2 only,
+        # and a walk that takes the largest rejected u would report 2.
+        z = np.full((1, 2), special.ndtri(0.55))
+        _, right = _directional_rejections(np.ascontiguousarray(z.T), 1.0, (1, 2), 0.495)
+        assert (bool(right[1][0]), bool(right[2][0])) == (False, True)
+        assert confidence_bounds([0.55, 0.55], [0.45, 0.45], t=1.0, alpha=0.99) == (0, 0)
+        assert [int(side[0]) for side in _vectorised_bounds(z, 1.0, 0.99)] == [0, 0]
+
 
 class TestCalibrateTau:
     def test_hits_target_median(self):
@@ -925,3 +935,21 @@ class TestGuards:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak < theta_hat.nbytes, peak
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FixedEffectsScenario(theta=(), group_sizes=()), "at least one study is required"),
+        (lambda: calibrate_tau(0.999), "target heterogeneity unreachable within the search bracket"),
+        (lambda: parse_scenario_config(io.StringIO("theta = 0 0\nnc = 25 25\nnt = 25\n")),
+         "nc and nt must list the same number of studies"),
+        (lambda: parse_scenario_config(io.StringIO("nc = 25 25\nnt = 25 25\n")),
+         "config must define either theta or both mu and tau"),
+    ],
+    ids=["no-studies", "unreachable-tau", "nc-nt-lengths", "no-effects"],
+)
+def test_invalid_scenarios_are_named_errors(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
