@@ -310,29 +310,111 @@ def _tail_cut(t: float) -> float:
     return math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else _level_quantiles(t)[1]
 
 
-def _truncated_logs(zt: np.ndarray, t: float, out: np.ndarray, right: bool) -> np.ndarray:
-    """The ``_truncated_terms`` of one side's p-values, per entry of an (n, rows) z matrix.
+@lru_cache(maxsize=None)
+def _sure_cut(t: float) -> float:
+    """A z at or below which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], is at or below t.
 
-    The left p-values are ndtr(z), the right ones ndtr(-z). ndtr runs only on
-    the candidates, z <= ``_tail_cut(t)`` on the left and z >= -``_tail_cut(t)``
-    on the right, in one masked pass over the matrix: every other entry has
-    p > t and adds 0. Only the candidates are negated, in a copy. The terms
-    are written to ``out``, of zt's shape, which may be zt itself. The z
-    must be finite (``_directional_rejections``).
+    It is ndtri(t (1 - _LEVEL_MARGIN)); +inf when t reaches LOG_CEIL, where
+    every clipped p-value is, and -inf when t is below LOG_FLOOR, where none
+    is. Between it and ``_tail_cut(t)`` lies the threshold window, where
+    whether p <= t is left to ndtr itself.
+    """
+    if t >= LOG_CEIL:
+        return math.inf
+    return -math.inf if t < LOG_FLOOR else _level_quantiles(t)[0]
+
+
+# The tabulated log normal tail: log ndtr at nodes h = 1/_TAIL_STEPS apart on
+# [_TAIL_RANGE], linearly interpolated. Both ends lie beyond a clip kink:
+# log ndtr(-38.5) = -745.9 is below log LOG_FLOOR, and ndtr(8.5) rounds to 1.
+_TAIL_STEPS = 64
+_TAIL_RANGE = (-38.5, 8.5)
+# How far a tabulated term can lie from log(clip(ndtr(z))). (log ndtr)'' =
+# -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
+# below the concave curve by less than h^2 / 8 = 2^-15. Against mpmath at 40
+# digits, the node values of special.log_ndtr and log(ndtr(z)) on 5,000 z
+# were each within 2.3e-13, and the interpolation's roundings are of the
+# same order; 1e-11 covers the three.
+_TAIL_ERROR = 2.0**-15 + 1e-11
+
+
+@lru_cache(maxsize=None)
+def _log_ndtr_table() -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts a and slopes b with log ndtr(z) ~ a[i] + b[i] x at x = z / h.
+
+    Cell i spans x in [i - k, i - k + 1], k = -_TAIL_RANGE[0] / h being the
+    index of z = 0. The last entry, past the last node, is flat at that
+    node's value, so a position clamped to the range's top end reads it.
     """
     from scipy import special
 
+    first, last = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
+    x = np.arange(first, last + 1, dtype=float)
+    values = special.log_ndtr(x / _TAIL_STEPS)
+    slopes = np.append(np.diff(values), 0.0)
+    return values - x * slopes, slopes
+
+
+def _tabulated_log_ndtr(
+    z: np.ndarray, out: np.ndarray, right: bool, work: np.ndarray | None = None
+) -> np.ndarray:
+    """log ndtr(z), or log ndtr(-z) on the right, clipped to [log LOG_FLOOR, log LOG_CEIL].
+
+    Each value lies within ``_TAIL_ERROR`` of log(clip(ndtr(z))): the table
+    of ``_log_ndtr_table`` interpolated linearly, z clamped to the table's
+    range, beyond which both are at a clip bound. ``out``, a C-contiguous
+    array of z's shape, may be z itself. The first 2 z.size elements of the
+    vector ``work`` hold each entry's cell and its gathered table entry, so
+    that a caller that passes the same work space allocates nothing; they
+    are allocated when ``work`` is None.
+    """
+    intercepts, slopes = _log_ndtr_table()
+    first, last = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
+    size = z.size
+    if work is None:
+        work = np.empty(2 * size)
+    cell, value = work[:size].view(np.int64), work[size : 2 * size]
+    x = out.reshape(-1)
+    np.multiply(np.ascontiguousarray(z).reshape(-1), -_TAIL_STEPS if right else _TAIL_STEPS, out=x)
+    np.clip(x, first, last, out=x)
+    # x - first >= 0, so the cast truncates it to its cell.
+    np.subtract(x, first, out=cell, casting="unsafe")
+    # take buffers its output in mode "raise"; every cell is in range.
+    x *= np.take(slopes, cell, out=value, mode="clip")
+    x += np.take(intercepts, cell, out=value, mode="clip")
+    return np.clip(out, math.log(LOG_FLOOR), math.log(LOG_CEIL), out=out)
+
+
+def _truncated_logs(
+    zt: np.ndarray, t: float, out: np.ndarray, right: bool, work: np.ndarray
+) -> np.ndarray:
+    """One side's ``_truncated_terms``, each within ``_TAIL_ERROR``, per entry of an (n, rows) z matrix.
+
+    The left p-values are ndtr(z), the right ones ndtr(-z), and their logs
+    come from ``_tabulated_log_ndtr``, not from ndtr. An entry whose p may
+    be at or below t is a candidate: z <= ``_tail_cut(t)`` on the left, z >=
+    -``_tail_cut(t)`` on the right. A candidate beyond ``_sure_cut(t)`` is
+    truncated, and gets its tabulated log; one inside the threshold window
+    between the two gets NaN, since the table cannot tell whether its p is
+    at or below t; every other entry has p > t and adds 0. At a
+    ``_sure_cut`` of inf every entry is truncated and the whole matrix runs;
+    otherwise only the candidates, gathered by flat index. The terms are
+    written to ``out``, a C-contiguous array of zt's shape, which may be zt
+    itself; ``work`` is the table's work space (``_tabulated_log_ndtr``).
+    The z must be finite (``_directional_rejections``).
+    """
+    sure = _sure_cut(t)
+    if sure == math.inf:
+        return _tabulated_log_ndtr(zt, out, right, work)
     cut = _tail_cut(t)
-    if cut == math.inf:
-        p = np.negative(zt, out=out) if right else zt
-        return _truncated_terms(special.ndtr(p, out=out), t)
     # Flat indices: a take and a put cost half what a boolean mask does.
     candidates = np.flatnonzero(zt >= -cut if right else zt <= cut)
-    p = np.take(zt, candidates)
-    if right:
-        np.negative(p, out=p)
+    z = np.take(zt, candidates)
+    unsure = np.flatnonzero(z < -sure if right else z > sure)
+    logs = _tabulated_log_ndtr(z, z, right, work)
+    logs[unsure] = math.nan
     out.fill(0.0)
-    np.put(out, candidates, _truncated_terms(special.ndtr(p, out=p), t))
+    np.put(out, candidates, logs)
     return out
 
 
@@ -359,8 +441,8 @@ def _decisive_z(n: int, u: int, t: float, level: float) -> float:
     -(c_reject (1 + _LEVEL_MARGIN) + slack) / 2, c_reject being that of
     ``_critical_bracket(n - u + 1, t, level)`` and slack ``_summation_slack(n)``.
     r(u) keeps the n - u + 1 largest terms, so a row with u such studies keeps
-    one, and its statistic is beyond c_reject by both margins of
-    ``_truncated_rejections``. The z is -ndtri(p* (1 - _LEVEL_MARGIN)), p*
+    one, and its exact statistic is beyond c_reject by the level margin and
+    the summation slack of ``_truncated_rejections``. The z is -ndtri(p* (1 - _LEVEL_MARGIN)), p*
     being t or that log's exp if smaller; it is inf where that level is below
     LOG_FLOOR, where the clip could lift a p-value above it, and where
     c_reject is inf.
@@ -373,21 +455,32 @@ def _decisive_z(n: int, u: int, t: float, level: float) -> float:
 
 
 def _truncated_rejections(
-    logs: np.ndarray, us: Collection[int], t: float, level: float
+    logs: np.ndarray,
+    us: Collection[int],
+    t: float,
+    level: float,
+    exact: Callable[[np.ndarray], _PCCurve] | None = None,
 ) -> dict[int, np.ndarray]:
     """``r(u) <= level`` for each u in ``us``, per column of an (n, rows) log matrix.
 
-    ``logs`` holds the ``_truncated_terms`` of the p-values, one study a row.
-    r(u) leaves out the u - 1 smallest p-values, so its statistic is c(u) =
-    -2 (T - S(u-1)), T being the total of a column's logs and S(k) the sum of
-    its k most negative ones, kept by a running minimum/maximum insertion
-    over the studies. Columns clearly beyond the critical bracket of
+    ``logs`` holds the ``_truncated_terms`` of the p-values, one study a row,
+    each within ``_TAIL_ERROR`` (``_truncated_logs``), or NaN where that is
+    unknown. r(u) leaves out the u - 1 smallest p-values, so its statistic is
+    c(u) = -2 (T - S(u-1)), T being the total of a column's logs and S(k)
+    the sum of its k most negative ones, kept by a running minimum/maximum
+    insertion over the studies. It sums the n - u + 1 largest logs, so it is
+    within 2 (n - u + 1) _TAIL_ERROR of the exact statistic, besides the
+    summation slack. Columns clearly beyond the critical bracket of
     ``_product_tail`` reject, columns clearly short of it accept, and only
-    columns within ``_LEVEL_MARGIN`` and the summation slack of it, or with a
-    NaN statistic, run ``_PCCurve`` on their own logs (``_bracket_rejections``).
-    A column with fewer than u truncated logs has c(u) = 0 exactly in that
-    kernel, and within the slack of 0 here.
+    columns within ``_LEVEL_MARGIN``, the slack and that bound of it, or with
+    a NaN statistic, are decided by the exact curve of their columns,
+    ``exact(columns)`` (``_bracket_rejections``); by default a ``_PCCurve``
+    on the logs themselves, for logs that are exact. A column with fewer than
+    u truncated logs has c(u) = 0 exactly in that kernel, and within the
+    bounds of 0 here.
     """
+    if exact is None:
+        exact = lambda columns: _PCCurve(logs[:, columns].T, t)
     rows = logs.shape[1]
     total = np.zeros(rows)
     smallest = np.zeros((max(us) - 1, rows))
@@ -417,17 +510,18 @@ def _truncated_rejections(
             continue
         c_stat = -2.0 * (total - excluded)
         c_accept, c_reject = _critical_bracket(n - u + 1, t, level)
+        spread = slack + 2.0 * (n - u + 1) * _TAIL_ERROR
         out[u] = _bracket_rejections(
             c_stat,
-            max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - slack,
-            c_reject * (1.0 + _LEVEL_MARGIN) + slack,
-            lambda band: _PCCurve(logs[:, band].T, t)(u) <= level,
+            max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - spread,
+            c_reject * (1.0 + _LEVEL_MARGIN) + spread,
+            lambda band: exact(band)(u) <= level,
         )
     return out
 
 
 def _side_rejections(
-    zt: np.ndarray, t: float, us: Collection[int], level: float, logs: np.ndarray, right: bool
+    zt: np.ndarray, t: float, us: Collection[int], level: float, work: np.ndarray, right: bool
 ) -> dict[int, np.ndarray]:
     """One side's ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
 
@@ -436,14 +530,27 @@ def _side_rejections(
     logs, so c(u) = 0 and it accepts at u; with at least u z beyond
     ``_decisive_z`` it rejects at u. Only the columns some u leaves open run
     ``_truncated_logs`` and ``_truncated_rejections``: their z are gathered
-    into the front of ``logs``, and their logs are written over them. At a
-    ``_tail_cut`` of inf every entry is a candidate, nothing is counted and
-    the whole matrix runs. The z must be finite (``_directional_rejections``).
+    into the front of the log matrix, the first zt.size elements of the
+    vector ``work``, and their tabulated logs are written over them; the
+    next 2 zt.size elements are the table's work space. At a ``_sure_cut``
+    of inf every entry is truncated, nothing is counted and the whole matrix
+    runs. The columns the widened bracket leaves open, and those with an
+    entry in the threshold window, are decided by ``_PCCurve`` on ndtr of
+    their z, re-read from ``zt``. The z must be finite
+    (``_directional_rejections``).
     """
-    cut = _tail_cut(t)
-    if cut == math.inf:
-        return _truncated_rejections(_truncated_logs(zt, t, logs, right), us, t, level)
+
+    def exact(columns: np.ndarray) -> _PCCurve:
+        from scipy import special
+
+        z = zt.T[columns]  # one row per column, as the p-value rows are
+        return _PCCurve.from_p_values(special.ndtr(np.negative(z, out=z) if right else z), t)
+
     n, rows = zt.shape
+    logs, tail = work[: zt.size], work[zt.size :]
+    if _sure_cut(t) == math.inf:
+        logs = _truncated_logs(zt, t, logs.reshape(n, rows), right, tail)
+        return _truncated_rejections(logs, us, t, level, exact)
     beyond = np.empty(zt.shape, dtype=bool)
     counted = np.min_scalar_type(n)
 
@@ -455,7 +562,7 @@ def _side_rejections(
             np.less_equal(zt, bound, out=beyond)
         return np.add.reduce(beyond, axis=0, dtype=counted)
 
-    candidates = count(cut)
+    candidates = count(_tail_cut(t))
     out = {}
     unsettled = np.zeros(rows, dtype=bool)
     for u in us:
@@ -463,32 +570,34 @@ def _side_rejections(
         unsettled |= (candidates >= u) & ~out[u]
     open_ = np.flatnonzero(unsettled)
     if open_.size:
-        z_open = logs.reshape(-1)[: n * open_.size].reshape(n, -1)
+        z_open = logs[: n * open_.size].reshape(n, -1)
         np.take(zt, open_, axis=1, out=z_open, mode="clip")
-        logs_open = _truncated_logs(z_open, t, z_open, right)
-        for u, rejected in _truncated_rejections(logs_open, us, t, level).items():
+        logs_open = _truncated_logs(z_open, t, z_open, right, tail)
+        decided = _truncated_rejections(logs_open, us, t, level, lambda band: exact(open_[band]))
+        for u, rejected in decided.items():
             out[u][open_] = rejected
     return out
 
 
 def _directional_rejections(
-    zt: np.ndarray, t: float, us: Collection[int], level: float, logs: np.ndarray | None = None
+    zt: np.ndarray, t: float, us: Collection[int], level: float, work: np.ndarray | None = None
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Left and right ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
 
     Each study is one contiguous row of ``zt``, which is only read. Each side
     settles most columns by counting, per column, the z beyond two values,
-    and runs the normal tail and the top-k statistic only on the rest
-    (``_side_rejections``). The z must be finite, and then every decision
+    and runs the tabulated log normal tail and the top-k statistic only on
+    the rest (``_side_rejections``); scipy's ndtr runs only on the few
+    columns that leaves open. The z must be finite, and then every decision
     is that of ``_PCCurve.from_p_values`` on the p-value rows. A NaN z is
     read as p > t where the count step or the candidate cut sees it, while
-    ``_PCCurve`` carries it to r = NaN and accepts. ``logs``, a matrix of
-    zt's shape, is each side's work space in turn; one is allocated when it
-    is None.
+    ``_PCCurve`` carries it to r = NaN and accepts. The first 3 zt.size
+    elements of the vector ``work`` are each side's work space in turn
+    (``_side_rejections``); one is allocated when it is None.
     """
-    if logs is None:
-        logs = np.empty_like(zt)
-    return tuple(_side_rejections(zt, t, us, level, logs, right) for right in (False, True))
+    if work is None:
+        work = np.empty(3 * zt.size)
+    return tuple(_side_rejections(zt, t, us, level, work, right) for right in (False, True))
 
 
 def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:

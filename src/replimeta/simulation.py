@@ -21,7 +21,7 @@ import contextlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -374,12 +374,11 @@ def _evaluate_tests(
     # H-tests' z matrix in place once the pooled tests are done with it.
     theta_t = work[:size].reshape(n, -1)
     np.copyto(theta_t, theta_hat.T)
-    # The rest of ``work`` is H2n_fe's until the logs need it.
+    # The rest of ``work`` is H2n_fe's until the H-tests need it.
     decided = _pooled_rejections(theta_t, se, tests, alpha, work[size:])
     if levels:
         theta_t /= se[:, None]
-        logs = work[size : 2 * size].reshape(n, -1)
-        left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, logs)
+        left, right = _directional_rejections(theta_t, t, levels, alpha / 2.0, work[size:])
         for test_id, u in us.items():
             decided[test_id] = left[u] | right[u]
         if "inconsistency_detected" in tests:
@@ -389,9 +388,12 @@ def _evaluate_tests(
 
 def _work_size(theta_hat: np.ndarray, tests: Sequence[str]) -> int:
     """Elements of ``_evaluate_tests``'s work vector: the (n, rows) matrix,
-    then the H-tests' log matrix or, if larger, H2n_fe's ``_fe_z_extremes`` work space."""
+    then the H-tests' work space (three such matrices) or, if larger,
+    H2n_fe's ``_fe_z_extremes`` work space."""
     rows, n = theta_hat.shape
     rest = theta_hat.size
+    if "inconsistency_detected" in tests or any(map(_H_TEST.match, tests)):
+        rest = 3 * theta_hat.size
     if "H2n_fe" in tests:
         rest = max(rest, _fe_work_size(n, rows, n - 1))
     return theta_hat.size + rest
@@ -540,12 +542,20 @@ _MIXED_GRID = (0.0, 0.3, 0.6, 0.9, 1.2, 1.5)
 _RE_MU_GRID = (0.0, 0.3, 0.6, 0.9)
 
 
+class _Preset(NamedTuple):
+    """A named scenario family: ``build(replications, seed)`` gives its points
+    and tests, and ``seed + seed_offset`` is the largest seed it derives."""
+
+    build: Callable[[int, int], tuple[list, tuple[str, ...]]]
+    seed_offset: int
+
+
 def _fixed_preset(
     theta: Callable[[float], tuple[float, ...]],
     grid: Sequence[float],
     tests: tuple[str, ...],
     group_sizes: Callable[[float], tuple[tuple[int, int], ...]] = lambda m: BENCHMARK_GROUP_SIZES,
-) -> Callable[[int, int], tuple[list, tuple[str, ...]]]:
+) -> _Preset:
     """A preset of fixed-effects points: point i of ``grid``, m, has effects
     theta(m), group sizes group_sizes(m), seed ``seed + i`` and param float(m)."""
 
@@ -562,12 +572,16 @@ def _fixed_preset(
         ]
         return scenarios, tests
 
-    return build
+    return _Preset(build, len(grid) - 1)
 
 
-def _preset_re(target_i_squared: float):
+# A random-effects preset calibrates tau on its own stream, seed + this.
+_TAU_SEED_OFFSET = 901
+
+
+def _preset_re(target_i_squared: float) -> _Preset:
     def build(replications: int, seed: int):
-        tau = calibrate_tau(target_i_squared, seed=seed + 901)
+        tau = calibrate_tau(target_i_squared, seed=seed + _TAU_SEED_OFFSET)
         scenarios = [
             RandomEffectsScenario(
                 mu=m,
@@ -582,10 +596,10 @@ def _preset_re(target_i_squared: float):
         ]
         return scenarios, ("meta_re", "H1n", "H2n", "H3n", "inconsistency_detected")
 
-    return build
+    return _Preset(build, max(_TAU_SEED_OFFSET, len(_RE_MU_GRID) - 1))
 
 
-_PRESETS: dict[str, Callable[[int, int], tuple[list, tuple[str, ...]]]] = {
+_PRESETS: dict[str, _Preset] = {
     "single-nonnull": _fixed_preset(lambda m: (m,) + (0.0,) * 7, _STRENGTH_GRID, DEFAULT_TESTS),
     "two-same-sign": _fixed_preset(lambda m: (m, m) + (0.0,) * 6, _STRENGTH_GRID, DEFAULT_TESTS),
     "mixed-signs": _fixed_preset(lambda m: (m, m, -m) + (0.0,) * 5, _MIXED_GRID, DEFAULT_TESTS),
@@ -616,14 +630,24 @@ def preset_names() -> tuple[str, ...]:
 
 
 def preset(name: str, replications: int = 10_000, seed: int = 0):
-    """Scenario grid and default test set for a named scenario family."""
+    """Scenario grid and default test set for a named scenario family.
+
+    Its points take seeds from ``seed`` up, so every seed it derives is
+    checked before anything is built.
+    """
     try:
-        build = _PRESETS[name]
+        build, offset = _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    return build(replications, _check_seed(seed))
+    largest = 2**128 - 1 - offset
+    if _check_seed(seed) > largest:
+        raise ValueError(
+            f"preset {name!r} derives seeds up to seed + {offset}, so its seed must be "
+            f"at most {largest}, got {seed}"
+        )
+    return build(replications, seed)
 
 
 # ---------------------------------------------------------------------------

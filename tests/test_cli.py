@@ -504,6 +504,16 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "seed must be in [0, 2**128), got -1" in captured.err
 
+    def test_a_preset_seed_whose_points_overflow_exits_1_naming_the_largest(self, capsys):
+        seed = 2**128 - 2  # its third point would take seed + 2 = 2**128
+        assert main(["simulate", "--scenario", "two-same-sign", "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "replimeta: error: preset 'two-same-sign' derives seeds up to seed + 6, so its seed "
+            f"must be at most {2**128 - 7}, got {seed}\n"
+        )
+
     def test_negative_config_seed_exits_1_naming_the_line(self, tmp_path, capsys):
         cfg = tmp_path / "seed.cfg"
         cfg.write_text("theta = 1 0\nnc = 25 25\nnt = 25 25\nseed = -5\n")

@@ -42,7 +42,12 @@ from replimeta.replicability import (
     _level_quantiles,
     _PCCurve,
     _summation_slack,
+    _sure_cut,
+    _tabulated_log_ndtr,
     _tail_cut,
+    _TAIL_ERROR,
+    _TAIL_RANGE,
+    _TAIL_STEPS,
     _truncated_rejections,
     _truncated_terms,
     confidence_bounds,
@@ -564,9 +569,9 @@ def spy_on_truncated_logs(monkeypatch):
     widths = []
     real = replicability._truncated_logs
 
-    def spy(zt, t, out, right):
+    def spy(zt, t, out, right, work=None):
         widths.append(zt.shape[1])
-        return real(zt, t, out, right)
+        return real(zt, t, out, right, work)
 
     monkeypatch.setattr(replicability, "_truncated_logs", spy)
     return widths
@@ -617,6 +622,112 @@ def test_a_chunk_settled_by_counts_runs_no_normal_tail(monkeypatch):
     z[1::4, 0] = 0.5
     assert_directional_rejections_are_exact(z, 0.05, range(1, 6), 0.025)
     assert widths == []
+
+
+def test_the_tabulated_log_tail_stays_within_its_bound():
+    """Within ``_TAIL_ERROR`` of log(clip(ndtr(z))) on both sides.
+
+    At the nodes, their midpoints (where the chord is farthest from the
+    curve) and their neighbouring doubles, around both clip kinks, at and
+    beyond both ends of the table, and on 10^5 draws.
+    """
+    first, last = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
+    nodes = np.arange(first, last + 1) / _TAIL_STEPS
+    kinks = special.ndtri([LOG_FLOOR, LOG_CEIL])
+    rng = np.random.default_rng(24)
+    z = np.concatenate([
+        nodes, nodes[:-1] + 0.5 / _TAIL_STEPS,
+        np.nextafter(nodes, math.inf), np.nextafter(nodes, -math.inf),
+        *(kinks + step for step in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)),
+        [*_TAIL_RANGE, -38.6, -40.0, -1e3, -1e300, 8.6, 9.0, 40.0, 1e300],
+        rng.uniform(-40.0, 10.0, 50_000), rng.normal(0.0, 3.0, 50_000),
+    ])
+    for right in (False, True):
+        want = np.log(np.clip(special.ndtr(-z if right else z), LOG_FLOOR, LOG_CEIL))
+        error = np.abs(_tabulated_log_ndtr(z, np.empty_like(z), right) - want)
+        assert error.max() <= _TAIL_ERROR
+        # Where (log ndtr)'' nears -1 the chord is nearly h^2 / 8 off.
+        assert error.max() > 0.99 * 2.0**-15
+
+
+def rows_at_the_bracket(n, u, t, level):
+    """Rows of z whose exact c(u) lies within 2 (n - u + 1) _TAIL_ERROR of c_accept or c_reject.
+
+    The u - 1 smallest p-values, which r(u) leaves out, are far out; j of
+    the rest are truncated, j - 1 of them at midpoints of table cells, where
+    the tabulated logs are off the most, and one solved for the statistic;
+    the others have p > t. Returns the rows and each one's exact c(u) and edge.
+    """
+    k = n - u + 1
+    width = 2.0 * k * _TAIL_ERROR
+    log_top = -2.0 * math.log(min(t, LOG_CEIL))
+    rng = np.random.default_rng(n * 100 + u)
+    rows, stats, edges = [], [], []
+    for edge in _critical_bracket(k, t, level):
+        for share in np.linspace(-0.95, 0.95, 39):
+            target = edge + share * width
+            j = k if t == 1.0 else max(1, min(k, int(0.9 * target / log_top)))
+            z_share = float(special.ndtri(math.exp(-target / (2.0 * j))))
+            mids = [(math.floor(z_share * _TAIL_STEPS) + 0.5) / _TAIL_STEPS] * (j - 1)
+            rest = -target / 2.0 - float(np.sum(special.log_ndtr(mids)))
+            row = np.array([-30.0] * (u - 1) + mids + [float(special.ndtri(math.exp(rest)))]
+                           + [3.0] * (k - j))
+            terms = np.sort(_truncated_terms(special.ndtr(row), t))
+            rows.append(rng.permutation(row))
+            stats.append(-2.0 * np.sum(terms[u - 1 :]))
+            edges.append(edge)
+    return np.array(rows), np.array(stats), np.array(edges)
+
+
+@pytest.mark.parametrize("n, u, t, level", [
+    (8, 1, 1.0, 0.025), (8, 3, 1.0, 0.025), (4, 2, 1.0, 0.1), (8, 1, 0.05, 0.025),
+    (8, 2, 0.05, 0.025), (6, 1, 0.5, 0.005), (3, 1, 0.2, 0.1),
+])
+def test_rows_within_the_tabulation_bound_of_the_bracket_decide_exactly(n, u, t, level):
+    """Near the bracket the tabulated statistic can lie on the wrong side of
+    it; the widened bracket sends such rows to the exact kernel."""
+    z, stats, edges = rows_at_the_bracket(n, u, t, level)
+    assert np.all(np.abs(stats - edges) <= 2.0 * (n - u + 1) * _TAIL_ERROR)
+    exact = _PCCurve.from_p_values(special.ndtr(z), t)(u) <= level
+    assert 0 < np.count_nonzero(exact) < len(z)
+    assert_directional_rejections_are_exact(np.vstack([z, -z]), t, (u,), level)
+
+
+def window_z(t):
+    """z across the threshold window of t, and the doubles next to ndtri(t)."""
+    middle = float(special.ndtri(t))
+    near = [middle]
+    for step in (math.inf, -math.inf):
+        z = middle
+        for _ in range(100):
+            z = float(np.nextafter(z, step))
+            near.append(z)
+    return np.concatenate([np.linspace(max(_sure_cut(t), -40.0), min(_tail_cut(t), 8.0), 41), near])
+
+
+@pytest.mark.parametrize("t", [1e-12, 0.05, 0.5])
+def test_rows_with_an_entry_in_the_threshold_window_decide_exactly(t):
+    """Whether a window entry is truncated moves c(1) across the bracket."""
+    level = 0.025
+    c_accept = _critical_bracket(4, t, level)[0]
+    log_t = -2.0 * math.log(t)
+    # Short of c_accept by half an entry at t, and truncated itself, if it can be.
+    c_rest = c_accept - 0.5 * log_t
+    rest = [float(special.ndtri(math.exp(-c_rest / 2.0)))] if c_rest >= log_t else []
+    z = np.array([[w, *rest] + [3.0] * (3 - len(rest)) for w in window_z(t)])
+    step = t * _LEVEL_MARGIN / 2.0
+    flip = np.array([[float(special.ndtri(p)), *rest] + [3.0] * (3 - len(rest)) for p in (t - step, t + step)])
+    assert (_PCCurve.from_p_values(special.ndtr(flip), t)(1) <= level).tolist() == [True, False]
+    assert_directional_rejections_are_exact(np.vstack([z, -z, flip, -flip]), t, (1,), level)
+
+
+@pytest.mark.parametrize("t", [1e-310, 1.0 - 1e-7])
+def test_window_entries_at_the_extreme_thresholds_decide_exactly(t):
+    """Below LOG_FLOOR every candidate is in the window; just below LOG_CEIL the window has no top."""
+    rng = np.random.default_rng(25)
+    z = rng.normal(0.0, 2.0, size=(400, 4))
+    z[:, 0] = rng.choice(np.concatenate([window_z(t), [-40.0, -38.5, 40.0]]), size=400)
+    assert_directional_rejections_are_exact(z, t, (1, 2, 3, 4), 0.025)
 
 
 def clip_sort_sum_curve(p_rows, t, u):

@@ -21,7 +21,7 @@ import pytest
 from scipy import special
 
 from replimeta import cli, meta, simulation
-from replimeta.meta import _pool_rows
+from replimeta.meta import StudySummary, _pool_rows
 from replimeta.replicability import (
     _directional_rejections,
     _fe_z_extremes,
@@ -45,6 +45,8 @@ from replimeta.simulation import (
     truncation_comparison,
     write_power_csv,
 )
+from replimeta.report import AnalysisRequest
+from replimeta.statkernels import one_sided_p
 from test_properties import bits, common_effect_reference, pooling_reference
 
 # The ids of DEFAULT_TESTS that two studies allow: not H3n.
@@ -641,6 +643,32 @@ class TestJointCoverage:
         inconsistent = (left >= 1) & (right >= 1)
         assert inconsistent.mean() <= self._limit(self.ALPHA / 2)
 
+    @pytest.mark.parametrize("pattern, threshold, t", [
+        ("00000000", 0.5, 0.05), ("FfN0", 0.5, 1.0), ("FN000000", 0.05, 0.05),
+    ])
+    def test_bounds_on_each_sides_survivors_cover_jointly(self, pattern, threshold, t):
+        """``--conditional-threshold c``: each side keeps its p-values at or below c, divided by c.
+
+        A null survivor's rescaled p-value is uniform again, so the bounds
+        must cover the true effects among each side's survivors, jointly.
+        ``confidence_bounds`` takes paired lists of one length, which the
+        survivors are not, so the rows go through the profile that analyze
+        reads, whose walk is the one ``confidence_bounds`` runs.
+        """
+        rows = 2_500
+        effects = _true_effects(pattern)
+        seed = COVERAGE_PATTERNS.index(pattern) * 10 + int(10 * t) + 500
+        missed = 0
+        for row in np.random.default_rng(seed).standard_normal((rows, len(pattern))) + effects:
+            studies = tuple(StudySummary(str(i), float(z), 1.0) for i, z in enumerate(row))
+            request = AnalysisRequest(studies, alpha=self.ALPHA, t=t, conditional_threshold=threshold)
+            u_left, u_right = request.profile.bounds()
+            pairs = [one_sided_p(study.theta_hat, study.se) for study in studies]
+            true_left = sum(pair.left <= threshold and effect < 0 for pair, effect in zip(pairs, effects))
+            true_right = sum(pair.right <= threshold and effect > 0 for pair, effect in zip(pairs, effects))
+            missed += u_left > true_left or u_right > true_right
+        assert missed / rows <= self.ALPHA + 4.0 * math.sqrt(self.ALPHA * (1.0 - self.ALPHA) / rows)
+
     def test_the_walk_stops_at_the_first_non_rejection(self):
         # At t = 1 and alpha = 0.99, right p-values (0.45, 0.45) give r(1) =
         # 0.5259 > 0.495 >= r(2) = 0.45: the right side rejects at u = 2 only,
@@ -698,6 +726,19 @@ class TestPresets:
         scenarios, _ = preset("two-same-sign", replications=100, seed=50)
         seeds = [s.seed for s in scenarios]
         assert len(set(seeds)) == len(seeds)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_the_largest_seed_a_preset_accepts_derives_the_last_philox_key(self, name, monkeypatch):
+        largest = 2**128 - 1 - simulation._PRESETS[name].seed_offset
+        drawn = []
+        rng = simulation._rng
+        monkeypatch.setattr(simulation, "_rng", lambda seed: drawn.append(seed) or rng(seed))
+        message = rf"^preset '{name}' derives seeds up to seed \+ \d+, so its seed must be at most {largest}, got {largest + 1}$"
+        with pytest.raises(ValueError, match=message):
+            preset(name, replications=10, seed=largest + 1)
+        assert drawn == []
+        scenarios, _ = preset(name, replications=10, seed=largest)
+        assert max(drawn + [s.seed for s in scenarios]) == 2**128 - 1
 
 
 class TestConfigAndCsv:
