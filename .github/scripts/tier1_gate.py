@@ -5,7 +5,8 @@
 Reads the JUnit XML reports that pytest writes with ``--junitxml``. Every
 failure or error fails the gate, except that of STANDING, acceptance
 criterion 8, which ROADMAP.md keeps as written while its window is not
-met. The gate also fails when STANDING passes, is skipped or is missing,
+met. So does every plain skip: a test that stops running is not a pass.
+An xfail, which JUnit also reports as skipped, is counted apart. The gate also fails when STANDING passes, is skipped or is missing,
 so that a fix is noticed and the exception is removed with it. It runs
 every test that pytest ran; it deselects and edits none.
 """
@@ -18,14 +19,16 @@ import xml.etree.ElementTree as ET
 STANDING = ("tests.test_acceptance", "test_criterion_08_inconsistency_detection_rate")
 
 
-OUTCOMES = {"failure": "failed", "error": "error", "skipped": "skipped"}  # an xfail is skipped
+OUTCOMES = {"failure": "failed", "error": "error", "skipped": "skipped"}
 
 
 def outcome(case: ET.Element) -> str:
-    """'failed', 'error', 'skipped' or 'passed'."""
+    """'failed', 'error', 'xfailed', 'skipped' or 'passed'."""
     for tag, name in OUTCOMES.items():
-        if case.find(tag) is not None:
-            return name
+        element = case.find(tag)
+        if element is not None:
+            # pytest reports an xfail as a skip of type pytest.xfail.
+            return "xfailed" if element.get("type") == "pytest.xfail" else name
     return "passed"
 
 
@@ -39,7 +42,7 @@ def problems(paths: list[str]) -> tuple[list[str], dict[str, int]]:
             test_id = f"{case.get('classname')}::{case.get('name')}"
             if (case.get("classname"), case.get("name")) == STANDING:
                 standing.append(status)
-            elif status in ("failed", "error"):
+            elif status in ("failed", "error", "skipped"):
                 found.append(f"{status}: {test_id}")
     if standing != ["failed"]:
         found.append(

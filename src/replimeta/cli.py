@@ -143,7 +143,10 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         conditional_threshold=args.conditional_threshold,
     )
     meta_result, report, forest = analyze(request)
+    # Computed for every format: it rejects a --u out of range.
     extra_pc = partial_conjunction_summary(request, args.u)
+    if args.format == "svg":
+        return render_forest(forest, "svg")
 
     deltas = None
     if args.delta_bounds:
@@ -162,9 +165,6 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         "conditional_threshold": args.conditional_threshold,
         "input": args.input,
     }
-
-    if args.format == "svg":
-        return render_forest(forest, "svg")
 
     # The JSON meta and replicability blocks and the text details, in order.
     meta_fields: list[tuple[str, object]] = [

@@ -335,9 +335,10 @@ def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
     so running bounds on them are checked here, for the studies so far. The
     sums of the weights and of |weight x estimate| bound those of every
     subset. A subset's pooled estimate is a weighted mean of its estimates, so
-    each of them lies within the spread max - min of it, and the weight total
-    times the squared spread, doubled to cover rounding, bounds Q of every
-    subset.
+    each of them lies within the spread max - min of it, widened by the
+    mean's rounding, less than 2(k + 1) eps max|estimate| for k studies; the
+    weight total times the squared spread, doubled to cover rounding, bounds
+    Q of every subset of two or more studies.
     """
     total = weighted = 0.0
     lo, hi = math.inf, -math.inf
@@ -346,7 +347,7 @@ def _overflow_index(studies: Sequence[StudySummary]) -> int | None:
         total += w
         weighted += abs(w * study.theta_hat)
         lo, hi = min(lo, study.theta_hat), max(hi, study.theta_hat)
-        spread = hi - lo
+        spread = hi - lo + (4 * (index + 2) * math.ulp(max(hi, -lo)) if index else 0.0)
         q_bound = total * (spread * spread) * 2.0
         if not (math.isfinite(total) and math.isfinite(weighted) and math.isfinite(q_bound)):
             return index

@@ -301,27 +301,24 @@ class _TwoSidedProfile:
 
 
 @lru_cache(maxsize=None)
-def _tail_cut(t: float) -> float:
-    """A z above which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], exceeds t.
+def _threshold_window(t: float) -> tuple[float, float]:
+    """(sure, cut), the threshold window of ndtr(z) clipped to [LOG_FLOOR, LOG_CEIL] at t.
 
-    It is ndtri(t (1 + _LEVEL_MARGIN)), and +inf when that level reaches
-    LOG_CEIL, where every clipped p-value could be at or below t.
-    """
-    return math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else _level_quantiles(t)[1]
-
-
-@lru_cache(maxsize=None)
-def _sure_cut(t: float) -> float:
-    """A z at or below which ndtr(z), clipped to [LOG_FLOOR, LOG_CEIL], is at or below t.
-
-    It is ndtri(t (1 - _LEVEL_MARGIN)); +inf when t reaches LOG_CEIL, where
-    every clipped p-value is, and -inf when t is below LOG_FLOOR, where none
-    is. Between it and ``_tail_cut(t)`` lies the threshold window, where
-    whether p <= t is left to ndtr itself.
+    At or below ``sure`` the clipped p-value is at or below t; above ``cut``
+    it exceeds t. Between the two, whether p <= t is left to ndtr itself.
+    They are ndtri(t (1 - _LEVEL_MARGIN)) and ndtri(t (1 + _LEVEL_MARGIN)).
+    ``sure`` is +inf when t reaches LOG_CEIL, where every clipped p-value is
+    at or below t, and -inf when t is below LOG_FLOOR, where none is;
+    ``cut`` is +inf once t (1 + _LEVEL_MARGIN) reaches LOG_CEIL, where every
+    clipped p-value could be.
     """
     if t >= LOG_CEIL:
-        return math.inf
-    return -math.inf if t < LOG_FLOOR else _level_quantiles(t)[0]
+        return math.inf, math.inf
+    sure, cut = _level_quantiles(t)
+    return (
+        -math.inf if t < LOG_FLOOR else sure,
+        math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else cut,
+    )
 
 
 # The tabulated log normal tail: log ndtr at nodes h = 1/_TAIL_STEPS apart on
@@ -329,6 +326,8 @@ def _sure_cut(t: float) -> float:
 # log ndtr(-38.5) = -745.9 is below log LOG_FLOOR, and ndtr(8.5) rounds to 1.
 _TAIL_STEPS = 64
 _TAIL_RANGE = (-38.5, 8.5)
+# The first and last node, as multiples of h.
+_TAIL_FIRST, _TAIL_LAST = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
 # How far a tabulated term can lie from log(clip(ndtr(z))). (log ndtr)'' =
 # -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
 # below the concave curve by less than h^2 / 8 = 2^-15. Against mpmath at 40
@@ -348,8 +347,7 @@ def _log_ndtr_table() -> tuple[np.ndarray, np.ndarray]:
     """
     from scipy import special
 
-    first, last = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
-    x = np.arange(first, last + 1, dtype=float)
+    x = np.arange(_TAIL_FIRST, _TAIL_LAST + 1, dtype=float)
     values = special.log_ndtr(x / _TAIL_STEPS)
     slopes = np.append(np.diff(values), 0.0)
     return values - x * slopes, slopes
@@ -369,53 +367,44 @@ def _tabulated_log_ndtr(
     are allocated when ``work`` is None.
     """
     intercepts, slopes = _log_ndtr_table()
-    first, last = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
     size = z.size
     if work is None:
         work = np.empty(2 * size)
     cell, value = work[:size].view(np.int64), work[size : 2 * size]
     x = out.reshape(-1)
     np.multiply(np.ascontiguousarray(z).reshape(-1), -_TAIL_STEPS if right else _TAIL_STEPS, out=x)
-    np.clip(x, first, last, out=x)
-    # x - first >= 0, so the cast truncates it to its cell.
-    np.subtract(x, first, out=cell, casting="unsafe")
+    np.clip(x, _TAIL_FIRST, _TAIL_LAST, out=x)
+    # x - _TAIL_FIRST >= 0, so the cast truncates it to its cell.
+    np.subtract(x, _TAIL_FIRST, out=cell, casting="unsafe")
     # take buffers its output in mode "raise"; every cell is in range.
     x *= np.take(slopes, cell, out=value, mode="clip")
     x += np.take(intercepts, cell, out=value, mode="clip")
     return np.clip(out, math.log(LOG_FLOOR), math.log(LOG_CEIL), out=out)
 
 
-def _truncated_logs(
-    zt: np.ndarray, t: float, out: np.ndarray, right: bool, work: np.ndarray
-) -> np.ndarray:
-    """One side's ``_truncated_terms``, each within ``_TAIL_ERROR``, per entry of an (n, rows) z matrix.
+def _truncated_logs(z: np.ndarray, t: float, right: bool, work: np.ndarray) -> np.ndarray:
+    """One side's ``_truncated_terms`` of a C-contiguous z array, in place, each within ``_TAIL_ERROR``.
 
     The left p-values are ndtr(z), the right ones ndtr(-z), and their logs
-    come from ``_tabulated_log_ndtr``, not from ndtr. An entry whose p may
-    be at or below t is a candidate: z <= ``_tail_cut(t)`` on the left, z >=
-    -``_tail_cut(t)`` on the right. A candidate beyond ``_sure_cut(t)`` is
-    truncated, and gets its tabulated log; one inside the threshold window
-    between the two gets NaN, since the table cannot tell whether its p is
-    at or below t; every other entry has p > t and adds 0. At a
-    ``_sure_cut`` of inf every entry is truncated and the whole matrix runs;
-    otherwise only the candidates, gathered by flat index. The terms are
-    written to ``out``, a C-contiguous array of zt's shape, which may be zt
-    itself; ``work`` is the table's work space (``_tabulated_log_ndtr``).
-    The z must be finite (``_directional_rejections``).
+    come from ``_tabulated_log_ndtr``, not from ndtr. Of the window (sure,
+    cut) of ``_threshold_window(t)``, an entry whose p may be at or below t
+    is a candidate: z <= cut on the left, z >= -cut on the right. A
+    candidate beyond ``sure`` is truncated and gets its tabulated log; one
+    inside the window gets NaN, since the table cannot tell whether its p is
+    at or below t; every other entry has p > t and adds 0. Only the
+    candidates run the table, gathered by flat index; ``work`` is its work
+    space. The z must be finite (``_directional_rejections``).
     """
-    sure = _sure_cut(t)
-    if sure == math.inf:
-        return _tabulated_log_ndtr(zt, out, right, work)
-    cut = _tail_cut(t)
+    sure, cut = _threshold_window(t)
     # Flat indices: a take and a put cost half what a boolean mask does.
-    candidates = np.flatnonzero(zt >= -cut if right else zt <= cut)
-    z = np.take(zt, candidates)
-    unsure = np.flatnonzero(z < -sure if right else z > sure)
-    logs = _tabulated_log_ndtr(z, z, right, work)
+    candidates = np.flatnonzero(z >= -cut if right else z <= cut)
+    held = np.take(z, candidates)
+    unsure = np.flatnonzero(held < -sure if right else held > sure)
+    logs = _tabulated_log_ndtr(held, held, right, work)
     logs[unsure] = math.nan
-    out.fill(0.0)
-    np.put(out, candidates, logs)
-    return out
+    z.fill(0.0)
+    np.put(z, candidates, logs)
+    return z
 
 
 def _summation_slack(n: int) -> float:
@@ -459,7 +448,7 @@ def _truncated_rejections(
     us: Collection[int],
     t: float,
     level: float,
-    exact: Callable[[np.ndarray], _PCCurve] | None = None,
+    exact: Callable[[np.ndarray], _PCCurve],
 ) -> dict[int, np.ndarray]:
     """``r(u) <= level`` for each u in ``us``, per column of an (n, rows) log matrix.
 
@@ -474,13 +463,10 @@ def _truncated_rejections(
     ``_product_tail`` reject, columns clearly short of it accept, and only
     columns within ``_LEVEL_MARGIN``, the slack and that bound of it, or with
     a NaN statistic, are decided by the exact curve of their columns,
-    ``exact(columns)`` (``_bracket_rejections``); by default a ``_PCCurve``
-    on the logs themselves, for logs that are exact. A column with fewer than
-    u truncated logs has c(u) = 0 exactly in that kernel, and within the
+    ``exact(columns)`` (``_bracket_rejections``). A column with fewer than u
+    truncated logs has c(u) = 0 exactly in that kernel, and within the
     bounds of 0 here.
     """
-    if exact is None:
-        exact = lambda columns: _PCCurve(logs[:, columns].T, t)
     rows = logs.shape[1]
     total = np.zeros(rows)
     smallest = np.zeros((max(us) - 1, rows))
@@ -525,19 +511,20 @@ def _side_rejections(
 ) -> dict[int, np.ndarray]:
     """One side's ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
 
-    Each column is first settled by two counts where it can be: with fewer
-    than u candidates of ``_truncated_logs`` it has fewer than u truncated
-    logs, so c(u) = 0 and it accepts at u; with at least u z beyond
-    ``_decisive_z`` it rejects at u. Only the columns some u leaves open run
+    The vector ``work``, of ``_directional_work_size(zt.size)`` elements,
+    holds a log matrix of zt's size, then the table's work space. When the
+    ``sure`` end of ``_threshold_window(t)`` is inf, every entry is
+    truncated: nothing is counted, and the tabulated logs of the whole
+    matrix go to ``_truncated_rejections``. Otherwise each column is first
+    settled by two counts where it can be: with fewer than u candidates (z
+    within the window's ``cut``) it has fewer than u truncated logs, so
+    c(u) = 0 and it accepts at u; with at least u z beyond ``_decisive_z``
+    it rejects at u. Only the columns some u leaves open run
     ``_truncated_logs`` and ``_truncated_rejections``: their z are gathered
-    into the front of the log matrix, the first zt.size elements of the
-    vector ``work``, and their tabulated logs are written over them; the
-    next 2 zt.size elements are the table's work space. At a ``_sure_cut``
-    of inf every entry is truncated, nothing is counted and the whole matrix
-    runs. The columns the widened bracket leaves open, and those with an
-    entry in the threshold window, are decided by ``_PCCurve`` on ndtr of
-    their z, re-read from ``zt``. The z must be finite
-    (``_directional_rejections``).
+    into the front of the log matrix and turned into their logs there. The
+    columns the widened bracket leaves open, and those with an entry in the
+    threshold window, are decided by ``_PCCurve`` on ndtr of their z,
+    re-read from ``zt``. The z must be finite (``_directional_rejections``).
     """
 
     def exact(columns: np.ndarray) -> _PCCurve:
@@ -548,8 +535,9 @@ def _side_rejections(
 
     n, rows = zt.shape
     logs, tail = work[: zt.size], work[zt.size :]
-    if _sure_cut(t) == math.inf:
-        logs = _truncated_logs(zt, t, logs.reshape(n, rows), right, tail)
+    sure, cut = _threshold_window(t)
+    if sure == math.inf:
+        logs = _tabulated_log_ndtr(zt, logs.reshape(n, rows), right, tail)
         return _truncated_rejections(logs, us, t, level, exact)
     beyond = np.empty(zt.shape, dtype=bool)
     counted = np.min_scalar_type(n)
@@ -562,7 +550,7 @@ def _side_rejections(
             np.less_equal(zt, bound, out=beyond)
         return np.add.reduce(beyond, axis=0, dtype=counted)
 
-    candidates = count(_tail_cut(t))
+    candidates = count(cut)
     out = {}
     unsettled = np.zeros(rows, dtype=bool)
     for u in us:
@@ -572,11 +560,17 @@ def _side_rejections(
     if open_.size:
         z_open = logs[: n * open_.size].reshape(n, -1)
         np.take(zt, open_, axis=1, out=z_open, mode="clip")
-        logs_open = _truncated_logs(z_open, t, z_open, right, tail)
+        logs_open = _truncated_logs(z_open, t, right, tail)
         decided = _truncated_rejections(logs_open, us, t, level, lambda band: exact(open_[band]))
         for u, rejected in decided.items():
             out[u][open_] = rejected
     return out
+
+
+def _directional_work_size(size: int) -> int:
+    """Elements of ``_directional_rejections``'s work vector for a z matrix of
+    ``size`` entries: a log matrix and the table's work space (``_side_rejections``)."""
+    return 3 * size
 
 
 def _directional_rejections(
@@ -591,12 +585,12 @@ def _directional_rejections(
     columns that leaves open. The z must be finite, and then every decision
     is that of ``_PCCurve.from_p_values`` on the p-value rows. A NaN z is
     read as p > t where the count step or the candidate cut sees it, while
-    ``_PCCurve`` carries it to r = NaN and accepts. The first 3 zt.size
-    elements of the vector ``work`` are each side's work space in turn
-    (``_side_rejections``); one is allocated when it is None.
+    ``_PCCurve`` carries it to r = NaN and accepts. The first
+    ``_directional_work_size(zt.size)`` elements of the vector ``work`` are
+    each side's work space in turn; one is allocated when it is None.
     """
     if work is None:
-        work = np.empty(3 * zt.size)
+        work = np.empty(_directional_work_size(zt.size))
     return tuple(_side_rejections(zt, t, us, level, work, right) for right in (False, True))
 
 
@@ -828,9 +822,9 @@ def delta_bound(
     hi = max(abs(s.theta_hat) for s in studies) + 10.0 * max(s.se for s in studies)
     lo = 0.0
     # The shifted p-value is monotone nondecreasing in delta, so plain
-    # bisection localizes the rejection boundary.
-    while hi - lo > _DELTA_TOL:
-        mid = 0.5 * (lo + hi)
+    # bisection localizes the rejection boundary, to _DELTA_TOL or, beyond
+    # about 4.5e9, where doubles lie farther apart, to two adjacent ones.
+    while hi - lo > _DELTA_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if shifted_p(mid) <= level:
             lo = mid
         else:

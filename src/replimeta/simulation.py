@@ -32,6 +32,7 @@ from .replicability import (
     _bracket_rejections,
     _check_t,
     _directional_rejections,
+    _directional_work_size,
     _fe_work_size,
     _fe_z_extremes,
     _level_quantiles,
@@ -388,12 +389,12 @@ def _evaluate_tests(
 
 def _work_size(theta_hat: np.ndarray, tests: Sequence[str]) -> int:
     """Elements of ``_evaluate_tests``'s work vector: the (n, rows) matrix,
-    then the H-tests' work space (three such matrices) or, if larger,
-    H2n_fe's ``_fe_z_extremes`` work space."""
+    then the larger of the H-tests' ``_directional_work_size`` and H2n_fe's
+    ``_fe_work_size``, of those that run."""
     rows, n = theta_hat.shape
-    rest = theta_hat.size
+    rest = 0
     if "inconsistency_detected" in tests or any(map(_H_TEST.match, tests)):
-        rest = 3 * theta_hat.size
+        rest = _directional_work_size(theta_hat.size)
     if "H2n_fe" in tests:
         rest = max(rest, _fe_work_size(n, rows, n - 1))
     return theta_hat.size + rest

@@ -149,6 +149,28 @@ class TestAnalyzeCommand:
         assert deltas[3]["u"] == 3 and deltas[3]["lower_negative"] is None
         assert 0.0 < deltas[3]["upper_positive"] < deltas[2]["upper_positive"]
 
+    def test_the_svg_form_computes_no_delta_bounds(self, raw_file, monkeypatch, capsys):
+        from replimeta import replicability
+
+        assert main(["analyze", "--input", raw_file, "--format", "svg", "--u", "3"]) == 0
+        plain = capsys.readouterr().out
+        calls = []
+        monkeypatch.setattr(replicability, "delta_bound", lambda *args: calls.append(args))
+        argv = ["analyze", "--input", raw_file, "--delta-bounds", "--u", "3"]
+        assert main(argv + ["--format", "svg"]) == 0
+        assert calls == [] and capsys.readouterr().out == plain
+        assert main(argv) == 0  # the spy does see the text form's two sides
+        assert len(calls) == 2
+
+    def test_the_svg_form_still_checks_u(self, tmp_path, capsys):
+        path = tmp_path / "eight.csv"
+        path.write_text("label,estimate,se\n" + "".join(f"s{i},0.{i + 1},0.2\n" for i in range(8)))
+        argv = ["analyze", "--input", str(path), "--format", "svg", "--delta-bounds", "--u", "99"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "replimeta: error: u must be in [1, 8], got 99\n"
+
     def test_conditional_threshold(self, raw_file, capsys):
         code = main(["analyze", "--input", raw_file, "--conditional-threshold", "0.05",
                      "--format", "json"])
@@ -208,6 +230,18 @@ def test_pooling_overflow_exits_1_with_row_number(tmp_path, capsys, rows, bad_ro
     err = capsys.readouterr().err
     assert f"row {bad_row}: " in err and "overflow" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+# Two equal estimates have a spread of 0, but their pooled mean rounds to
+# -1.0000000000000001e208, 1.1e192 away from each, and Q squares that.
+@pytest.mark.parametrize("command", ["analyze", "bounds", "loo"])
+def test_equal_estimates_whose_mean_rounds_past_them_exit_1_naming_the_row(tmp_path, capsys, command):
+    path = tmp_path / "equal.csv"
+    path.write_text("label,estimate,se\na,-1e208,1\nb,-1e208,2\n")
+    assert main([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replimeta: error: row 3: ") and "overflow" in captured.err
 
 
 def _reject_constant(name):
@@ -683,6 +717,104 @@ def test_every_alpha_gives_finite_strict_output_or_a_named_error(command, alpha,
             handle.write("label,estimate,se\n")
             handle.writelines(f"s{i},{est!r},{se!r}\n" for i, (est, se) in enumerate(rows))
         check_cli_contract([*command, "--input", path, "--alpha", repr(alpha)])
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# Moderate values, and values at the edges that ``meta._overflow_index``
+# checks: weights up to 1e310, |weight x estimate| and squared spreads past
+# the largest double, and estimates whose pooled mean rounds past them.
+EDGE_ESTIMATES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(100.0, 308.25)).map(lambda s: s[0] * 10.0 ** s[1]),
+)
+EDGE_SES = st.one_of(st.floats(0.01, 5.0), st.floats(-155.0, 155.0).map(lambda e: 10.0 ** e))
+# A 2x2 table, often with a zero cell.
+TABLES = st.tuples(st.integers(1, 60), st.integers(1, 60)).flatmap(lambda totals: st.tuples(
+    st.one_of(st.sampled_from([0, totals[0]]), st.integers(0, totals[0])), st.just(totals[0]),
+    st.one_of(st.sampled_from([0, totals[1]]), st.integers(0, totals[1])), st.just(totals[1]),
+))
+
+
+@st.composite
+def study_commands(draw):
+    """A study file's text and an ``analyze``, ``bounds`` or ``loo`` argv for it."""
+    if draw(st.booleans()):
+        tables = draw(st.lists(TABLES, min_size=1, max_size=8))
+        n = len(tables)
+        text = "label,events_t,total_t,events_c,total_c\n" + "".join(
+            f"s{i},{a},{b},{c},{d}\n" for i, (a, b, c, d) in enumerate(tables))
+        argv = ["--measure", draw(st.sampled_from(["odds_ratio", "risk_ratio"]))]
+    else:
+        rows = draw(st.lists(st.tuples(EDGE_ESTIMATES, EDGE_SES), min_size=1, max_size=8))
+        n = len(rows)
+        text = "label,estimate,se\n" + "".join(f"s{i},{est!r},{se!r}\n" for i, (est, se) in enumerate(rows))
+        argv = []
+    command = draw(st.sampled_from(["analyze", "bounds", "loo"]))
+    formats = ["text", "json", "svg"] if command == "analyze" else ["text", "json"]
+    argv = [command, *argv, "--format", draw(st.sampled_from(formats))]
+    if command != "loo":
+        argv += ["--truncation", repr(draw(_log_uniform(1e-300, 1.0)))]
+    if command != "bounds":
+        models = ["fixed", "random", "auto"] if command == "analyze" else ["fixed", "random"]
+        argv += ["--model", draw(st.sampled_from(models))]
+    if command == "analyze":
+        argv += ["--u", str(draw(st.integers(0, n + 1)))]
+        threshold = draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        if threshold is not None:
+            argv += ["--conditional-threshold", repr(threshold)]
+        if draw(st.booleans()):
+            argv.append("--delta-bounds")
+    return text, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=study_commands())
+def test_every_study_command_gives_finite_strict_output_or_a_named_error(case):
+    """Every flag of ``analyze``, ``bounds`` and ``loo`` but ``--alpha``, on raw
+    rows at the overflow edges and on binary tables with zero cells."""
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "studies.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        check_cli_contract([*argv, "--input", path])
+
+
+@st.composite
+def scenario_configs(draw):
+    """A fixed or random scenario config of at most 200 replications, its lines in any order."""
+    n = draw(st.integers(1, 5))
+    sizes = st.lists(st.integers(2, 200), min_size=n, max_size=n)
+    lines = [
+        f"nc = {' '.join(map(str, draw(sizes)))}",
+        f"nt = {' '.join(map(str, draw(sizes)))}",
+        f"replications = {draw(st.integers(1, 200))}",
+        f"seed = {draw(st.integers(0, 2**64))}",
+    ]
+    if draw(st.booleans()):
+        theta = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        lines.append("theta = " + " ".join(map(repr, theta)))
+    else:
+        lines += [f"mu = {draw(st.floats(-3.0, 3.0))!r}", f"tau = {draw(st.floats(0.0, 2.0))!r}"]
+    if draw(st.booleans()):
+        lines.append(f"t = {draw(_log_uniform(1e-300, 1.0))!r}")
+    if draw(st.booleans()):
+        ids = [f"H{u}n" for u in range(1, n + 1)] + ["meta_fe", "meta_re", "H2n_fe", "inconsistency_detected"]
+        lines.append("tests = " + " ".join(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=scenario_configs())
+def test_every_scenario_config_gives_finite_csv_or_a_named_error(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(config)
+        check_cli_contract(["simulate", "--config", path])
 
 
 @pytest.mark.xfail(

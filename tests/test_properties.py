@@ -42,12 +42,11 @@ from replimeta.replicability import (
     _level_quantiles,
     _PCCurve,
     _summation_slack,
-    _sure_cut,
     _tabulated_log_ndtr,
-    _tail_cut,
     _TAIL_ERROR,
     _TAIL_RANGE,
     _TAIL_STEPS,
+    _threshold_window,
     _truncated_rejections,
     _truncated_terms,
     confidence_bounds,
@@ -397,7 +396,7 @@ def kernel_decisions(p_rows, u, t, level):
     """``_truncated_rejections`` at u on the truncated logs of a (rows, n) p-value matrix."""
     clipped = np.clip(p_rows, LOG_FLOOR, LOG_CEIL)
     logs = np.where(clipped <= t, np.log(clipped), 0.0).T.copy()
-    return _truncated_rejections(logs, (u,), t, level)[u]
+    return _truncated_rejections(logs, (u,), t, level, lambda columns: _PCCurve(logs[:, columns].T, t))[u]
 
 
 def test_bracket_rule_sends_the_band_nan_and_infinite_slack_to_exact():
@@ -440,7 +439,7 @@ def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
     p_rows = np.random.default_rng(7).uniform(0.0, 0.05, size=(6, 4))
     logs = np.log(p_rows).T.copy()
     logs[2, 1] = math.nan
-    out = _truncated_rejections(logs, (1, 2, 3), t, level)
+    out = _truncated_rejections(logs, (1, 2, 3), t, level, lambda columns: _PCCurve(logs[:, columns].T, t))
     assert len(calls) == 3 and all(1 in band for band in calls)
     for u in (1, 2, 3):
         assert out[u][1] == (_PCCurve(logs[:, 1:2].T, t)(u)[0] <= level)
@@ -464,7 +463,7 @@ def test_pooled_tests_send_nan_statistics_to_exact(monkeypatch):
 
 @pytest.mark.parametrize("t", [1e-12, 0.01, 0.05, 0.5, 0.9, 1.0])
 def test_every_z_above_the_cut_has_a_p_value_above_t(t):
-    cut = _tail_cut(t)
+    cut = _threshold_window(t)[1]
     if t == 1.0:
         assert cut == math.inf
         return
@@ -478,9 +477,38 @@ def test_every_z_above_the_cut_has_a_p_value_above_t(t):
     assert np.all(p > t)
 
 
+@pytest.mark.parametrize("t", [1e-12, 0.01, 0.05, 0.5, 1.0 - 1e-7])
+def test_every_z_at_or_below_the_sure_end_has_a_p_value_at_or_below_t(t):
+    sure, cut = _threshold_window(t)
+    assert sure < cut
+    z = [sure]
+    for _ in range(2000):
+        z.append(float(np.nextafter(z[-1], -math.inf)))
+    rng = np.random.default_rng(int(t * 1e6) + 1)
+    below = [np.array(z), sure - rng.exponential(1e-6, 2000), sure - rng.exponential(3.0, 2000),
+             np.array([-38.5, -40.0, -1e300, -math.inf])]
+    p = np.clip(special.ndtr(np.concatenate(below)), LOG_FLOOR, LOG_CEIL)
+    assert np.all(p <= t)
+
+
+def test_the_window_has_no_sure_end_beyond_the_clip_bounds():
+    """At LOG_CEIL every clipped p-value is at or below t; below LOG_FLOOR none is."""
+    assert _threshold_window(LOG_CEIL)[0] == _threshold_window(1.0)[0] == math.inf
+    assert _threshold_window(1e-310)[0] == -math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(st.floats(math.log(5e-324), 0.0).map(math.exp), st.floats(0.0, 1.0, exclude_min=True),
+                   st.sampled_from([LOG_FLOOR, LOG_CEIL, LOG_CEIL / (1.0 + _LEVEL_MARGIN)])))
+def test_the_sure_end_of_the_window_lies_below_its_cut(t):
+    sure, cut = _threshold_window(t)
+    if math.isfinite(sure) and math.isfinite(cut):
+        assert sure < cut
+
+
 # z near the cuts and where ndtr rounds to 0.5, 1 and LOG_FLOOR, besides draws.
 SPECIAL_Z = np.array([0.0, 5e-324, 1e-17, -1e-17, 40.0, -40.0, -38.5, 8.3, -8.3,
-                      float(_tail_cut(0.05)), float(_tail_cut(0.5)), float(special.ndtri(0.05))])
+                      float(_threshold_window(0.05)[1]), float(_threshold_window(0.5)[1]), float(special.ndtri(0.05))])
 
 
 @settings(max_examples=80, deadline=None)
@@ -569,9 +597,9 @@ def spy_on_truncated_logs(monkeypatch):
     widths = []
     real = replicability._truncated_logs
 
-    def spy(zt, t, out, right, work=None):
-        widths.append(zt.shape[1])
-        return real(zt, t, out, right, work)
+    def spy(z, t, right, work):
+        widths.append(z.shape[1])
+        return real(z, t, right, work)
 
     monkeypatch.setattr(replicability, "_truncated_logs", spy)
     return widths
@@ -702,7 +730,7 @@ def window_z(t):
         for _ in range(100):
             z = float(np.nextafter(z, step))
             near.append(z)
-    return np.concatenate([np.linspace(max(_sure_cut(t), -40.0), min(_tail_cut(t), 8.0), 41), near])
+    return np.concatenate([np.linspace(max(_threshold_window(t)[0], -40.0), min(_threshold_window(t)[1], 8.0), 41), near])
 
 
 @pytest.mark.parametrize("t", [1e-12, 0.05, 0.5])

@@ -412,6 +412,20 @@ class TestDeltaBound:
         # Values recorded while delta_bound still tested its upper bracket end.
         assert delta_bound(make_studies(*pairs), u, 0.05, side, t=t) == expected
 
+    @pytest.mark.parametrize("side, sign", [("upper_positive", 1.0), ("lower_negative", -1.0)])
+    def test_a_boundary_where_doubles_lie_wider_apart_than_the_tolerance_is_found(self, side, sign):
+        """Near 2e20 adjacent doubles are 32768 apart, far more than _DELTA_TOL,
+        so the bisection ends on two of them: the lower rejects, the upper does not."""
+        studies = make_studies(*((sign * k * 1e20, 1.0) for k in (1, 2, 3)))
+        delta = delta_bound(studies, 2, side=side)
+
+        def shifted(d):
+            pairs = [one_sided_p(s.theta_hat, s.se, shift=sign * d) for s in studies]
+            return partial_conjunction_p([p.right if sign > 0 else p.left for p in pairs], 2, t=ALPHA)
+
+        assert delta == pytest.approx(2e20, rel=1e-15)
+        assert shifted(delta) <= ALPHA / 2 < shifted(float(np.nextafter(delta, math.inf)))
+
 
 class TestConditionalTransform:
     def test_rescaling(self):

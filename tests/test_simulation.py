@@ -977,6 +977,23 @@ class TestGuards:
         assert np.array_equal(got, want)
         assert peak < theta_hat.nbytes, peak
 
+    def test_the_work_vector_holds_the_z_matrix_and_the_largest_share_that_runs(self):
+        from replimeta.replicability import _directional_work_size, _fe_work_size
+
+        rng = np.random.default_rng(1)
+        se = rng.uniform(0.1, 1.5, 8)
+        theta_hat = rng.normal(0.3, 1.0, (4096, 8)) * se
+        size = theta_hat.size
+        pooled = ("meta_fe", "meta_re")
+        assert simulation._work_size(theta_hat, pooled) == size
+        got = _evaluate_tests(theta_hat, se, pooled, 0.05, 0.05, np.empty(size))
+        want = _evaluate_tests(theta_hat, se, pooled, 0.05, 0.05)
+        assert all(np.array_equal(got[test_id], want[test_id]) for test_id in pooled)
+        h_share, fe_share = _directional_work_size(size), _fe_work_size(8, 4096, 7)
+        assert simulation._work_size(theta_hat, ("meta_fe", "H2n")) == size + h_share
+        assert simulation._work_size(theta_hat, ("inconsistency_detected",)) == size + h_share
+        assert simulation._work_size(theta_hat, ("H2n_fe", "H1n")) == size + max(h_share, fe_share)
+
 
 @pytest.mark.parametrize(
     "call, message",
