@@ -26,7 +26,7 @@ import numpy as np
 
 from . import meta
 from .meta import StudySummary
-from .statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
+from .statkernels import LOG_CEIL, LOG_FLOOR, _normal_tail, normal_cdf, one_sided_p
 
 __all__ = [
     "Consistency",
@@ -159,10 +159,10 @@ def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
 # A relative margin for decisions made on a rounded tail function: a row is
 # decided without the exact computation only when it is beyond a bracket
 # widened by this much. It sits on the level p of the normal quantiles of
-# ``_level_quantiles``, since ndtr(ndtri(p)) is within 1e-12 of p, relative,
-# for p from 1e-300 to 1 - 1e-6; a margin on p rather than on z also holds
-# near p = 1, where the normal tail is flat and a fixed margin on z would
-# have to grow without bound. On the critical statistic c of
+# ``_level_quantiles``, since normal_cdf(ndtri(p)) was within 5.3e-13 of p,
+# relative, over 250,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
+# than on z also holds near p = 1, where the normal tail is flat and a fixed
+# margin on z would have to grow without bound. On the critical statistic c of
 # ``_critical_bracket`` it covers the rounding of ``_product_tail``.
 _LEVEL_MARGIN = 1e-6
 
@@ -174,6 +174,11 @@ def _level_quantiles(p: float) -> tuple[float, float]:
 
     low, high = special.ndtri([p * (1.0 - _LEVEL_MARGIN), p * (1.0 + _LEVEL_MARGIN)])
     return float(low), float(high)
+
+
+def _normal_cdf_rows(z: np.ndarray) -> np.ndarray:
+    """``normal_cdf`` of each entry of a float array, bit for bit; a NaN entry gives NaN."""
+    return np.frompyfunc(_normal_tail, 1, 1)(z).astype(float)
 
 
 def _bracket_rejections(
@@ -302,10 +307,10 @@ class _TwoSidedProfile:
 
 @lru_cache(maxsize=None)
 def _threshold_window(t: float) -> tuple[float, float]:
-    """(sure, cut), the threshold window of ndtr(z) clipped to [LOG_FLOOR, LOG_CEIL] at t.
+    """(sure, cut), the threshold window of normal_cdf(z) clipped to [LOG_FLOOR, LOG_CEIL] at t.
 
     At or below ``sure`` the clipped p-value is at or below t; above ``cut``
-    it exceeds t. Between the two, whether p <= t is left to ndtr itself.
+    it exceeds t. Between the two, whether p <= t is left to the tail itself.
     They are ndtri(t (1 - _LEVEL_MARGIN)) and ndtri(t (1 + _LEVEL_MARGIN)).
     ``sure`` is +inf when t reaches LOG_CEIL, where every clipped p-value is
     at or below t, and -inf when t is below LOG_FLOOR, where none is;
@@ -328,12 +333,12 @@ _TAIL_STEPS = 64
 _TAIL_RANGE = (-38.5, 8.5)
 # The first and last node, as multiples of h.
 _TAIL_FIRST, _TAIL_LAST = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
-# How far a tabulated term can lie from log(clip(ndtr(z))). (log ndtr)'' =
-# -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
+# How far a tabulated term can lie from log(clip(normal_cdf(z))). (log ndtr)''
+# = -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
 # below the concave curve by less than h^2 / 8 = 2^-15. Against mpmath at 40
-# digits, the node values of special.log_ndtr and log(ndtr(z)) on 5,000 z
-# were each within 2.3e-13, and the interpolation's roundings are of the
-# same order; 1e-11 covers the three.
+# digits the node values of special.log_ndtr were within 2.3e-13, log
+# normal_cdf was within 4.5e-13 of log ndtr over the range, and the
+# interpolation's roundings are of the same order; 1e-11 covers the four.
 _TAIL_ERROR = 2.0**-15 + 1e-11
 
 
@@ -358,7 +363,7 @@ def _tabulated_log_ndtr(
 ) -> np.ndarray:
     """log ndtr(z), or log ndtr(-z) on the right, clipped to [log LOG_FLOOR, log LOG_CEIL].
 
-    Each value lies within ``_TAIL_ERROR`` of log(clip(ndtr(z))): the table
+    Each value lies within ``_TAIL_ERROR`` of log(clip(normal_cdf(z))): the table
     of ``_log_ndtr_table`` interpolated linearly, z clamped to the table's
     range, beyond which both are at a clip bound. ``out``, a C-contiguous
     array of z's shape, may be z itself. The first 2 z.size elements of the
@@ -385,8 +390,8 @@ def _tabulated_log_ndtr(
 def _truncated_logs(z: np.ndarray, t: float, right: bool, work: np.ndarray) -> np.ndarray:
     """One side's ``_truncated_terms`` of a C-contiguous z array, in place, each within ``_TAIL_ERROR``.
 
-    The left p-values are ndtr(z), the right ones ndtr(-z), and their logs
-    come from ``_tabulated_log_ndtr``, not from ndtr. Of the window (sure,
+    The left p-values are normal_cdf(z), the right ones normal_cdf(-z), and
+    their logs come from ``_tabulated_log_ndtr``. Of the window (sure,
     cut) of ``_threshold_window(t)``, an entry whose p may be at or below t
     is a candidate: z <= cut on the left, z >= -cut on the right. A
     candidate beyond ``sure`` is truncated and gets its tabulated log; one
@@ -523,15 +528,13 @@ def _side_rejections(
     ``_truncated_logs`` and ``_truncated_rejections``: their z are gathered
     into the front of the log matrix and turned into their logs there. The
     columns the widened bracket leaves open, and those with an entry in the
-    threshold window, are decided by ``_PCCurve`` on ndtr of their z,
-    re-read from ``zt``. The z must be finite (``_directional_rejections``).
+    threshold window, are decided by ``_PCCurve`` on ``_normal_cdf_rows`` of
+    their z, re-read from ``zt``. The z must be finite (``_directional_rejections``).
     """
 
     def exact(columns: np.ndarray) -> _PCCurve:
-        from scipy import special
-
         z = zt.T[columns]  # one row per column, as the p-value rows are
-        return _PCCurve.from_p_values(special.ndtr(np.negative(z, out=z) if right else z), t)
+        return _PCCurve.from_p_values(_normal_cdf_rows(np.negative(z, out=z) if right else z), t)
 
     n, rows = zt.shape
     logs, tail = work[: zt.size], work[zt.size :]
@@ -581,13 +584,13 @@ def _directional_rejections(
     Each study is one contiguous row of ``zt``, which is only read. Each side
     settles most columns by counting, per column, the z beyond two values,
     and runs the tabulated log normal tail and the top-k statistic only on
-    the rest (``_side_rejections``); scipy's ndtr runs only on the few
-    columns that leaves open. The z must be finite, and then every decision
-    is that of ``_PCCurve.from_p_values`` on the p-value rows. A NaN z is
-    read as p > t where the count step or the candidate cut sees it, while
+    the rest (``_side_rejections``). The z must be finite, and then every
+    decision is that of ``r_value`` and ``confidence_bounds``: of
+    ``_PCCurve.from_p_values`` on the ``normal_cdf`` rows. A NaN z is read
+    as p > t where the count step or the candidate cut sees it, while
     ``_PCCurve`` carries it to r = NaN and accepts. The first
-    ``_directional_work_size(zt.size)`` elements of the vector ``work`` are
-    each side's work space in turn; one is allocated when it is None.
+    ``_directional_work_size(zt.size)`` elements of ``work`` are each side's
+    work space in turn; one is allocated when it is None.
     """
     if work is None:
         work = np.empty(_directional_work_size(zt.size))

@@ -25,8 +25,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-# scipy.special is imported on first use, inside _pooled_rejections (see meta).
-
 from .meta import StudySummary, _check_alpha, _overflow_index, _pool_rows
 from .replicability import (
     _bracket_rejections,
@@ -36,6 +34,7 @@ from .replicability import (
     _fe_work_size,
     _fe_z_extremes,
     _level_quantiles,
+    _normal_cdf_rows,
 )
 from .statkernels import normal_cdf
 
@@ -280,25 +279,23 @@ def _pooled_rejections(
 ) -> dict[str, np.ndarray]:
     """The requested ones of meta_fe, meta_re and H2n_fe, per column of an (n, rows) matrix.
 
-    Each decides 2 ndtr(-z) <= alpha through ``_bracket_rejections``, from
-    its pooled z alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a margin
-    on the level holds for every alpha, while ndtri(1 - alpha/2), the critical
-    value of the confidence intervals, is inf below alpha = 1.1e-16. Inside,
-    each runs ndtr on its z. meta_fe and meta_re read the |z| of
-    ``_pool_rows``, as ``fixed_effect_meta`` and ``random_effects_meta`` do.
-    H2n_fe, the common-effect test of the (n-1)-subsets at u = 2, reads
-    max(-z_max, z_min) of ``_fe_z_extremes``, the z of its less significant
-    direction; it passes ``work`` on to ``_fe_z_extremes`` as its work space.
+    Each decides 2 normal_cdf(-z) <= alpha through ``_bracket_rejections``,
+    from its pooled z alone outside -ndtri(alpha/2 (1 -+ _LEVEL_MARGIN)): a
+    margin on the level holds for every alpha, while ndtri(1 - alpha/2), the
+    critical value of the confidence intervals, is inf below alpha = 1.1e-16.
+    Inside, each runs ``_normal_cdf_rows`` on its z, as the scalar API does:
+    meta_fe and meta_re read the |z| of ``_pool_rows`` (``p_two_sided`` of
+    ``fixed_effect_meta`` and ``random_effects_meta``), and H2n_fe the less
+    significant direction's max(-z_max, z_min) of ``_fe_z_extremes`` (the r
+    of ``fe_r_value(row, 2)``), passing ``work`` on as its work space.
     """
-    from scipy import special
-
     n = theta_t.shape[0]
     z_reject, z_accept = (-z for z in _level_quantiles(alpha / 2.0))
     decided: dict[str, np.ndarray] = {}
 
     def two_sided(z: np.ndarray) -> np.ndarray:
         return _bracket_rejections(
-            z, z_accept, z_reject, lambda band: 2.0 * special.ndtr(-z[band]) <= alpha
+            z, z_accept, z_reject, lambda band: 2.0 * _normal_cdf_rows(-z[band]) <= alpha
         )
 
     if {"meta_fe", "meta_re"} & set(tests):
@@ -352,7 +349,7 @@ def _evaluate_tests(
     exact, so min(1, 2 min(a, b)) <= alpha exactly when a <= alpha/2 or b <=
     alpha/2. The pooled tests and H2n_fe are decided through
     ``_pooled_rejections``, which compares a z with the critical value and
-    runs the exact pooling and ndtr only on rows near it.
+    runs the normal tail only on rows near it.
 
     The test ids must have passed ``_check_tests``. ``work``, a vector of at
     least ``_work_size(theta_hat, tests)`` elements, holds the chunk's work

@@ -43,6 +43,11 @@ def normal_cdf(z: float) -> float:
     """
     if math.isnan(z):
         raise ValueError("z must not be NaN")
+    return _normal_tail(z)
+
+
+def _normal_tail(z: float) -> float:
+    """0.5 erfc(-z / sqrt 2), ``normal_cdf`` without its NaN check: a NaN z gives NaN."""
     return 0.5 * math.erfc(-z / _SQRT2)
 
 

@@ -25,7 +25,6 @@ from replimeta.replicability import (
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
-    calibrate_tau,
     inconsistency_probability,
     preset,
     simulate_fixed,
@@ -183,7 +182,6 @@ def test_criterion_08_inconsistency_detection_rate():
     70% calibration the detection rate sits near 20%, so the window check
     fails; the monotone decrease holds. See the decisions ledger.
     """
-    tau = calibrate_tau(0.70, seed=1008)
     scenarios, _ = preset("re-high-het", replications=REPLICATIONS, seed=1008)
     rates = []
     for scenario in scenarios:
@@ -195,7 +193,7 @@ def test_criterion_08_inconsistency_detection_rate():
     _criterion(
         8,
         ok,
-        f"tau={tau:.3f} (median I2=70%), detection over mu grid = "
+        f"tau={scenarios[0].tau:.3f} (median I2=70%), detection over mu grid = "
         + ", ".join(f"{r:.3f}" for r in rates)
         + f"; window [0.45, 0.75] {'met' if in_window else 'NOT met'}, "
         + f"decreasing {'holds' if decreasing else 'fails'}",

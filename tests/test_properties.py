@@ -62,8 +62,8 @@ from replimeta.report import (
     parse_studies,
     partial_conjunction_summary,
 )
-from replimeta.simulation import _evaluate_tests, _pooled_rejections
-from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf
+from replimeta.simulation import _evaluate_tests, _pooled_rejections, preset, run_points
+from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
 ALPHAS = st.sampled_from([0.05, 0.2])
@@ -92,6 +92,15 @@ def reference_bound(ps, level, t):
         if partial_conjunction_p(ps, u, t=t) > level:
             return u - 1
     return len(ps)
+
+
+def normal_tail(z):
+    """``normal_cdf``, the scalar API's normal tail, of each entry of z; a NaN entry stays NaN.
+
+    Every decision of the Monte Carlo harness must be the scalar API's, so
+    this is the one reference tail of the harness's tests.
+    """
+    return np.vectorize(lambda x: x if math.isnan(x) else normal_cdf(x), otypes=[float])(z)
 
 
 def add(values):
@@ -288,11 +297,11 @@ def test_evaluate_tests_matches_scalar_api_row_by_row(seed, n, t, scale):
         pairs = list(zip(theta_hat[i].tolist(), se.tolist()))
         studies = _studies(pairs)
         z_min, z_max = common_effect_reference(pairs, n - 1)
-        r_fe = min(1.0, 2.0 * min(special.ndtr(z_max), special.ndtr(-z_min)))
+        r_fe = min(1.0, 2.0 * min(normal_cdf(z_max), normal_cdf(-z_min)))
         assert out["H2n_fe"][i] == (r_fe <= alpha)
         assert out["meta_fe"][i] == (fixed_effect_meta(studies).p_two_sided <= alpha)
         assert out["meta_re"][i] == (random_effects_meta(studies).p_two_sided <= alpha)
-        left, right = special.ndtr(z[i]), special.ndtr(-z[i])
+        left, right = normal_tail(z[i]), normal_tail(-z[i])
         for u in (1, 2, 3):
             assert out[f"H{u}n"][i] == (r_value(left, right, u, t=t).r <= alpha)
         bounds = confidence_bounds(left, right, t=t, alpha=alpha)
@@ -455,8 +464,8 @@ def test_pooled_tests_send_nan_statistics_to_exact(monkeypatch):
     fe_band, re_band = calls
     assert 3 in fe_band and 3 in re_band
     exact = _pool_rows(theta_t, se)
-    want_re = 2.0 * special.ndtr(-np.abs(exact.re / exact.re_se)) <= 0.05
-    want_fe = 2.0 * special.ndtr(-np.abs(exact.fe / exact.fe_se)) <= 0.05
+    want_re = 2.0 * normal_tail(-np.abs(exact.re / exact.re_se)) <= 0.05
+    want_fe = 2.0 * normal_tail(-np.abs(exact.fe / exact.fe_se)) <= 0.05
     assert np.array_equal(decided["meta_re"], want_re)
     assert np.array_equal(decided["meta_fe"], want_fe)
 
@@ -473,7 +482,7 @@ def test_every_z_above_the_cut_has_a_p_value_above_t(t):
     z = np.array(z[1:])
     rng = np.random.default_rng(int(t * 1e6))
     above = [z, cut + rng.exponential(1e-6, 2000), cut + rng.exponential(3.0, 2000)]
-    p = np.clip(special.ndtr(np.concatenate(above)), LOG_FLOOR, LOG_CEIL)
+    p = np.clip(normal_tail(np.concatenate(above)), LOG_FLOOR, LOG_CEIL)
     assert np.all(p > t)
 
 
@@ -487,7 +496,7 @@ def test_every_z_at_or_below_the_sure_end_has_a_p_value_at_or_below_t(t):
     rng = np.random.default_rng(int(t * 1e6) + 1)
     below = [np.array(z), sure - rng.exponential(1e-6, 2000), sure - rng.exponential(3.0, 2000),
              np.array([-38.5, -40.0, -1e300, -math.inf])]
-    p = np.clip(special.ndtr(np.concatenate(below)), LOG_FLOOR, LOG_CEIL)
+    p = np.clip(normal_tail(np.concatenate(below)), LOG_FLOOR, LOG_CEIL)
     assert np.all(p <= t)
 
 
@@ -506,7 +515,7 @@ def test_the_sure_end_of_the_window_lies_below_its_cut(t):
         assert sure < cut
 
 
-# z near the cuts and where ndtr rounds to 0.5, 1 and LOG_FLOOR, besides draws.
+# z near the cuts and where the tail rounds to 0.5, 1 and LOG_FLOOR, besides draws.
 SPECIAL_Z = np.array([0.0, 5e-324, 1e-17, -1e-17, 40.0, -40.0, -38.5, 8.3, -8.3,
                       float(_threshold_window(0.05)[1]), float(_threshold_window(0.5)[1]), float(special.ndtri(0.05))])
 
@@ -529,8 +538,8 @@ def test_directional_rejections_equal_the_exact_kernel_row_by_row(seed, n, t, al
     z = rng.normal(0.0, scale, size=(300, n)) + rng.choice([0.0, 2.5, -2.5], size=(300, 1))
     z[:60] = rng.choice(SPECIAL_Z, size=(60, n))
     level = alpha / 2.0
-    exact_left = _PCCurve.from_p_values(special.ndtr(z), t)
-    exact_right = _PCCurve.from_p_values(special.ndtr(-z), t)
+    exact_left = _PCCurve.from_p_values(normal_tail(z), t)
+    exact_right = _PCCurve.from_p_values(normal_tail(-z), t)
     zt = z.T.copy()
     left, right = _directional_rejections(zt, t, range(1, n + 1), level)
     assert np.array_equal(zt, z.T)  # read, never written
@@ -565,7 +574,7 @@ def test_directional_rejections_only_read_z():
 def test_every_z_beyond_the_decisive_z_alone_rejects(n, u, t, level):
     """One-sided p-values at or beyond ``_decisive_z`` are truncated, with a log below the reject edge.
 
-    The right p-value of z is ndtr(-z) and the left one of -z is the same
+    The right p-value of z is normal_cdf(-z) and the left one of -z is the same
     double, so the right side stands for both.
     """
     decisive = _decisive_z(n, u, t, level)
@@ -576,7 +585,7 @@ def test_every_z_beyond_the_decisive_z_alone_rejects(n, u, t, level):
     rng = np.random.default_rng(n * 1000 + u)
     beyond = [np.array(z), decisive + rng.exponential(1e-6, 2000), decisive + rng.exponential(3.0, 2000),
               np.array([38.5, 40.0, 1e300, math.inf])]
-    p = np.clip(special.ndtr(-np.concatenate(beyond)), LOG_FLOOR, LOG_CEIL)
+    p = np.clip(normal_tail(-np.concatenate(beyond)), LOG_FLOOR, LOG_CEIL)
     c_reject = _critical_bracket(n - u + 1, t, level)[1]
     assert np.all(p <= t)
     assert np.all(np.log(p) < -(c_reject * (1.0 + _LEVEL_MARGIN) + _summation_slack(n)) / 2.0)
@@ -608,8 +617,8 @@ def spy_on_truncated_logs(monkeypatch):
 def assert_directional_rejections_are_exact(z, t, us, level):
     """``_directional_rejections`` on a (rows, n) z matrix against ``_PCCurve`` on its p-values."""
     left, right = _directional_rejections(np.ascontiguousarray(z.T), t, us, level)
-    exact_left = _PCCurve.from_p_values(special.ndtr(z), t)
-    exact_right = _PCCurve.from_p_values(special.ndtr(-z), t)
+    exact_left = _PCCurve.from_p_values(normal_tail(z), t)
+    exact_right = _PCCurve.from_p_values(normal_tail(-z), t)
     for u in us:
         assert np.array_equal(left[u], exact_left(u) <= level), u
         assert np.array_equal(right[u], exact_right(u) <= level), u
@@ -653,7 +662,7 @@ def test_a_chunk_settled_by_counts_runs_no_normal_tail(monkeypatch):
 
 
 def test_the_tabulated_log_tail_stays_within_its_bound():
-    """Within ``_TAIL_ERROR`` of log(clip(ndtr(z))) on both sides.
+    """Within ``_TAIL_ERROR`` of log(clip(normal_cdf(z))) on both sides.
 
     At the nodes, their midpoints (where the chord is farthest from the
     curve) and their neighbouring doubles, around both clip kinks, at and
@@ -671,7 +680,7 @@ def test_the_tabulated_log_tail_stays_within_its_bound():
         rng.uniform(-40.0, 10.0, 50_000), rng.normal(0.0, 3.0, 50_000),
     ])
     for right in (False, True):
-        want = np.log(np.clip(special.ndtr(-z if right else z), LOG_FLOOR, LOG_CEIL))
+        want = np.log(np.clip(normal_tail(-z if right else z), LOG_FLOOR, LOG_CEIL))
         error = np.abs(_tabulated_log_ndtr(z, np.empty_like(z), right) - want)
         assert error.max() <= _TAIL_ERROR
         # Where (log ndtr)'' nears -1 the chord is nearly h^2 / 8 off.
@@ -700,7 +709,7 @@ def rows_at_the_bracket(n, u, t, level):
             rest = -target / 2.0 - float(np.sum(special.log_ndtr(mids)))
             row = np.array([-30.0] * (u - 1) + mids + [float(special.ndtri(math.exp(rest)))]
                            + [3.0] * (k - j))
-            terms = np.sort(_truncated_terms(special.ndtr(row), t))
+            terms = np.sort(_truncated_terms(normal_tail(row), t))
             rows.append(rng.permutation(row))
             stats.append(-2.0 * np.sum(terms[u - 1 :]))
             edges.append(edge)
@@ -716,7 +725,7 @@ def test_rows_within_the_tabulation_bound_of_the_bracket_decide_exactly(n, u, t,
     it; the widened bracket sends such rows to the exact kernel."""
     z, stats, edges = rows_at_the_bracket(n, u, t, level)
     assert np.all(np.abs(stats - edges) <= 2.0 * (n - u + 1) * _TAIL_ERROR)
-    exact = _PCCurve.from_p_values(special.ndtr(z), t)(u) <= level
+    exact = _PCCurve.from_p_values(normal_tail(z), t)(u) <= level
     assert 0 < np.count_nonzero(exact) < len(z)
     assert_directional_rejections_are_exact(np.vstack([z, -z]), t, (u,), level)
 
@@ -745,7 +754,7 @@ def test_rows_with_an_entry_in_the_threshold_window_decide_exactly(t):
     z = np.array([[w, *rest] + [3.0] * (3 - len(rest)) for w in window_z(t)])
     step = t * _LEVEL_MARGIN / 2.0
     flip = np.array([[float(special.ndtri(p)), *rest] + [3.0] * (3 - len(rest)) for p in (t - step, t + step)])
-    assert (_PCCurve.from_p_values(special.ndtr(flip), t)(1) <= level).tolist() == [True, False]
+    assert (_PCCurve.from_p_values(normal_tail(flip), t)(1) <= level).tolist() == [True, False]
     assert_directional_rejections_are_exact(np.vstack([z, -z, flip, -flip]), t, (1,), level)
 
 
@@ -892,10 +901,10 @@ def pooled_decision(test_id, pairs, alpha):
     """Independent oracle: a pooled test's decision from the plain-Python pooling formulas."""
     if test_id == "H2n_fe":
         z_min, z_max = common_effect_reference(pairs, len(pairs) - 1)
-        return min(1.0, 2.0 * min(special.ndtr(z_max), special.ndtr(-z_min))) <= alpha
+        return min(1.0, 2.0 * min(normal_cdf(z_max), normal_cdf(-z_min))) <= alpha
     ref = pooling_reference(pairs)
     estimate, se = (ref["fe"], ref["fe_se"]) if test_id == "meta_fe" else (ref["re"], ref["re_se"])
-    return 2.0 * special.ndtr(-abs(estimate / se)) <= alpha
+    return 2.0 * normal_cdf(-abs(estimate / se)) <= alpha
 
 
 def _pooled_case(kind, n, data):
@@ -934,7 +943,7 @@ def test_pooled_decisions_equal_the_exact_formulas_at_the_critical_value(
 
     The estimates move with a parameter s, which is bisected over the bit
     patterns of doubles to neighbours whose exact decisions differ, and the
-    kernels must send such rows to ndtr on their exact z. At alpha = 0.1 and
+    kernels must send such rows to the normal tail on their exact z. At alpha = 0.1 and
     0.001 the first |z| that rejects lies 3 and -70 doubles from
     ndtri(1 - alpha/2).
     """
@@ -990,7 +999,7 @@ def _straddling_sets():
 def _straddling_decisions(test_id):
     """The harness's decisions at alphas that each sit at one row's own two-sided p.
 
-    At alpha = 2 ndtr(-|z_i|), row i's pooled |z| is exactly the critical
+    At alpha = p_two_sided of row i, its pooled |z| is exactly the critical
     value, so its decision rests on every bit of z and of the tail. Yields
     alpha, the harness's decisions on every row of the set, and per row the
     |pooled / se| and ``p_two_sided`` of the scalar API's fit, neither of
@@ -1001,16 +1010,15 @@ def _straddling_decisions(test_id):
         fits = [fit(_studies(list(zip(row, se)))) for row in theta_hat.tolist()]
         z = np.array([abs(f.pooled / f.se) for f in fits])
         p = np.array([f.p_two_sided for f in fits])
-        for alpha in 2.0 * special.ndtr(-z):
+        for alpha in p.tolist():
             if 0.0 < alpha < 1.0:
-                alpha = float(alpha)
                 out = _evaluate_tests(theta_hat, se, (test_id,), 0.05, alpha)[test_id]
                 yield alpha, out, z, p
 
 
 @pytest.mark.parametrize("test_id", ["meta_fe", "meta_re"])
 def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_pooling(test_id):
-    """Row by row, the harness decides as ndtr on the scalar API's pooled estimate / se.
+    """Row by row, the harness decides as ``normal_cdf`` on the scalar API's pooled estimate / se.
 
     So the harness and ``fixed_effect_meta`` or ``random_effects_meta`` agree
     on every bit of the pooled z: one pooling kernel, with x * x squares,
@@ -1018,17 +1026,11 @@ def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_pooling(test_id
     """
     straddled = 0
     for alpha, out, z, _ in _straddling_decisions(test_id):
-        assert np.array_equal(out, 2.0 * special.ndtr(-z) <= alpha)
+        assert np.array_equal(out, 2.0 * normal_tail(-z) <= alpha)
         straddled += 1
     assert straddled > 4000
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 7: the scalar p_two_sided comes from math.erfc and the harness's "
-    "from scipy's ndtr, which differ in the last bits",
-)
 @pytest.mark.parametrize("test_id", ["meta_fe", "meta_re"])
 def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_p_value(test_id):
     """Row by row, the harness decides as ``p_two_sided <= alpha`` of the scalar API."""
@@ -1037,7 +1039,7 @@ def test_pooled_tests_at_a_straddling_alpha_decide_as_the_scalar_p_value(test_id
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0 - 1e-9])
-def test_every_abs_z_beyond_the_z_bracket_decides_as_ndtr(alpha):
+def test_every_abs_z_beyond_the_z_bracket_decides_as_normal_cdf(alpha):
     reject_below, accept_above = _level_quantiles(alpha / 2.0)
     z_accept, z_reject = -accept_above, -reject_below
     above, below = [z_reject], [z_accept]
@@ -1049,5 +1051,94 @@ def test_every_abs_z_beyond_the_z_bracket_decides_as_ndtr(alpha):
     below = np.concatenate([below[1:], z_accept - rng.exponential(1e-6, 2000)])
     if z_accept > 0.0:
         below = np.concatenate([below, rng.uniform(0.0, z_accept, 2000)])
-    assert np.all(2.0 * special.ndtr(-above) <= alpha)
-    assert np.all(2.0 * special.ndtr(-below[below >= 0.0]) > alpha)
+    assert np.all(2.0 * normal_tail(-above) <= alpha)
+    assert np.all(2.0 * normal_tail(-below[below >= 0.0]) > alpha)
+
+
+MONTE_CARLO_TESTS = ("H1n", "H2n", "H3n", "inconsistency_detected", "meta_fe", "meta_re", "H2n_fe")
+
+
+def scalar_values(theta_hat, se, t):
+    """Per test id, each row's own value in the scalar API, whose test rejects at alpha when value <= alpha.
+
+    ``H{u}n``: ``r_value(...).r`` on the rows' ``one_sided_p``; meta_fe and
+    meta_re: ``p_two_sided``; H2n_fe: ``fe_r_value(row, 2).r``;
+    inconsistency_detected: 2 max(r_left(1), r_right(1)), since both bounds
+    of ``confidence_bounds`` at alpha are at least 1 exactly when both r(1)
+    are at or below alpha / 2.
+    """
+    values = {test_id: [] for test_id in MONTE_CARLO_TESTS}
+    for row in theta_hat.tolist():
+        studies = _studies(list(zip(row, se.tolist())))
+        pairs = [one_sided_p(study.theta_hat, study.se) for study in studies]
+        left, right = [pair.left for pair in pairs], [pair.right for pair in pairs]
+        results = [r_value(left, right, u, t=t) for u in (1, 2, 3)]
+        for u, result in enumerate(results, start=1):
+            values[f"H{u}n"].append(result.r)
+        values["inconsistency_detected"].append(2.0 * max(results[0].r_left, results[0].r_right))
+        values["meta_fe"].append(fixed_effect_meta(studies).p_two_sided)
+        values["meta_re"].append(random_effects_meta(studies).p_two_sided)
+        values["H2n_fe"].append(fe_r_value(studies, 2).r)
+    return {test_id: np.array(value) for test_id, value in values.items()}
+
+
+def straddling_alphas(value):
+    """A value and its two neighbouring doubles, those of them in (0, 1)."""
+    alphas = (float(np.nextafter(value, 0.0)), value, float(np.nextafter(value, 1.0)))
+    return [alpha for alpha in alphas if 0.0 < alpha < 1.0]
+
+
+def straddling_rows(seed, n, rows):
+    """Estimates, one study a column, and their se: null rows and rows with a shared shift."""
+    rng = np.random.default_rng(seed)
+    se = rng.uniform(0.1, 1.5, n)
+    z = rng.normal(0.0, 1.5, (rows, n)) + rng.choice([0.0, 2.0, -2.0], (rows, 1))
+    return z * se, se
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), t=THRESHOLDS)
+def test_every_monte_carlo_decision_at_a_straddling_alpha_is_the_scalar_apis(seed, n, t):
+    """At alpha equal to a row's own scalar value, and at both neighbouring doubles,
+    ``_evaluate_tests`` decides every row of the chunk as the scalar API does.
+
+    At such an alpha the row lies inside the harness's bracket, so its
+    decision rests on the last bits of the normal tail; one tail serves both.
+    inconsistency_detected is also checked against ``confidence_bounds`` on
+    the row itself.
+    """
+    theta_hat, se = straddling_rows(seed, n, 20)
+    values = scalar_values(theta_hat, se, t)
+    for test_id, value in values.items():
+        for i, own in enumerate(value.tolist()):
+            for alpha in straddling_alphas(own):
+                out = _evaluate_tests(theta_hat, se, (test_id,), t, alpha)[test_id]
+                assert np.array_equal(out, value <= alpha), (test_id, i, alpha)
+                if test_id == "inconsistency_detected":
+                    z = theta_hat[i] / se
+                    bounds = confidence_bounds(normal_tail(z), normal_tail(-z), t=t, alpha=alpha)
+                    assert bool(out[i]) == (min(bounds) >= 1)
+
+
+def test_no_monte_carlo_decision_runs_scipys_ndtr(monkeypatch):
+    """With ``scipy.special.ndtr`` raising, every test id decides chunks whose
+    rows reach the exact band of both kernels, and a preset point runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special.ndtr was called")
+
+    directional = spy_on_bands(monkeypatch, replicability)
+    pooled = spy_on_bands(monkeypatch, simulation)
+    monkeypatch.setattr(special, "ndtr", refuse)
+    theta_hat, se = straddling_rows(26, 6, 40)
+    for t in (0.05, 1.0):
+        for test_id, value in scalar_values(theta_hat, se, t).items():
+            alpha = next(v for v in value.tolist() if 0.0 < v < 1.0)
+            directional.clear()
+            pooled.clear()
+            _evaluate_tests(theta_hat, se, MONTE_CARLO_TESTS, t, alpha)
+            band = pooled if test_id in ("meta_fe", "meta_re", "H2n_fe") else directional
+            assert any(band), (test_id, t)
+    scenarios, tests = preset("mixed-signs", replications=2_000, seed=3)
+    (point,) = run_points(scenarios[1:2], tests)
+    assert set(point.rejection_rate) == set(tests)

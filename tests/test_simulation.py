@@ -47,7 +47,7 @@ from replimeta.simulation import (
 )
 from replimeta.report import AnalysisRequest
 from replimeta.statkernels import one_sided_p
-from test_properties import bits, common_effect_reference, pooling_reference
+from test_properties import bits, common_effect_reference, normal_tail, pooling_reference
 
 # The ids of DEFAULT_TESTS that two studies allow: not H3n.
 TWO_STUDY_TESTS = ("meta_fe", "meta_re", "H1n", "H2n", "inconsistency_detected")
@@ -97,7 +97,7 @@ class TestVectorizedAgainstScalar:
         for i, row in enumerate(self.theta_hat.tolist()):
             ref_min, ref_max = common_effect_reference(list(zip(row, se)), size)
             assert bits(z_min[i], z_max[i]) == bits(ref_min, ref_max)
-            r = min(1.0, 2.0 * min(special.ndtr(ref_max), special.ndtr(-ref_min)))
+            r = min(1.0, 2.0 * min(normal_tail(ref_max), normal_tail(-ref_min)))
             assert rejected["H2n_fe"][i] == (r <= 0.05)
 
 
@@ -633,7 +633,7 @@ class TestJointCoverage:
         missed = (right > np.sum(effects > 0)) | (left > np.sum(effects < 0))
         assert missed.mean() <= self._limit(self.ALPHA)
         for row, u_left, u_right in zip(z, left, right):
-            want = confidence_bounds(special.ndtr(row), special.ndtr(-row), t=t, alpha=self.ALPHA)
+            want = confidence_bounds(normal_tail(row), normal_tail(-row), t=t, alpha=self.ALPHA)
             assert (u_left, u_right) == want
 
     @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
