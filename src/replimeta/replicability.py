@@ -10,6 +10,10 @@ direction, a consistency classification of those bounds, a common-effect
 variant that pools subsets by inverse variance, shifted tests that bound the
 effect magnitude, and a conditional p-value transform that guards against
 publication bias.
+
+The row kernels ``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes`` also
+settle the Monte Carlo harness's close calls; its decision rule is
+``simulation``'s.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Callable, Collection, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import meta
 from .meta import StudySummary
-from .statkernels import LOG_CEIL, LOG_FLOOR, _normal_tail, normal_cdf, one_sided_p
+from .statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
 
 __all__ = [
     "Consistency",
@@ -156,82 +160,6 @@ def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
     return out
 
 
-# A relative margin for decisions made on a rounded tail function: a row is
-# decided without the exact computation only when it is beyond a bracket
-# widened by this much. It sits on the level p of the normal quantiles of
-# ``_level_quantiles``, since normal_cdf(ndtri(p)) was within 5.3e-13 of p,
-# relative, over 250,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
-# than on z also holds near p = 1, where the normal tail is flat and a fixed
-# margin on z would have to grow without bound. On the critical statistic c of
-# ``_critical_bracket`` it covers the rounding of ``_product_tail``.
-_LEVEL_MARGIN = 1e-6
-
-
-@lru_cache(maxsize=None)
-def _level_quantiles(p: float) -> tuple[float, float]:
-    """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
-    from scipy import special
-
-    low, high = special.ndtri([p * (1.0 - _LEVEL_MARGIN), p * (1.0 + _LEVEL_MARGIN)])
-    return float(low), float(high)
-
-
-def _normal_cdf_rows(z: np.ndarray) -> np.ndarray:
-    """``normal_cdf`` of each entry of a float array, bit for bit; a NaN entry gives NaN."""
-    return np.frompyfunc(_normal_tail, 1, 1)(z).astype(float)
-
-
-def _bracket_rejections(
-    x: np.ndarray,
-    lower: np.ndarray | float,
-    upper: np.ndarray | float,
-    exact: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Per entry of x: True above ``upper``, False below ``lower``, ``exact(band)`` otherwise.
-
-    ``lower`` and ``upper`` are scalars or one value per entry. The band is
-    every entry that is neither, NaN included, and ``exact`` returns the
-    decisions of the entries whose indices it is given.
-    """
-    rejected = x > upper
-    decided = x < lower
-    decided |= rejected
-    band = np.flatnonzero(~decided)
-    if band.size:
-        rejected[band] = exact(band)
-    return rejected
-
-
-@lru_cache(maxsize=None)
-def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float]:
-    """Adjacent doubles (c_accept, c_reject) around the critical value of ``_product_tail``.
-
-    ``_product_tail(c) > level`` at c_accept and ``<= level`` at c_reject.
-    The tail is nonincreasing in c, so the bisection runs over the bit
-    patterns of nonnegative doubles, which are ordered as the doubles are.
-    When no statistic a row of ``length`` clipped p-values can reach rejects,
-    the bracket is (c_top, inf), c_top being beyond every such statistic.
-    """
-
-    def value(bits: int) -> np.ndarray:
-        return np.array([bits], dtype=np.int64).view(np.float64)
-
-    def rejects(bits: int) -> bool:
-        return bool(_product_tail(value(bits), length, t)[0] <= level)
-
-    c_top = -4.0 * length * math.log(LOG_FLOOR)
-    lo, hi = 0, int(np.float64(c_top).view(np.int64))
-    if not rejects(hi):
-        return c_top, math.inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rejects(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(value(lo)[0]), float(value(hi)[0])
-
-
 class _PCCurve:
     """r(1), r(2), ... for each row of a ``_truncated_terms`` matrix.
 
@@ -303,298 +231,6 @@ class _TwoSidedProfile:
     def bounds(self) -> tuple[int, int]:
         """(u_max_left, u_max_right), each side's leading rejections at ``level``."""
         return tuple(_leading_rejections(curve, self.level) for curve in (self.left, self.right))
-
-
-@lru_cache(maxsize=None)
-def _threshold_window(t: float) -> tuple[float, float]:
-    """(sure, cut), the threshold window of normal_cdf(z) clipped to [LOG_FLOOR, LOG_CEIL] at t.
-
-    At or below ``sure`` the clipped p-value is at or below t; above ``cut``
-    it exceeds t. Between the two, whether p <= t is left to the tail itself.
-    They are ndtri(t (1 - _LEVEL_MARGIN)) and ndtri(t (1 + _LEVEL_MARGIN)).
-    ``sure`` is +inf when t reaches LOG_CEIL, where every clipped p-value is
-    at or below t, and -inf when t is below LOG_FLOOR, where none is;
-    ``cut`` is +inf once t (1 + _LEVEL_MARGIN) reaches LOG_CEIL, where every
-    clipped p-value could be.
-    """
-    if t >= LOG_CEIL:
-        return math.inf, math.inf
-    sure, cut = _level_quantiles(t)
-    return (
-        -math.inf if t < LOG_FLOOR else sure,
-        math.inf if t * (1.0 + _LEVEL_MARGIN) >= LOG_CEIL else cut,
-    )
-
-
-# The tabulated log normal tail: log ndtr at nodes h = 1/_TAIL_STEPS apart on
-# [_TAIL_RANGE], linearly interpolated. Both ends lie beyond a clip kink:
-# log ndtr(-38.5) = -745.9 is below log LOG_FLOOR, and ndtr(8.5) rounds to 1.
-_TAIL_STEPS = 64
-_TAIL_RANGE = (-38.5, 8.5)
-# The first and last node, as multiples of h.
-_TAIL_FIRST, _TAIL_LAST = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
-# How far a tabulated term can lie from log(clip(normal_cdf(z))). (log ndtr)''
-# = -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
-# below the concave curve by less than h^2 / 8 = 2^-15. Against mpmath at 40
-# digits the node values of special.log_ndtr were within 2.3e-13, log
-# normal_cdf was within 4.5e-13 of log ndtr over the range, and the
-# interpolation's roundings are of the same order; 1e-11 covers the four.
-_TAIL_ERROR = 2.0**-15 + 1e-11
-
-
-@lru_cache(maxsize=None)
-def _log_ndtr_table() -> tuple[np.ndarray, np.ndarray]:
-    """Intercepts a and slopes b with log ndtr(z) ~ a[i] + b[i] x at x = z / h.
-
-    Cell i spans x in [i - k, i - k + 1], k = -_TAIL_RANGE[0] / h being the
-    index of z = 0. The last entry, past the last node, is flat at that
-    node's value, so a position clamped to the range's top end reads it.
-    """
-    from scipy import special
-
-    x = np.arange(_TAIL_FIRST, _TAIL_LAST + 1, dtype=float)
-    values = special.log_ndtr(x / _TAIL_STEPS)
-    slopes = np.append(np.diff(values), 0.0)
-    return values - x * slopes, slopes
-
-
-def _tabulated_log_ndtr(
-    z: np.ndarray, out: np.ndarray, right: bool, work: np.ndarray | None = None
-) -> np.ndarray:
-    """log ndtr(z), or log ndtr(-z) on the right, clipped to [log LOG_FLOOR, log LOG_CEIL].
-
-    Each value lies within ``_TAIL_ERROR`` of log(clip(normal_cdf(z))): the table
-    of ``_log_ndtr_table`` interpolated linearly, z clamped to the table's
-    range, beyond which both are at a clip bound. ``out``, a C-contiguous
-    array of z's shape, may be z itself. The first 2 z.size elements of the
-    vector ``work`` hold each entry's cell and its gathered table entry, so
-    that a caller that passes the same work space allocates nothing; they
-    are allocated when ``work`` is None.
-    """
-    intercepts, slopes = _log_ndtr_table()
-    size = z.size
-    if work is None:
-        work = np.empty(2 * size)
-    cell, value = work[:size].view(np.int64), work[size : 2 * size]
-    x = out.reshape(-1)
-    np.multiply(np.ascontiguousarray(z).reshape(-1), -_TAIL_STEPS if right else _TAIL_STEPS, out=x)
-    np.clip(x, _TAIL_FIRST, _TAIL_LAST, out=x)
-    # x - _TAIL_FIRST >= 0, so the cast truncates it to its cell.
-    np.subtract(x, _TAIL_FIRST, out=cell, casting="unsafe")
-    # take buffers its output in mode "raise"; every cell is in range.
-    x *= np.take(slopes, cell, out=value, mode="clip")
-    x += np.take(intercepts, cell, out=value, mode="clip")
-    return np.clip(out, math.log(LOG_FLOOR), math.log(LOG_CEIL), out=out)
-
-
-def _truncated_logs(z: np.ndarray, t: float, right: bool, work: np.ndarray) -> np.ndarray:
-    """One side's ``_truncated_terms`` of a C-contiguous z array, in place, each within ``_TAIL_ERROR``.
-
-    The left p-values are normal_cdf(z), the right ones normal_cdf(-z), and
-    their logs come from ``_tabulated_log_ndtr``. Of the window (sure,
-    cut) of ``_threshold_window(t)``, an entry whose p may be at or below t
-    is a candidate: z <= cut on the left, z >= -cut on the right. A
-    candidate beyond ``sure`` is truncated and gets its tabulated log; one
-    inside the window gets NaN, since the table cannot tell whether its p is
-    at or below t; every other entry has p > t and adds 0. Only the
-    candidates run the table, gathered by flat index; ``work`` is its work
-    space. The z must be finite (``_directional_rejections``).
-    """
-    sure, cut = _threshold_window(t)
-    # Flat indices: a take and a put cost half what a boolean mask does.
-    candidates = np.flatnonzero(z >= -cut if right else z <= cut)
-    held = np.take(z, candidates)
-    unsure = np.flatnonzero(held < -sure if right else held > sure)
-    logs = _tabulated_log_ndtr(held, held, right, work)
-    logs[unsure] = math.nan
-    z.fill(0.0)
-    np.put(z, candidates, logs)
-    return z
-
-
-def _summation_slack(n: int) -> float:
-    """A bound on how far two sums of the same n clipped logs, as -2 times a
-    difference of sums, can differ when they are summed in different orders.
-
-    Each clipped log lies in [log LOG_FLOOR, 0], so a sum of at most n of
-    them, in any order, is off by less than n^2 eps |log LOG_FLOOR|. The exact
-    kernel makes one such sum; the top-k statistic of ``_truncated_rejections``
-    makes two, the row total T and the k smallest S(k), and one rounding of
-    T - S(k). With c = -2 (...) the two statistics differ by less than this
-    slack, 7.9e-11 at n = 8.
-    """
-    return 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)
-
-
-@lru_cache(maxsize=None)
-def _decisive_z(n: int, u: int, t: float, level: float) -> float:
-    """A z beyond which one study alone makes r(u) <= level in a row of n studies.
-
-    On the right every z at or above it, on the left every z at or below its
-    negative, has a clipped one-sided p-value at or below t whose log is below
-    -(c_reject (1 + _LEVEL_MARGIN) + slack) / 2, c_reject being that of
-    ``_critical_bracket(n - u + 1, t, level)`` and slack ``_summation_slack(n)``.
-    r(u) keeps the n - u + 1 largest terms, so a row with u such studies keeps
-    one, and its exact statistic is beyond c_reject by the level margin and
-    the summation slack of ``_truncated_rejections``. The z is -ndtri(p* (1 - _LEVEL_MARGIN)), p*
-    being t or that log's exp if smaller; it is inf where that level is below
-    LOG_FLOOR, where the clip could lift a p-value above it, and where
-    c_reject is inf.
-    """
-    c_reject = _critical_bracket(n - u + 1, t, level)[1]
-    p_star = min(t, math.exp(-(c_reject * (1.0 + _LEVEL_MARGIN) + _summation_slack(n)) / 2.0))
-    if p_star * (1.0 - _LEVEL_MARGIN) < LOG_FLOOR:
-        return math.inf
-    return -_level_quantiles(p_star)[0]
-
-
-def _truncated_rejections(
-    logs: np.ndarray,
-    us: Collection[int],
-    t: float,
-    level: float,
-    exact: Callable[[np.ndarray], _PCCurve],
-) -> dict[int, np.ndarray]:
-    """``r(u) <= level`` for each u in ``us``, per column of an (n, rows) log matrix.
-
-    ``logs`` holds the ``_truncated_terms`` of the p-values, one study a row,
-    each within ``_TAIL_ERROR`` (``_truncated_logs``), or NaN where that is
-    unknown. r(u) leaves out the u - 1 smallest p-values, so its statistic is
-    c(u) = -2 (T - S(u-1)), T being the total of a column's logs and S(k)
-    the sum of its k most negative ones, kept by a running minimum/maximum
-    insertion over the studies. It sums the n - u + 1 largest logs, so it is
-    within 2 (n - u + 1) _TAIL_ERROR of the exact statistic, besides the
-    summation slack. Columns clearly beyond the critical bracket of
-    ``_product_tail`` reject, columns clearly short of it accept, and only
-    columns within ``_LEVEL_MARGIN``, the slack and that bound of it, or with
-    a NaN statistic, are decided by the exact curve of their columns,
-    ``exact(columns)`` (``_bracket_rejections``). A column with fewer than u
-    truncated logs has c(u) = 0 exactly in that kernel, and within the
-    bounds of 0 here.
-    """
-    rows = logs.shape[1]
-    total = np.zeros(rows)
-    smallest = np.zeros((max(us) - 1, rows))
-    carry, spare = np.empty(rows), np.empty(rows)
-    n = 0
-    for row in logs:
-        n += 1
-        total += row
-        carry[:] = row
-        # Insert the row into the sorted k smallest; what a slot gives up
-        # moves on to the next slot, and what the last gives up is dropped.
-        for i, slot in enumerate(smallest):
-            if i + 1 < len(smallest):
-                np.maximum(slot, carry, out=spare)
-            np.minimum(slot, carry, out=slot)
-            carry, spare = spare, carry
-    slack = _summation_slack(n)
-    # An exact statistic is 0 or at least one truncated log's worth, c_least;
-    # below it a row accepts, as r(u) = 1 there, also where c_accept is 0.
-    c_least = -2.0 * math.log(min(t, LOG_CEIL))
-    excluded = np.zeros(rows)
-    out = {}
-    for u in range(1, max(us) + 1):
-        if u > 1:
-            excluded += smallest[u - 2]
-        if u not in us:
-            continue
-        c_stat = -2.0 * (total - excluded)
-        c_accept, c_reject = _critical_bracket(n - u + 1, t, level)
-        spread = slack + 2.0 * (n - u + 1) * _TAIL_ERROR
-        out[u] = _bracket_rejections(
-            c_stat,
-            max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - spread,
-            c_reject * (1.0 + _LEVEL_MARGIN) + spread,
-            lambda band: exact(band)(u) <= level,
-        )
-    return out
-
-
-def _side_rejections(
-    zt: np.ndarray, t: float, us: Collection[int], level: float, work: np.ndarray, right: bool
-) -> dict[int, np.ndarray]:
-    """One side's ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
-
-    The vector ``work``, of ``_directional_work_size(zt.size)`` elements,
-    holds a log matrix of zt's size, then the table's work space. When the
-    ``sure`` end of ``_threshold_window(t)`` is inf, every entry is
-    truncated: nothing is counted, and the tabulated logs of the whole
-    matrix go to ``_truncated_rejections``. Otherwise each column is first
-    settled by two counts where it can be: with fewer than u candidates (z
-    within the window's ``cut``) it has fewer than u truncated logs, so
-    c(u) = 0 and it accepts at u; with at least u z beyond ``_decisive_z``
-    it rejects at u. Only the columns some u leaves open run
-    ``_truncated_logs`` and ``_truncated_rejections``: their z are gathered
-    into the front of the log matrix and turned into their logs there. The
-    columns the widened bracket leaves open, and those with an entry in the
-    threshold window, are decided by ``_PCCurve`` on ``_normal_cdf_rows`` of
-    their z, re-read from ``zt``. The z must be finite (``_directional_rejections``).
-    """
-
-    def exact(columns: np.ndarray) -> _PCCurve:
-        z = zt.T[columns]  # one row per column, as the p-value rows are
-        return _PCCurve.from_p_values(_normal_cdf_rows(np.negative(z, out=z) if right else z), t)
-
-    n, rows = zt.shape
-    logs, tail = work[: zt.size], work[zt.size :]
-    sure, cut = _threshold_window(t)
-    if sure == math.inf:
-        logs = _tabulated_log_ndtr(zt, logs.reshape(n, rows), right, tail)
-        return _truncated_rejections(logs, us, t, level, exact)
-    beyond = np.empty(zt.shape, dtype=bool)
-    counted = np.min_scalar_type(n)
-
-    def count(bound: float) -> np.ndarray:
-        """Entries at or below ``bound`` on the left, at or above -``bound`` on the right."""
-        if right:
-            np.greater_equal(zt, -bound, out=beyond)
-        else:
-            np.less_equal(zt, bound, out=beyond)
-        return np.add.reduce(beyond, axis=0, dtype=counted)
-
-    candidates = count(cut)
-    out = {}
-    unsettled = np.zeros(rows, dtype=bool)
-    for u in us:
-        out[u] = count(-_decisive_z(n, u, t, level)) >= u
-        unsettled |= (candidates >= u) & ~out[u]
-    open_ = np.flatnonzero(unsettled)
-    if open_.size:
-        z_open = logs[: n * open_.size].reshape(n, -1)
-        np.take(zt, open_, axis=1, out=z_open, mode="clip")
-        logs_open = _truncated_logs(z_open, t, right, tail)
-        decided = _truncated_rejections(logs_open, us, t, level, lambda band: exact(open_[band]))
-        for u, rejected in decided.items():
-            out[u][open_] = rejected
-    return out
-
-
-def _directional_work_size(size: int) -> int:
-    """Elements of ``_directional_rejections``'s work vector for a z matrix of
-    ``size`` entries: a log matrix and the table's work space (``_side_rejections``)."""
-    return 3 * size
-
-
-def _directional_rejections(
-    zt: np.ndarray, t: float, us: Collection[int], level: float, work: np.ndarray | None = None
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Left and right ``r(u) <= level`` per column of an (n, rows) z matrix, for each u in ``us``.
-
-    Each study is one contiguous row of ``zt``, which is only read. Each side
-    settles most columns by counting, per column, the z beyond two values,
-    and runs the tabulated log normal tail and the top-k statistic only on
-    the rest (``_side_rejections``). The z must be finite, and then every
-    decision is that of ``r_value`` and ``confidence_bounds``: of
-    ``_PCCurve.from_p_values`` on the ``normal_cdf`` rows. A NaN z is read
-    as p > t where the count step or the candidate cut sees it, while
-    ``_PCCurve`` carries it to r = NaN and accepts. The first
-    ``_directional_work_size(zt.size)`` elements of ``work`` are each side's
-    work space in turn; one is allocated when it is None.
-    """
-    if work is None:
-        work = np.empty(_directional_work_size(zt.size))
-    return tuple(_side_rejections(zt, t, us, level, work, right) for right in (False, True))
 
 
 def truncated_product_p(p_values: Sequence[float], t: float = 0.05) -> float:

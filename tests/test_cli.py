@@ -454,6 +454,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("line, message", [
         ("tests = H1n bogus", "unknown test id 'bogus'"),
         ("tests =", "expected at least one test id"),
+        ("tests = H1n H1n H01n meta_fe", "test id 'H1n' is repeated"),
+        ("tests = H01n meta_fe", "unknown test id 'H01n'"),
     ])
     def test_bad_test_ids_exit_1_naming_the_config_line(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "tests.cfg"
@@ -869,6 +871,16 @@ def test_repeated_config_key_exits_1_naming_both_lines(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config line 5: 't' is already set on line 2" in captured.err
+
+
+def test_a_misspelled_config_key_is_a_named_error(tmp_path, capsys):
+    # It used to run at the default replications and tests, and exit 0.
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("theta = 1 1 0\nnc = 25 25 25\nnt = 25 25 25\nreplicatons = 5000\ntset = H2n\n")
+    argv = ["simulate", "--config", str(cfg)]
+    check_cli_contract(argv)
+    assert main(argv) == 1
+    assert "config line 4: unknown key 'replicatons'; recognized keys: theta, " in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

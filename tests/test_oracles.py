@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from replimeta import meta
 from replimeta.meta import StudySummary, _pool_rows, fixed_effect_meta, random_effects_meta
-from replimeta import replicability
+from replimeta import replicability, simulation
 from replimeta.replicability import _fe_z_extremes, delta_bound, partial_conjunction_p
 from replimeta.report import (
     AnalysisRequest,
@@ -426,14 +426,14 @@ def test_the_tabulated_log_tail_at_its_nodes_against_mpmath():
     bound h^2 / 8: the rounding of special.log_ndtr and of the interpolation.
     The largest error measured was 2.3e-13, at the lower nodes, where |log Phi| nears 700.
     """
-    first, last = (round(end * replicability._TAIL_STEPS) for end in replicability._TAIL_RANGE)
-    nodes = np.arange(first, last + 1) / replicability._TAIL_STEPS
+    first, last = (round(end * simulation._TAIL_STEPS) for end in simulation._TAIL_RANGE)
+    nodes = np.arange(first, last + 1) / simulation._TAIL_STEPS
     with mpmath.workdps(DIGITS):
         floor, ceil = mpmath.log(mpmath.mpf(LOG_FLOOR)), mpmath.log(mpmath.mpf(LOG_CEIL))
         want = np.array([float(min(max(mpmath.log(mpmath.ncdf(z)), floor), ceil)) for z in nodes])
     for z, right in ((nodes, False), (-nodes, True)):
-        got = replicability._tabulated_log_ndtr(z, np.empty_like(z), right)
-        assert np.max(np.abs(got - want)) <= replicability._TAIL_ERROR - 2.0**-15
+        got = simulation._tabulated_log_ndtr(z, np.empty_like(z), right)
+        assert np.max(np.abs(got - want)) <= simulation._TAIL_ERROR - 2.0**-15
 
 
 @pytest.mark.xfail(

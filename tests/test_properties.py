@@ -32,22 +32,9 @@ from replimeta.meta import (
     random_effects_meta,
 )
 from replimeta.replicability import (
-    _bracket_rejections,
-    _critical_bracket,
-    _decisive_z,
-    _directional_rejections,
     _leading_rejections,
     _fe_z_extremes,
-    _LEVEL_MARGIN,
-    _level_quantiles,
     _PCCurve,
-    _summation_slack,
-    _tabulated_log_ndtr,
-    _TAIL_ERROR,
-    _TAIL_RANGE,
-    _TAIL_STEPS,
-    _threshold_window,
-    _truncated_rejections,
     _truncated_terms,
     confidence_bounds,
     fe_r_value,
@@ -62,7 +49,25 @@ from replimeta.report import (
     parse_studies,
     partial_conjunction_summary,
 )
-from replimeta.simulation import _evaluate_tests, _pooled_rejections, preset, run_points
+from replimeta.simulation import (
+    _bracket_rejections,
+    _critical_bracket,
+    _decisive_z,
+    _directional_rejections,
+    _evaluate_tests,
+    _LEVEL_MARGIN,
+    _level_quantiles,
+    _pooled_rejections,
+    _summation_slack,
+    _tabulated_log_ndtr,
+    _TAIL_ERROR,
+    _TAIL_RANGE,
+    _TAIL_STEPS,
+    _threshold_window,
+    _truncated_rejections,
+    preset,
+    run_points,
+)
 from replimeta.statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
 
 THRESHOLDS = st.sampled_from([0.05, 0.5, 1.0])
@@ -425,25 +430,33 @@ def test_bracket_rule_sends_the_band_nan_and_infinite_slack_to_exact():
     assert len(seen) == 1  # no band, no call
 
 
-def spy_on_bands(monkeypatch, module):
-    """Record, per ``_bracket_rejections`` call from ``module``, the indices sent to exact."""
+def spy_on_bands(monkeypatch, kernel=None):
+    """Record, per ``_bracket_rejections`` call, the indices sent to exact.
+
+    With ``kernel``, only the calls whose ``exact`` is defined in that
+    function of ``simulation`` are recorded, so that two spies, one per
+    kernel, can watch the same name.
+    """
     calls = []
+    real = simulation._bracket_rejections
 
     def spy(x, lower, upper, exact):
+        if kernel is not None and not exact.__qualname__.startswith(f"{kernel}."):
+            return real(x, lower, upper, exact)
         calls.append([])
 
         def recorded(band):
             calls[-1] += band.tolist()
             return exact(band)
 
-        return _bracket_rejections(x, lower, upper, recorded)
+        return real(x, lower, upper, recorded)
 
-    monkeypatch.setattr(module, "_bracket_rejections", spy)
+    monkeypatch.setattr(simulation, "_bracket_rejections", spy)
     return calls
 
 
 def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
-    calls = spy_on_bands(monkeypatch, replicability)
+    calls = spy_on_bands(monkeypatch)
     t, level = 0.05, 0.025
     p_rows = np.random.default_rng(7).uniform(0.0, 0.05, size=(6, 4))
     logs = np.log(p_rows).T.copy()
@@ -455,7 +468,7 @@ def test_h_tests_send_a_nan_statistic_to_the_exact_kernel(monkeypatch):
 
 
 def test_pooled_tests_send_nan_statistics_to_exact(monkeypatch):
-    calls = spy_on_bands(monkeypatch, simulation)
+    calls = spy_on_bands(monkeypatch)
     rng = np.random.default_rng(8)
     se = rng.uniform(0.2, 1.0, 5)
     theta_t = rng.normal(0.5, 1.0, (5, 60)) * se[:, None]
@@ -604,13 +617,13 @@ def test_the_decisive_z_is_inf_where_no_clipped_p_value_can_be_decisive():
 def spy_on_truncated_logs(monkeypatch):
     """Record the number of columns of each ``_truncated_logs`` call."""
     widths = []
-    real = replicability._truncated_logs
+    real = simulation._truncated_logs
 
     def spy(z, t, right, work):
         widths.append(z.shape[1])
         return real(z, t, right, work)
 
-    monkeypatch.setattr(replicability, "_truncated_logs", spy)
+    monkeypatch.setattr(simulation, "_truncated_logs", spy)
     return widths
 
 
@@ -1127,8 +1140,8 @@ def test_no_monte_carlo_decision_runs_scipys_ndtr(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.special.ndtr was called")
 
-    directional = spy_on_bands(monkeypatch, replicability)
-    pooled = spy_on_bands(monkeypatch, simulation)
+    directional = spy_on_bands(monkeypatch, "_truncated_rejections")
+    pooled = spy_on_bands(monkeypatch, "_pooled_rejections")
     monkeypatch.setattr(special, "ndtr", refuse)
     theta_hat, se = straddling_rows(26, 6, 40)
     for t in (0.05, 1.0):

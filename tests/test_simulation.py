@@ -23,7 +23,6 @@ from scipy import special
 from replimeta import cli, meta, simulation
 from replimeta.meta import StudySummary, _pool_rows
 from replimeta.replicability import (
-    _directional_rejections,
     _fe_z_extremes,
     _PCCurve,
     confidence_bounds,
@@ -33,6 +32,7 @@ from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
     RandomEffectsScenario,
+    _directional_rejections,
     _evaluate_tests,
     calibrate_tau,
     inconsistency_probability,
@@ -251,6 +251,25 @@ class TestSimulateFixed:
         )
         with pytest.raises(ValueError, match=r"unknown test id 'bogus'|needs u in \[1, 2\]"):
             simulate_fixed(scenario, tests=tests)
+        assert drawn == []
+
+    @pytest.mark.parametrize("tests, message", [
+        (("H1n", "H1n"), "test id 'H1n' is repeated"),
+        (("meta_fe", "H2n", "meta_fe"), "test id 'meta_fe' is repeated"),
+        (("H1n", "H01n"), "unknown test id 'H01n'"),
+        (("H002n",), "unknown test id 'H002n'"),
+    ])
+    def test_repeated_and_aliased_test_ids_are_rejected_before_any_draw(self, monkeypatch, tests, message):
+        # Each would collapse into fewer rows: H01n is H1n under a second name.
+        drawn = []
+        monkeypatch.setattr(simulation, "_draws", lambda scenario: drawn.append(scenario) or iter(()))
+        scenario = FixedEffectsScenario(
+            theta=(0.0,) * 2, group_sizes=((25, 25),) * 2, replications=10, seed=5
+        )
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            simulate_fixed(scenario, tests=tests)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            truncation_comparison([scenario], tests=tests)
         assert drawn == []
 
     def test_no_tests_draws_and_counts_nothing(self):
@@ -812,6 +831,8 @@ class TestConfigAndCsv:
         ("tests = meta_re", "meta_re requires at least two studies"),
         ("tests =", "expected at least one test id"),
         ("tests = , ,", "expected at least one test id"),
+        ("tests = H1n H1n", "test id 'H1n' is repeated"),
+        ("tests = H1n H01n", "unknown test id 'H01n'"),
     ])
     def test_bad_test_ids_name_the_line(self, line, message):
         studies = "nc = 25\nnt = 25\n" if "meta_re" in line else "nc = 25 25\nnt = 25 25\n"
@@ -846,6 +867,17 @@ class TestConfigAndCsv:
     def test_repeated_key_names_both_lines(self, key, first, second):
         text = f"theta = 1 0\n{key} = {first}\nnc = 25 25\nnt = 25 25\n{key} = {second}\n"
         with pytest.raises(ValueError, match=rf"^config line 5: '{key}' is already set on line 2$"):
+            parse_scenario_config(io.StringIO(text))
+
+    @pytest.mark.parametrize("line, key", [
+        ("replicatons = 5000", "replicatons"),
+        ("tset = H2n", "tset"),
+        ("Theta_ = 1 0", "theta_"),
+    ])
+    def test_unknown_key_names_the_line_and_the_recognized_keys(self, line, key):
+        text = f"theta = 1 0\nnc = 25 25\n{line}\nnt = 25 25\n"
+        keys = "theta, mu, tau, nc, nt, replications, seed, t, tests, param"
+        with pytest.raises(ValueError, match=rf"^config line 3: unknown key '{key}'; recognized keys: {keys}$"):
             parse_scenario_config(io.StringIO(text))
 
     def test_repeated_key_matches_in_any_case(self):
@@ -978,7 +1010,8 @@ class TestGuards:
         assert peak < theta_hat.nbytes, peak
 
     def test_the_work_vector_holds_the_z_matrix_and_the_largest_share_that_runs(self):
-        from replimeta.replicability import _directional_work_size, _fe_work_size
+        from replimeta.replicability import _fe_work_size
+        from replimeta.simulation import _directional_work_size
 
         rng = np.random.default_rng(1)
         se = rng.uniform(0.1, 1.5, 8)
