@@ -11,16 +11,17 @@ variant that pools subsets by inverse variance, shifted tests that bound the
 effect magnitude, and a conditional p-value transform that guards against
 publication bias.
 
-The row kernels ``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes`` also
-settle the Monte Carlo harness's close calls; its decision rule is
-``simulation``'s.
+The row kernels ``_PCCurve`` and ``_fe_z_extremes`` also settle the Monte
+Carlo harness's close calls, which read the truncated-product tail in log
+space from the arrays of ``_tail_arrays`` and reach ``_product_tail`` only
+within a rounding distance of the level; its decision rule is ``simulation``'s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 from typing import Literal, Sequence
 
@@ -106,22 +107,47 @@ def _validate_pvalues(p_values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _pmf_weights(length: int, t: float) -> tuple[float, ...]:
-    """P(exactly k of ``length`` independent uniforms fall at or below t), k = 1..length.
+class _TailArrays:
+    """The arrays of the truncated-product tail at one (length, t), k = 1..length.
+
+    ``_product_tail`` reads ks, the binomial weights and k log t; the
+    harness's log-space tail also reads the weights' logs
+    (``_log_pmf_weights``) and the log factorials, built on first use, so
+    that the scalar API's walk over many lengths does not pay for them.
+    """
+
+    def __init__(self, length: int, t: float) -> None:
+        log_weights = _log_pmf_weights(length, t)
+        self.ks = np.arange(1, length + 1, dtype=float)
+        self.weights = np.array([math.exp(v) for v in log_weights])
+        self.log_weights = np.array(log_weights)
+        self.k_log_t = self.ks * math.log(t)
+
+    @cached_property
+    def log_factorials(self) -> np.ndarray:
+        """lgamma(k), the log of (k - 1)!, k = 1..length."""
+        return np.array([math.lgamma(k) for k in range(1, self.ks.size + 1)])
+
+
+def _log_pmf_weights(length: int, t: float) -> list[float]:
+    """log P(exactly k of ``length`` independent uniforms fall at or below t), k = 1..length.
 
     Each binomial mass is taken in log space, so that it does not underflow
-    to zero for lengths in the thousands.
+    to zero for lengths in the thousands; it is -inf where the mass is 0 (t = 1).
     """
     if t == 1.0:
-        return tuple(float(k == length) for k in range(1, length + 1))
+        return [0.0 if k == length else -math.inf for k in range(1, length + 1)]
     log_trials, log_t, log_rest = math.lgamma(length + 1), math.log(t), math.log1p(-t)
-    return tuple(
-        math.exp(
-            log_trials - math.lgamma(k + 1) - math.lgamma(length - k + 1) + k * log_t + (length - k) * log_rest
-        )
+    return [
+        log_trials - math.lgamma(k + 1) - math.lgamma(length - k + 1) + k * log_t + (length - k) * log_rest
         for k in range(1, length + 1)
-    )
+    ]
+
+
+@lru_cache(maxsize=None)
+def _tail_arrays(length: int, t: float) -> _TailArrays:
+    """The ``_TailArrays`` of (length, t), cached."""
+    return _TailArrays(length, t)
 
 
 def _truncated_terms(p: np.ndarray, t: float) -> np.ndarray:
@@ -145,16 +171,15 @@ def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
     A statistic of 0 (nothing truncated, an empty product of 1) gets the
     weakest possible p-value, exactly 1.
     """
-    ks = np.arange(1, length + 1, dtype=float)
     from scipy import special
 
-    weights = np.asarray(_pmf_weights(length, t))
+    arrays = _tail_arrays(length, t)
     # Conditional on k truncated p-values, -log(product / t^k) is Gamma(k, 1);
     # the upper tail is evaluated directly to avoid cancellation. The weighted
     # sum uses np.sum, whose reduction tree depends only on the row length, so
     # batched and single-row calls agree bitwise.
-    args = np.maximum(c_stat[:, None] / 2.0 + ks[None, :] * math.log(t), 0.0)
-    mixture = np.sum(special.gammaincc(ks[None, :], args) * weights[None, :], axis=1)
+    args = np.maximum(c_stat[:, None] / 2.0 + arrays.k_log_t[None, :], 0.0)
+    mixture = np.sum(special.gammaincc(arrays.ks[None, :], args) * arrays.weights[None, :], axis=1)
     out = np.clip(mixture, 0.0, 1.0)
     out[c_stat <= 0.0] = 1.0
     return out
@@ -183,10 +208,13 @@ class _PCCurve:
     def __len__(self) -> int:
         return self._sorted.shape[1]
 
+    def statistic(self, u: int) -> np.ndarray:
+        """c(u) of each row: -2 times the sum of its n-u+1 largest terms, 0 when u > n."""
+        return -2.0 * np.sum(self._sorted[:, u - 1 :], axis=1)
+
     def __call__(self, u: int) -> np.ndarray:
         if u not in self._values:
-            suffix = self._sorted[:, u - 1 :]
-            self._values[u] = _product_tail(-2.0 * np.sum(suffix, axis=1), suffix.shape[1], self._t)
+            self._values[u] = _product_tail(self.statistic(u), max(len(self) - u + 1, 0), self._t)
         return self._values[u]
 
 

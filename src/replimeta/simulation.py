@@ -20,6 +20,13 @@ for the rows near it, so every decision is the scalar API's. The H-tests'
 statistics come from a tabulated log normal tail (``_directional_rejections``),
 the pooled tests' from ``_pooled_rejections``. The exact row kernels,
 ``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes``, are ``replicability``'s.
+
+The harness imports no scipy. Its normal quantiles are the standard
+library's (``_ndtri``), its table's nodes come from ``normal_cdf``
+(``_log_normal_cdf``), and its critical values and the exact band of the
+H-tests read a log-space truncated-product tail (``_log_product_tail``).
+Only a band row whose tail lies within ``_EXACT_BAND`` of the level, or
+whose statistic is NaN, runs scipy's ``_product_tail`` (``_curve_rejections``).
 """
 
 from __future__ import annotations
@@ -27,14 +34,24 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .meta import StudySummary, _check_alpha, _overflow_index, _pool_rows
-from .replicability import _PCCurve, _check_t, _fe_work_size, _fe_z_extremes, _product_tail
+from .replicability import (
+    _PCCurve,
+    _check_t,
+    _fe_work_size,
+    _fe_z_extremes,
+    _product_tail,
+    _tail_arrays,
+    _TailArrays,
+)
 from .statkernels import LOG_CEIL, LOG_FLOOR, _normal_tail, normal_cdf
 
 __all__ = [
@@ -272,21 +289,48 @@ def _drawn_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
 # A relative margin for decisions made on a rounded tail function: a row is
 # decided without the exact computation only when it is beyond a bracket
 # widened by this much. It sits on the level p of the normal quantiles of
-# ``_level_quantiles``, since normal_cdf(ndtri(p)) was within 5.3e-13 of p,
-# relative, over 250,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
+# ``_level_quantiles``, since normal_cdf(_ndtri(p)) was within 9.5e-13 of p,
+# relative, over 218,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
 # than on z also holds near p = 1, where the normal tail is flat and a fixed
-# margin on z would have to grow without bound. On the critical statistic c of
-# ``_critical_bracket`` it covers the rounding of ``_product_tail``.
+# margin on z would have to grow without bound. On the critical statistic c
+# of ``_critical_bracket``, whose edges the log-space tail already places on
+# the right side of the level, it is a further margin for the tabulated sums.
 _LEVEL_MARGIN = 1e-6
+
+
+# eta, a relative margin on the level for the decisions made on the
+# log-space tail K of ``_log_product_tail``: a row is decided on K only
+# where K lies beyond level (1 -+ _EXACT_BAND), and the rest run scipy's
+# ``_product_tail``. Against mpmath at 40 digits, K was within 1.9e-13,
+# relative, over lengths 1-64 and 200, t from 1e-3 to 1 and tails down to
+# 1e-300, and ``_product_tail`` within 1.5e-13 where its tail exceeds
+# 1e-290; K and ``_product_tail`` were within 2.1e-13 of each other over
+# the same grid. So where K is 1e-9 from the level, both are on the same
+# side of it.
+_EXACT_BAND = 1e-9
+# Below this level the log-space tail decides nothing. ``_product_tail``'s
+# gamma tails flush to 0 below about 1e-308 (an error of up to 1.2e-308 was
+# measured there against mpmath), which is far below _EXACT_BAND times this.
+_SMALLEST_BAND_LEVEL = 1e-290
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile of p: Wichura's AS241, as ``statistics`` has it.
+
+    It was within 8 ulps (1.0e-15 relative) of scipy's ndtri over 250,000 p
+    in [1e-300, 1 - 1e-16], and within 1 ulp at 5e-324 and 1 - 2^-53. At and
+    beyond the ends it gives ndtri's values: -inf at 0, inf at 1 and NaN
+    outside [0, 1].
+    """
+    if 0.0 < p < 1.0:
+        return NormalDist().inv_cdf(p)
+    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
 
 
 @lru_cache(maxsize=None)
 def _level_quantiles(p: float) -> tuple[float, float]:
     """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
-    from scipy import special
-
-    low, high = special.ndtri([p * (1.0 - _LEVEL_MARGIN), p * (1.0 + _LEVEL_MARGIN)])
-    return float(low), float(high)
+    return _ndtri(p * (1.0 - _LEVEL_MARGIN)), _ndtri(p * (1.0 + _LEVEL_MARGIN))
 
 
 def _normal_cdf_rows(z: np.ndarray) -> np.ndarray:
@@ -315,34 +359,186 @@ def _bracket_rejections(
     return rejected
 
 
-@lru_cache(maxsize=None)
-def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float]:
-    """Adjacent doubles (c_accept, c_reject) around the critical value of ``_product_tail``.
+# The log-space tail works on blocks of at most this many Poisson terms.
+_POISSON_BLOCK = 1 << 16
+# No exp in the log-space tail takes an argument below this, so none
+# underflows; exp(-708) is below 2^-1021, and a term of that size vanishes
+# next to the term of 1 that each normalised sum holds.
+_LOG_NEGLIGIBLE = -708.0
 
-    ``_product_tail(c) > level`` at c_accept and ``<= level`` at c_reject.
-    The tail is nonincreasing in c, so the bisection runs over the bit
-    patterns of nonnegative doubles, which are ordered as the doubles are.
-    When no statistic a row of ``length`` clipped p-values can reach rejects,
-    the bracket is (c_top, inf), c_top being beyond every such statistic.
+
+def _log_poisson_cdf(x: np.ndarray, first: int, arrays: _TailArrays) -> np.ndarray:
+    """log Q(k, x) = log(e^-x sum_{j<k} x^j / j!) for a (rows, ks) block of x.
+
+    The block's columns are the ks of ``arrays`` from index ``first`` on.
+    Each sum is taken relative to a bound on its largest term, the term j =
+    k - 1 where x >= k - 1 and x itself otherwise (x^j / j! <= e^x), so
+    nothing overflows or underflows; an x of 0 gives log Q = 0.
     """
+    ks = arrays.ks[first : first + x.shape[1]]
+    j = arrays.ks[: int(ks[-1])] - 1.0
+    log_x = np.log(np.maximum(x, sys.float_info.min))
+    bound = np.where(x >= ks - 1.0, (ks - 1.0) * log_x - arrays.log_factorials[first : first + ks.size], x)
+    terms = np.multiply.outer(log_x, j)
+    terms += np.where(j >= ks[:, None], -math.inf, -arrays.log_factorials[: j.size])
+    terms -= bound[..., None]
+    np.maximum(terms, _LOG_NEGLIGIBLE, out=terms)
+    sums = np.exp(terms, out=terms).reshape(-1, j.size) @ np.ones(j.size)
+    return np.log(sums, out=sums).reshape(x.shape) + bound - x
 
-    def value(bits: int) -> np.ndarray:
-        return np.array([bits], dtype=np.int64).view(np.float64)
 
-    def rejects(bits: int) -> bool:
-        return bool(_product_tail(value(bits), length, t)[0] <= level)
+def _log_product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
+    """log ``_product_tail``, in log space: the harness's tail K of each statistic c.
 
-    c_top = -4.0 * length * math.log(LOG_FLOOR)
-    lo, hi = 0, int(np.float64(c_top).view(np.int64))
-    if not rejects(hi):
-        return c_top, math.inf
+    K(c) = sum_k w_k Q(k, x_k), w_k the binomial weights of ``_tail_arrays``,
+    x_k = max(c/2 + k log t, 0) and Q the integer-shape gamma upper tail, a
+    Poisson sum (``_log_poisson_cdf``); K(c) = 1 where c <= 0, as in
+    ``_product_tail``. Both sums are taken in logs, relative to a bound on
+    their largest term, so K stays finite, and warns of nothing, at any
+    length of at least 1 and any finite statistic; a weight of 0 (t = 1)
+    adds nothing. A statistic costs ``length``^2 terms, taken in blocks of
+    at most ``_POISSON_BLOCK``. A NaN statistic gives NaN.
+    """
+    arrays = _tail_arrays(length, t)
+    mixture = np.maximum(c_stat[:, None] / 2.0 + arrays.k_log_t, 0.0)
+    ks_per = min(length, max(1, _POISSON_BLOCK // length))
+    rows_per = max(1, _POISSON_BLOCK // (ks_per * length))
+    for first in range(0, length, ks_per):
+        for row in range(0, c_stat.size, rows_per):
+            block = (slice(row, row + rows_per), slice(first, first + ks_per))
+            mixture[block] = _log_poisson_cdf(mixture[block], first, arrays)
+    mixture += arrays.log_weights
+    largest = np.max(mixture, axis=1)
+    mixture -= largest[:, None]
+    np.maximum(mixture, _LOG_NEGLIGIBLE, out=mixture)
+    out = np.log(np.sum(np.exp(mixture, out=mixture), axis=1)) + largest
+    out[c_stat <= 0.0] = 0.0
+    return out
+
+
+def _tail_band(level: float) -> tuple[float, float] | None:
+    """The logs of level (1 - _EXACT_BAND) and level (1 + _EXACT_BAND): a
+    log-space tail at or below the first rejects, one above the second
+    accepts. None below ``_SMALLEST_BAND_LEVEL``, where it decides nothing."""
+    if not level >= _SMALLEST_BAND_LEVEL:
+        return None
+    return math.log(level * (1.0 - _EXACT_BAND)), math.log(level * (1.0 + _EXACT_BAND))
+
+
+def _curve_rejections(curve: _PCCurve, u: int, t: float, level: float) -> np.ndarray:
+    """``curve(u) <= level`` per row, u at most the curve's length: the scalar
+    API's decision, mostly without scipy.
+
+    Each row's statistic goes through ``_log_product_tail``, and only the
+    rows that its band (``_tail_band``) leaves open, with a NaN statistic
+    among them, run ``_product_tail``, which imports scipy.
+    """
+    band = _tail_band(level)
+    if band is None:
+        return curve(u) <= level
+    c_stat = curve.statistic(u)
+    length = len(curve) - u + 1
+    log_k = _log_product_tail(c_stat, length, t)
+    rejected = log_k <= band[0]
+    open_ = np.flatnonzero(~(rejected | (log_k > band[1])))
+    if open_.size:
+        rejected[open_] = _product_tail(c_stat[open_], length, t) <= level
+    return rejected
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+
+def _first_rejecting(rejects: Callable[[float], bool], top: float) -> tuple[float, float]:
+    """Adjacent nonnegative doubles (lo, hi) in [0, top] with ``rejects``
+    False at lo and True at hi, or (top, inf) where it is False at top.
+
+    ``rejects`` must be nondecreasing in c and False at 0. The bisection
+    runs over the bit patterns of nonnegative doubles, which are ordered as
+    the doubles are.
+    """
+    if not rejects(top):
+        return top, math.inf
+    lo, hi = 0, int(np.float64(top).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rejects(mid):
+        if rejects(_from_bits(mid)):
             hi = mid
         else:
             lo = mid
-    return float(value(lo)[0]), float(value(hi)[0])
+    return _from_bits(lo), _from_bits(hi)
+
+
+def _tail_root(tail: Callable[[float], float], target: float, a: float, b: float) -> float | None:
+    """A c with ``tail(c)`` within _EXACT_BAND / 100 of ``target``, by the
+    Illinois method on [a, b]; None where tail(a) is not _EXACT_BAND above
+    the target or tail(b) not that far below it, or after 100 steps.
+
+    The Illinois method is regula falsi that halves the value kept at an
+    end that stays twice in a row, so that both ends close in.
+    """
+    fa, fb = tail(a) - target, tail(b) - target
+    if not (fa > _EXACT_BAND and fb < -_EXACT_BAND):
+        return None
+    moved = 0
+    for _ in range(100):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = tail(c) - target
+        if abs(fc) <= _EXACT_BAND / 100.0:
+            return c
+        if fc > 0.0:
+            a, fa = c, fc
+            if moved > 0:
+                fb /= 2.0
+            moved = 1
+        else:
+            b, fb = c, fc
+            if moved < 0:
+                fa /= 2.0
+            moved = -1
+    return None
+
+
+@lru_cache(maxsize=None)
+def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float]:
+    """Doubles (c_accept, c_reject) around the critical value of ``_product_tail``.
+
+    ``_product_tail(c) > level`` at c_accept and below, and ``<= level`` at
+    c_reject and above, the tail being nonincreasing in c. They are read
+    from the log-space tail K of ``_log_product_tail``: K is above the band
+    of ``_tail_band(level)`` at c_accept and below it at c_reject. Mostly
+    they are the root of K = level found by ``_tail_root``, times 1 -+ 10
+    _EXACT_BAND, checked by one more K. Where that fails and the plateau
+    1 - (1 - t)^length, K on (0, -2 log t], is below the band, they are (0,
+    5e-324). Otherwise, and below ``_SMALLEST_BAND_LEVEL``, where
+    ``_product_tail`` itself is bisected, they come from bisections
+    (``_first_rejecting``). When no statistic a row of ``length`` clipped
+    p-values can reach rejects, c_reject is inf, and c_accept is c_top,
+    beyond every such statistic, or below it.
+    """
+    c_top = -4.0 * length * math.log(LOG_FLOOR)
+    band = _tail_band(level)
+    if band is None:
+        return _first_rejecting(lambda c: _product_tail(np.array([c]), length, t)[0] <= level, c_top)
+
+    def tail(c: float) -> float:
+        return float(_log_product_tail(np.array([c]), length, t)[0])
+
+    # K(c) >= exp(-c/2) from the plateau's end on, so the root is beyond a.
+    a = max(-2.0 * math.log(t), -2.0 * math.log(level) - 1.0)
+    root = _tail_root(tail, math.log(level), a, c_top)
+    if root is not None:
+        edges = root * np.array([1.0 - 10.0 * _EXACT_BAND, 1.0 + 10.0 * _EXACT_BAND])
+        above, below = _log_product_tail(edges, length, t)
+        if above > band[1] and below <= band[0]:
+            return float(edges[0]), float(edges[1])
+    if tail(sys.float_info.min) <= band[0]:
+        return 0.0, math.ulp(0.0)
+    return (
+        _first_rejecting(lambda c: tail(c) <= band[1], c_top)[0],
+        _first_rejecting(lambda c: tail(c) <= band[0], c_top)[1],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -375,11 +571,31 @@ _TAIL_RANGE = (-38.5, 8.5)
 _TAIL_FIRST, _TAIL_LAST = (round(end * _TAIL_STEPS) for end in _TAIL_RANGE)
 # How far a tabulated term can lie from log(clip(normal_cdf(z))). (log ndtr)''
 # = -(1 - Var(X | X < z)) lies in (-1, 0), so the chord between two nodes is
-# below the concave curve by less than h^2 / 8 = 2^-15. Against mpmath at 40
-# digits the node values of special.log_ndtr were within 2.3e-13, log
-# normal_cdf was within 4.5e-13 of log ndtr over the range, and the
-# interpolation's roundings are of the same order; 1e-11 covers the four.
+# below the concave curve by less than h^2 / 8 = 2^-15. Of the 1e-11 beside
+# it, 1e-12 is the node values' (``_log_normal_cdf``, within 2.3e-13 of
+# mpmath at 40 digits); log normal_cdf at a z between nodes was within
+# 4.5e-13 of the exact log, and the interpolation's roundings are of the
+# same order; 1e-11 covers them.
 _TAIL_ERROR = 2.0**-15 + 1e-11
+
+
+def _log_normal_cdf(z: float) -> float:
+    """log Phi(z), finite wherever Phi(z) > 0 in exact arithmetic.
+
+    It is log(normal_cdf(z)) where normal_cdf(z) is a normal double. Below
+    that, z < -37.5, it is the Mills-ratio series log Phi(z) = -z^2/2 -
+    log(-z sqrt(2 pi)) + log(1 - 1/z^2 + 3/z^4 - 15/z^6 + ...), whose terms
+    up to 135135/z^14 leave out less than 1e-19 there.
+    """
+    p = _normal_tail(z)
+    if p >= sys.float_info.min:
+        return math.log(p)
+    inverse_square = 1.0 / (z * z)
+    series, term = 0.0, 1.0
+    for m in range(1, 8):
+        term *= -(2 * m - 1) * inverse_square
+        series += term
+    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log1p(series)
 
 
 @lru_cache(maxsize=None)
@@ -389,11 +605,10 @@ def _log_ndtr_table() -> tuple[np.ndarray, np.ndarray]:
     Cell i spans x in [i - k, i - k + 1], k = -_TAIL_RANGE[0] / h being the
     index of z = 0. The last entry, past the last node, is flat at that
     node's value, so a position clamped to the range's top end reads it.
+    The node values are ``_log_normal_cdf``'s.
     """
-    from scipy import special
-
     x = np.arange(_TAIL_FIRST, _TAIL_LAST + 1, dtype=float)
-    values = special.log_ndtr(x / _TAIL_STEPS)
+    values = np.array([_log_normal_cdf(z) for z in (x / _TAIL_STEPS).tolist()])
     slopes = np.append(np.diff(values), 0.0)
     return values - x * slopes, slopes
 
@@ -546,7 +761,7 @@ def _truncated_rejections(
             c_stat,
             max(c_accept * (1.0 - _LEVEL_MARGIN), c_least) - spread,
             c_reject * (1.0 + _LEVEL_MARGIN) + spread,
-            lambda band: exact(band)(u) <= level,
+            lambda band: _curve_rejections(exact(band), u, t, level),
         )
     return out
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from replimeta import report
 from replimeta.cli import main
 from replimeta.replicability import delta_bound
+from replimeta.simulation import preset_names
 from replimeta.statkernels import one_sided_p
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -325,15 +326,45 @@ def _imported_modules(*argv):
     (["-m", "replimeta", "analyze", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
     (["-m", "replimeta", "bounds", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
     (["-m", "replimeta", "loo", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
-], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo"])
-def test_numpy_loads_only_with_a_command_that_computes(raw_file, argv, code, absent, present):
+    (["-m", "replimeta", "simulate", "--scenario", "two-same-sign"], 0, ("scipy",),
+     ("numpy", "replimeta.simulation")),
+    (["-m", "replimeta", "simulate", "--config", "{config}"], 0, ("scipy",), ("numpy", "replimeta.simulation")),
+], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo", "simulate-scenario",
+        "simulate-config"])
+def test_numpy_loads_only_with_a_command_that_computes(raw_file, tmp_path, argv, code, absent, present):
     # numpy and compiling the package's modules are most of what a process
     # pays before main() runs; the analyst's commands never need the Monte
-    # Carlo harness.
-    exit_code, modules = _imported_modules(*(arg.format(input=raw_file) for arg in argv))
+    # Carlo harness, and the harness never needs scipy.
+    config = tmp_path / "all-tests.cfg"
+    config.write_text("theta = 0.8 0.5 0 -0.4\nnc = 30 30 30 30\nnt = 30 30 30 30\nreplications = 2000\n"
+                      "tests = meta_fe meta_re H1n H2n H3n H2n_fe inconsistency_detected\n")
+    exit_code, modules = _imported_modules(*(arg.format(input=raw_file, config=config) for arg in argv))
     assert exit_code == code
     assert not modules & set(absent), sorted(modules & set(absent))
     assert set(present) <= modules
+
+
+# The simulate-grid requests of bench/workloads.py, run at 1e5 replications there.
+BENCHMARK_PRESETS = (
+    ("two-same-sign",), ("common-effect-2",), ("single-among-n",), ("re-high-het",), ("mixed-signs", "--t", "1.0")
+)
+
+
+def test_simulate_runs_every_preset_with_scipy_unimportable():
+    """Every shipped preset at 1e4 replications, and the benchmark's five at
+    1e5 with seeds 0-2, in one process where importing scipy fails."""
+    runs = [[name, "--replications", "10000"] for name in preset_names()]
+    runs += [[name, "--replications", "100000", "--seed", str(seed), *extra]
+             for seed in range(3) for name, *extra in BENCHMARK_PRESETS]
+    code = (
+        "import os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from replimeta.cli import main\n"
+        f"for run in {runs!r}:\n"
+        "    assert main(['simulate', '--scenario', *run, '--out', os.devnull]) == 0, run\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
 
 
 def test_package_names_resolve_on_first_access_to_their_modules_objects():

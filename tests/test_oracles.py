@@ -8,14 +8,16 @@ change has to flip it.
 
 import io
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from replimeta import meta
 from replimeta.meta import StudySummary, _pool_rows, fixed_effect_meta, random_effects_meta
@@ -79,13 +81,14 @@ def q_test_oracle(q, df):
         return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(q) / 2, mpmath.inf, regularized=True)
 
 
-def pooling_oracle(rows):
+def pooling_oracle(rows, re_tau_squared=None):
     """Fixed-effect and DerSimonian-Laird fits of (estimate, se) rows, in mpmath.
 
     Besides each model's estimate and se, returns Q, I-squared, tau-squared,
     the DerSimonian-Laird scale c, the fixed-effect weight total and, per
     model, the weighted mean of |estimate|, the scale against which the
-    rounding of the weighted sum is measured.
+    rounding of the weighted sum is measured. With ``re_tau_squared``, the
+    random-effects fit pools at that tau-squared rather than at its own.
     """
     with mpmath.workdps(DIGITS):
         theta = [mpmath.mpf(x) for x, _ in rows]
@@ -104,7 +107,8 @@ def pooling_oracle(rows):
         i_squared = max(mpmath.mpf(0), (q - df) / q) if q > 0 else mpmath.mpf(0)
         c = mpmath.fsum(w) - mpmath.fsum(wi**2 for wi in w) / mpmath.fsum(w)
         tau_squared = max(mpmath.mpf(0), (q - df) / c)
-        re, re_se, re_scale = pool([1 / (v + tau_squared) for v in var])
+        re_tau = tau_squared if re_tau_squared is None else mpmath.mpf(re_tau_squared)
+        re, re_se, re_scale = pool([1 / (v + re_tau) for v in var])
         return {
             "fixed": (fe, fe_se, fe_scale), "random": (re, re_se, re_scale),
             "q": q, "i_squared": i_squared, "tau_squared": tau_squared, "c": c,
@@ -320,14 +324,25 @@ WIDE_WEIGHT_SETS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(rows=WIDE_WEIGHT_SETS)
+# Sets where tau-squared's error alone moved the RE fit by more than 1e-13.
+@example(rows=[(197.20117374241553, 1.0), (-0.03125, 197.20117374128873)])
+@example(rows=[(67.69104417602071, 67.69104417598781), (-0.015625, 1.0)])
 def test_dersimonian_laird_fit_on_wide_weights_against_mpmath(rows):
     """c, tau-squared and the random-effects fit when one weight dominates.
 
     Tolerances: c within 1e-14 relative; tau-squared within 1e-13 of
-    (Q + n - 1) / c, the size of the terms its subtraction cancels; the RE
-    estimate within 1e-13 of its weighted mean |estimate|, and the RE se
-    within 1e-13 relative. The largest errors measured over two runs of
-    3,000 drawn sets were, in the same units, 5.3e-16 (c), 7.1e-16
+    (Q + n - 1) / c, the size of the terms its subtraction cancels. The RE
+    fit pools with the weights w_i = 1/(v_i + tau^2), so its error is the
+    rounding of its own sums plus tau-squared's error carried through the
+    weights: dw_i/dtau^2 = -w_i^2, so to first order sum(w_i^2 |x_i - RE|) / W
+    per unit of tau-squared's error on the estimate, and sum(w_i^2) / (2 W)
+    relative on the se. That carried part can be far above 1e-13 of the
+    scale when one weight dominates, while tau-squared is within its own
+    bound. So the RE fit is checked against the oracle's fit at the
+    kernel's own tau-squared, which takes the carried part out: the
+    estimate within 1e-13 of its weighted mean |estimate| and the se within
+    1e-13 relative. The largest errors measured over two runs of 3,000
+    drawn sets were, in the same units, 5.3e-16 (c), 7.1e-16
     (tau-squared), 1.8e-15 and 7.0e-15 (RE). Computed as W - sum(w^2) / W,
     c was off by up to 7.7e-7 relative, tau-squared by 2.0e-8 and the RE
     estimate by 1.4e-8.
@@ -338,7 +353,7 @@ def test_dersimonian_laird_fit_on_wide_weights_against_mpmath(rows):
     assert relative_error(pooled.c[0], oracle["c"]) <= 1e-14
     tau_error = abs(mpmath.mpf(pooled.tau_squared[0]) - oracle["tau_squared"])
     assert tau_error <= 1e-13 * (oracle["q"] + len(rows) - 1) / oracle["c"]
-    exact, exact_se, scale = oracle["random"]
+    exact, exact_se, scale = pooling_oracle(rows, pooled.tau_squared[0])["random"]
     assert abs(mpmath.mpf(pooled.re[0]) - exact) <= 1e-13 * scale
     assert relative_error(pooled.re_se[0], exact_se) <= 1e-13
 
@@ -423,7 +438,7 @@ def test_normal_tails_against_mpmath():
 def test_the_tabulated_log_tail_at_its_nodes_against_mpmath():
     """At every node of the table, on both sides, the harness's log normal tail
     reads clip(log Phi(z)) within the part of ``_TAIL_ERROR`` beyond the chord
-    bound h^2 / 8: the rounding of special.log_ndtr and of the interpolation.
+    bound h^2 / 8: the rounding of the node values and of the interpolation.
     The largest error measured was 2.3e-13, at the lower nodes, where |log Phi| nears 700.
     """
     first, last = (round(end * simulation._TAIL_STEPS) for end in simulation._TAIL_RANGE)
@@ -434,6 +449,124 @@ def test_the_tabulated_log_tail_at_its_nodes_against_mpmath():
     for z, right in ((nodes, False), (-nodes, True)):
         got = simulation._tabulated_log_ndtr(z, np.empty_like(z), right)
         assert np.max(np.abs(got - want)) <= simulation._TAIL_ERROR - 2.0**-15
+
+
+def test_the_table_nodes_against_mpmath():
+    """Every node value, log(normal_cdf(z)) in the normal doubles and the
+    Mills-ratio series below them, within the 1e-12 of ``_TAIL_ERROR`` that
+    its comment gives to node values, unclipped, down to z = -38.5. The
+    largest error measured was 2.3e-13, at z = -37.34.
+    """
+    first, last = (round(end * simulation._TAIL_STEPS) for end in simulation._TAIL_RANGE)
+    nodes = (np.arange(first, last + 1) / simulation._TAIL_STEPS).tolist()
+    assert nodes[0] == -38.5 and simulation._normal_tail(-38.5) < sys.float_info.min
+    with mpmath.workdps(DIGITS):
+        errors = [abs(mpmath.mpf(simulation._log_normal_cdf(z)) - mpmath.log(mpmath.ncdf(z))) for z in nodes]
+    assert max(errors) <= 1e-12
+
+
+def test_the_quantile_against_scipys_ndtri():
+    """``simulation._ndtri`` (AS241) within 10 ulps of ndtri on [1e-300, 1 - 1e-16],
+    and ndtri's values at and beyond the ends.
+
+    Both are a few ulps from the exact quantile: against mpmath at 40
+    digits, over 3,000 p, AS241 was within 6.8 ulps and ndtri within 2.1,
+    so 10 ulps covers their difference, which reached 8 ulps (1.0e-15
+    relative) at p = 2.2e-174 over 250,000 p. The harness reads
+    them only through ``_LEVEL_MARGIN``'s 1e-6 on p.
+    """
+    rng = np.random.default_rng(28)
+    p = np.concatenate([
+        10.0 ** rng.uniform(-300.0, math.log10(0.5), 20_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 5_000),
+        [1e-300, 0.5, 1.0 - 1e-16],
+    ])
+    want = special.ndtri(p)
+    got = np.array([simulation._ndtri(v) for v in p.tolist()])
+    assert np.all(np.abs(got - want) <= 10.0 * np.spacing(np.abs(want)))
+    assert abs(simulation._ndtri(5e-324) - special.ndtri(5e-324)) <= np.spacing(38.5)
+    assert abs(simulation._ndtri(1.0 - 2.0**-53) - special.ndtri(1.0 - 2.0**-53)) <= np.spacing(8.5)
+    assert simulation._ndtri(0.0) == -math.inf and simulation._ndtri(1.0) == math.inf
+    assert all(math.isnan(simulation._ndtri(v)) for v in (-0.1, 1.0 + 1e-9, math.nan))
+    # t (1 + _LEVEL_MARGIN) > 1 just below LOG_CEIL: the upper quantile is NaN, as ndtri's was.
+    low, high = simulation._level_quantiles(1.0 - 1e-7)
+    assert low == simulation._ndtri((1.0 - 1e-7) * (1.0 - simulation._LEVEL_MARGIN)) and math.isnan(high)
+
+
+# Far below DIGITS: a Poisson sum stops once its terms fall below this share of it.
+NEGLIGIBLE = mpmath.mpf("1e-50")
+
+
+def poisson_sum(x, k):
+    """sum_{j<k} x^j / j! in mpmath, summed from its largest terms down until
+    a term is below ``NEGLIGIBLE`` of the sum; the terms fall geometrically from there."""
+    if x == 0:
+        return mpmath.mpf(1)
+    if x >= k - 1:  # the terms grow with j up to the last, j = k - 1
+        term = mpmath.power(x, k - 1) / mpmath.factorial(k - 1)
+        total = term
+        for j in range(k - 1, 0, -1):
+            term *= j / x
+            total += term
+            if term < total * NEGLIGIBLE:
+                break
+        return total
+    term = total = mpmath.mpf(1)
+    for j in range(1, k):
+        term *= x / j
+        total += term
+        if j > x and term < total * NEGLIGIBLE:
+            break
+    return total
+
+
+def product_tail_oracle(c, length, t):
+    """K(c) = sum_k C(L, k) t^k (1 - t)^(L-k) Q(k, max(c/2 + k log t, 0)), in mpmath,
+    Q(k, x) = e^-x sum_{j<k} x^j / j! the Poisson sum; 1 where c <= 0."""
+    if c <= 0.0:
+        return mpmath.mpf(1)
+    with mpmath.workdps(DIGITS):
+        t, total = mpmath.mpf(t), mpmath.mpf(0)
+        for k in range(1, length + 1):
+            weight = mpmath.binomial(length, k) * t**k * (1 - t) ** (length - k)
+            if weight <= total * NEGLIGIBLE:  # Q <= 1, so the term is negligible too
+                continue
+            x = max(mpmath.mpf(c) / 2 + k * mpmath.log(t), mpmath.mpf(0))
+            total += weight * mpmath.exp(-x) * poisson_sum(x, k)
+        return total
+
+
+def c_at_tail(length, t, tail):
+    """The c at which the log-space tail falls to ``tail``, by bisection."""
+    lo, hi = 0.0, -4.0 * length * math.log(LOG_FLOOR)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if simulation._log_product_tail(np.array([mid]), length, t)[0] > math.log(tail):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("length", [*range(1, 65), 200])
+def test_the_log_space_tail_against_mpmath(length):
+    """``simulation._log_product_tail`` within 1e-12 of K, relative, from c = 0
+    to where K reaches 1e-300, at t = 1e-3, 0.05, 0.5 and 1.
+
+    Each grid holds c = 0, a point on the plateau 1 - (1 - t)^L, its end
+    -2 log t, and four points up to the c where K is 1e-300. The largest
+    error measured was 1.9e-13, at length 200.
+    """
+    for t in (1e-3, 0.05, 0.5, 1.0):
+        last = c_at_tail(length, t, 1e-300)
+        plateau = -2.0 * math.log(t)
+        c = np.array([0.0, 0.5 * plateau, plateau, *np.linspace(plateau, last, 5)[1:]])
+        got = simulation._log_product_tail(c, length, t)
+        with mpmath.workdps(DIGITS):
+            want = [product_tail_oracle(v, length, t) for v in c.tolist()]
+            assert want[-1] <= mpmath.mpf("1.01e-300")
+            errors = [abs(mpmath.exp(mpmath.mpf(g)) / w - 1) for g, w in zip(got.tolist(), want)]
+        assert max(errors) <= 1e-12, (t, max(errors))
 
 
 @pytest.mark.xfail(

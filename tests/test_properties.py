@@ -12,6 +12,7 @@ check that the readers agree with each other.
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict
 from itertools import combinations
@@ -602,6 +603,110 @@ def test_every_z_beyond_the_decisive_z_alone_rejects(n, u, t, level):
     c_reject = _critical_bracket(n - u + 1, t, level)[1]
     assert np.all(p <= t)
     assert np.all(np.log(p) < -(c_reject * (1.0 + _LEVEL_MARGIN) + _summation_slack(n)) / 2.0)
+
+
+# (length, t, level) of every critical bracket the tests above read: the
+# band-edge grid, the rows at the bracket, the threshold windows and the decisive z.
+BRACKETS = [
+    *((length, t, alpha / 2.0) for length in range(1, 17) for t in (0.01, 0.05, 0.5, 1.0)
+      for alpha in (0.01, 0.05, 0.1)),
+    (8, 1.0, 0.025), (6, 1.0, 0.025), (3, 1.0, 0.1), (8, 0.05, 0.025), (7, 0.05, 0.025),
+    (6, 0.5, 0.005), (3, 0.2, 0.1), (4, 1e-12, 0.025), (4, 0.05, 0.025), (4, 0.5, 0.025),
+    *((length, t, 0.025) for length in range(1, 5) for t in (1e-310, 1.0 - 1e-7)),
+    (1, 0.05, 0.025), (1, 0.05, 0.005), (2, 1e-12, 0.025), (7, 0.5, 0.1), (5, 0.9, 0.025),
+    (41, 0.05, 0.025), (4, 1e-200, 0.025), (2, 0.01, 1e-250),
+]
+
+
+def test_the_log_space_tail_decides_as_the_exact_tail_at_every_bracket_edge():
+    """At each edge, |K - _product_tail| <= _EXACT_BAND level / 100, and the
+    exact tail is above the level at c_accept and at or below it at c_reject."""
+    for length, t, level in BRACKETS:
+        c_accept, c_reject = _critical_bracket(length, t, level)
+        edges = np.array([c for c in (c_accept, c_reject) if math.isfinite(c)])
+        exact = replicability._product_tail(edges, length, t)
+        tail = np.exp(simulation._log_product_tail(edges, length, t))
+        assert np.all(np.abs(tail - exact) <= simulation._EXACT_BAND * level / 100.0), (length, t, level)
+        assert exact[0] > level, (length, t, level)
+        assert c_reject == math.inf or exact[1] <= level, (length, t, level)
+
+
+def test_the_bracket_searches_past_a_plateau_within_the_band():
+    """A level on the plateau 1 - (1 - t)^L, where K is flat, gets c_accept = 0
+    and a c_reject past the plateau's end, from the second search."""
+    length, t = 3, 0.05
+    level = float(replicability._product_tail(np.array([1.0]), length, t)[0])
+    c_accept, c_reject = _critical_bracket(length, t, level)
+    assert c_accept == 0.0 and c_reject > -2.0 * math.log(t)
+    assert replicability._product_tail(np.array([c_reject]), length, t)[0] <= level
+
+
+def test_below_the_smallest_band_level_the_bracket_is_the_exact_tails():
+    level = simulation._SMALLEST_BAND_LEVEL / 10.0
+    c_accept, c_reject = _critical_bracket(2, 0.05, level)
+    assert c_reject == float(np.nextafter(c_accept, math.inf))
+    exact = replicability._product_tail(np.array([c_accept, c_reject]), 2, 0.05)
+    assert exact[0] > level >= exact[1]
+
+
+@pytest.mark.parametrize("length", [1, 2, 8, 64, 200, 300])
+def test_the_log_space_tail_warns_of_nothing(length):
+    """No overflow, underflow or invalid operation at any finite statistic
+    other than a subnormal one, whose half underflows, weights of 0 (t = 1)
+    and subnormal t included; K is 1 at c <= 0, nonincreasing, finite, and
+    NaN at a NaN statistic. A subnormal statistic is on the plateau, and no
+    RuntimeWarning (pytest's error) is raised for it."""
+    c_top = -4.0 * length * math.log(LOG_FLOOR)
+    c = np.array([-1.0, 0.0, *sorted([sys.float_info.min, 1e-300, 1e-3, 1.0, 50.0, 1e3, 1e5, c_top, 1e300]),
+                  math.nan])
+    for t in (1e-310, 1e-3, 0.5, 1.0):
+        with np.errstate(all="raise"):
+            out = simulation._log_product_tail(c, length, t)
+        assert out[0] == out[1] == 0.0 and math.isnan(out[-1])
+        # Past c = 0, where K is 1 exactly, K is within its rounding of at most 1.
+        assert np.all(np.isfinite(out[:-1])) and np.all(out[:-1] <= 1e-12), t
+        assert np.all(np.diff(out[2:-1]) <= 0.0), t
+        subnormal = simulation._log_product_tail(np.array([5e-324]), length, t)
+        assert subnormal[0] == pytest.approx(out[2], rel=1e-12, abs=1e-300), t
+
+
+def test_the_log_space_tail_does_not_depend_on_its_blocks(monkeypatch):
+    """Blocks of (row, k) pairs, split over k at length 300 and over rows at
+    length 8, give what one block gives, to an ulp or so of the gemv sums."""
+    rng = np.random.default_rng(28)
+    for length, rows in ((300, 3), (8, 3000)):
+        c = rng.uniform(0.0, 40.0 * length, rows)
+        split = simulation._log_product_tail(c, length, 0.05)
+        monkeypatch.setattr(simulation, "_POISSON_BLOCK", rows * length * length)
+        whole = simulation._log_product_tail(c, length, 0.05)
+        monkeypatch.undo()
+        np.testing.assert_allclose(split, whole, rtol=4e-16, atol=0.0)
+
+
+def test_only_rows_near_the_level_or_nan_run_the_exact_tail(monkeypatch):
+    """``_curve_rejections`` decides as ``curve(u) <= level``, and sends
+    ``_product_tail`` only a NaN statistic and those within _EXACT_BAND of the level."""
+    seen = []
+    real = simulation._product_tail
+
+    def spy(c_stat, length, t):
+        seen.extend(c_stat.tolist())
+        return real(c_stat, length, t)
+
+    monkeypatch.setattr(simulation, "_product_tail", spy)
+    level = 0.025
+    # One term at t = 1: c(1) = c exactly and the tail is exp(-c / 2).
+    critical = -2.0 * math.log(level)
+    near = [critical * (1.0 + f) for f in (-1e-12, 0.0, 1e-12)]
+    far = [critical * (1.0 + f) for f in (-1e-3, -1e-8, 1e-8, 1e-3)] + [0.0, 1e-300, 1e3]
+    c = np.array(near + far + [math.nan])
+    curve = _PCCurve(-c[:, None] / 2.0, 1.0)
+    got = simulation._curve_rejections(curve, 1, 1.0, level)
+    assert np.array_equal(got, curve(1) <= level)
+    assert seen[:3] == near and math.isnan(seen[3]) and len(seen) == 4
+    seen.clear()
+    tiny = simulation._SMALLEST_BAND_LEVEL / 10.0
+    assert np.array_equal(simulation._curve_rejections(curve, 1, 1.0, tiny), curve(1) <= tiny)
 
 
 def test_the_decisive_z_is_inf_where_no_clipped_p_value_can_be_decisive():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from replimeta.replicability import _pmf_weights
+from replimeta.replicability import _tail_arrays
 from replimeta.statkernels import (
     normal_cdf,
     one_sided_p,
@@ -42,9 +42,13 @@ class TestNormalCdf:
             normal_cdf(float("nan"))
 
 
+def _pmf_weights(length, t):
+    return tuple(_tail_arrays(length, t).weights.tolist())
+
+
 class TestBinomialPmf:
     """The binomial masses P(k of L uniforms <= t), k = 1..L, that weigh the
-    truncated-product mixture (``replicability._pmf_weights``)."""
+    truncated-product mixture (``replicability._tail_arrays``)."""
 
     def test_all_failures(self):
         # The mass at k = 0, (1 - t)^L, is what the weights leave out.
