@@ -16,9 +16,11 @@ import numpy as np
 
 # scipy.special is imported inside each function that calls it, on first use:
 # it takes longer to load than the rest of the package, and a process that
-# exits before any kernel runs (--help, --version, an input error) never needs it.
+# exits before any kernel runs (--help, --version, an input error) never needs
+# it. Only the Q-test p-value calls it here; the critical value is
+# ``statkernels._ndtri``, so ``leave_one_out`` never loads scipy.
 
-from .statkernels import one_sided_p
+from .statkernels import _ndtri, one_sided_p
 
 __all__ = [
     "MetaAnalysisResult",
@@ -76,12 +78,19 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-@lru_cache(maxsize=None)
-def _z_crit(alpha: float) -> float:
-    """The two-sided normal critical value ndtri(1 - alpha/2)."""
-    from scipy import special
+# The entries each cache keyed by a level (or a threshold) keeps: here and in
+# the Monte Carlo harness. A sweep over many levels in one process evicts the
+# oldest instead of keeping every entry for the life of the process.
+_LEVEL_CACHE_SIZE = 256
 
-    return float(special.ndtri(1.0 - alpha / 2.0))
+
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _z_crit(alpha: float) -> float:
+    """The two-sided normal critical value ndtri(1 - alpha/2), scipy's bits.
+
+    1 - alpha/2 rounds to 1 for alpha <= 2^-53, where this is inf.
+    """
+    return _ndtri(1.0 - alpha / 2.0)
 
 
 def fixed_effect_meta(studies: Sequence[StudySummary], alpha: float = 0.05) -> MetaAnalysisResult:

@@ -21,10 +21,12 @@ statistics come from a tabulated log normal tail (``_directional_rejections``),
 the pooled tests' from ``_pooled_rejections``. The exact row kernels,
 ``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes``, are ``replicability``'s.
 
-The harness imports no scipy. Its normal quantiles are the standard
-library's (``_ndtri``), its table's nodes come from ``normal_cdf``
-(``_log_normal_cdf``), and its critical values and the exact band of the
-H-tests read a log-space truncated-product tail (``_log_product_tail``).
+The harness imports no scipy. Its normal quantiles are the package's one
+quantile, ``statkernels._ndtri`` (scipy's ndtri, bit for bit), its table's
+nodes come from ``normal_cdf`` (``_log_normal_cdf``), and its critical values
+and the exact band of the H-tests read a log-space truncated-product tail
+(``_log_product_tail``). The caches keyed by a level or a threshold keep at
+most ``meta._LEVEL_CACHE_SIZE`` entries each.
 Only a band row whose tail lies within ``_EXACT_BAND`` of the level, or
 whose statistic is NaN, runs scipy's ``_product_tail`` (``_curve_rejections``).
 """
@@ -37,12 +39,11 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .meta import StudySummary, _check_alpha, _overflow_index, _pool_rows
+from .meta import _LEVEL_CACHE_SIZE, StudySummary, _check_alpha, _overflow_index, _pool_rows
 from .replicability import (
     _PCCurve,
     _check_t,
@@ -52,7 +53,7 @@ from .replicability import (
     _tail_arrays,
     _TailArrays,
 )
-from .statkernels import LOG_CEIL, LOG_FLOOR, _normal_tail, normal_cdf
+from .statkernels import LOG_CEIL, LOG_FLOOR, _ndtri, _normal_tail, normal_cdf
 
 __all__ = [
     "BENCHMARK_GROUP_SIZES",
@@ -289,8 +290,8 @@ def _drawn_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
 # A relative margin for decisions made on a rounded tail function: a row is
 # decided without the exact computation only when it is beyond a bracket
 # widened by this much. It sits on the level p of the normal quantiles of
-# ``_level_quantiles``, since normal_cdf(_ndtri(p)) was within 9.5e-13 of p,
-# relative, over 218,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
+# ``_level_quantiles``, since normal_cdf(_ndtri(p)) was within 5.8e-13 of p,
+# relative, over 1,208,000 p from 1e-300 to 1 - 1e-6; a margin on p rather
 # than on z also holds near p = 1, where the normal tail is flat and a fixed
 # margin on z would have to grow without bound. On the critical statistic c
 # of ``_critical_bracket``, whose edges the log-space tail already places on
@@ -314,20 +315,7 @@ _EXACT_BAND = 1e-9
 _SMALLEST_BAND_LEVEL = 1e-290
 
 
-def _ndtri(p: float) -> float:
-    """The standard normal quantile of p: Wichura's AS241, as ``statistics`` has it.
-
-    It was within 8 ulps (1.0e-15 relative) of scipy's ndtri over 250,000 p
-    in [1e-300, 1 - 1e-16], and within 1 ulp at 5e-324 and 1 - 2^-53. At and
-    beyond the ends it gives ndtri's values: -inf at 0, inf at 1 and NaN
-    outside [0, 1].
-    """
-    if 0.0 < p < 1.0:
-        return NormalDist().inv_cdf(p)
-    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _level_quantiles(p: float) -> tuple[float, float]:
     """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
     return _ndtri(p * (1.0 - _LEVEL_MARGIN)), _ndtri(p * (1.0 + _LEVEL_MARGIN))
@@ -500,7 +488,7 @@ def _tail_root(tail: Callable[[float], float], target: float, a: float, b: float
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float]:
     """Doubles (c_accept, c_reject) around the critical value of ``_product_tail``.
 
@@ -541,7 +529,7 @@ def _critical_bracket(length: int, t: float, level: float) -> tuple[float, float
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _threshold_window(t: float) -> tuple[float, float]:
     """(sure, cut), the threshold window of normal_cdf(z) clipped to [LOG_FLOOR, LOG_CEIL] at t.
 
@@ -681,7 +669,7 @@ def _summation_slack(n: int) -> float:
     return 8.0 * n * n * np.finfo(float).eps * -math.log(LOG_FLOOR)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _decisive_z(n: int, u: int, t: float, level: float) -> float:
     """A z beyond which one study alone makes r(u) <= level in a row of n studies.
 

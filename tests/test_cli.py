@@ -325,20 +325,24 @@ def _imported_modules(*argv):
     (["-m", "replimeta", "analyze", "--format", "csv"], 1, ("numpy", "scipy"), ()),
     (["-m", "replimeta", "analyze", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
     (["-m", "replimeta", "bounds", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
-    (["-m", "replimeta", "loo", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
+    (["-m", "replimeta", "loo", "--input", "{input}"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
+    (["-m", "replimeta", "loo", "--input", "{counts}", "--format", "json", "--model", "random", "--measure",
+      "odds_ratio"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
     (["-m", "replimeta", "simulate", "--scenario", "two-same-sign"], 0, ("scipy",),
      ("numpy", "replimeta.simulation")),
     (["-m", "replimeta", "simulate", "--config", "{config}"], 0, ("scipy",), ("numpy", "replimeta.simulation")),
-], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo", "simulate-scenario",
-        "simulate-config"])
-def test_numpy_loads_only_with_a_command_that_computes(raw_file, tmp_path, argv, code, absent, present):
+], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo", "loo-counts-json",
+        "simulate-scenario", "simulate-config"])
+def test_numpy_loads_only_with_a_command_that_computes(raw_file, binary_file, tmp_path, argv, code, absent, present):
     # numpy and compiling the package's modules are most of what a process
     # pays before main() runs; the analyst's commands never need the Monte
-    # Carlo harness, and the harness never needs scipy.
+    # Carlo harness, and neither the harness nor loo needs scipy.
     config = tmp_path / "all-tests.cfg"
     config.write_text("theta = 0.8 0.5 0 -0.4\nnc = 30 30 30 30\nnt = 30 30 30 30\nreplications = 2000\n"
                       "tests = meta_fe meta_re H1n H2n H3n H2n_fe inconsistency_detected\n")
-    exit_code, modules = _imported_modules(*(arg.format(input=raw_file, config=config) for arg in argv))
+    exit_code, modules = _imported_modules(
+        *(arg.format(input=raw_file, counts=binary_file, config=config) for arg in argv)
+    )
     assert exit_code == code
     assert not modules & set(absent), sorted(modules & set(absent))
     assert set(present) <= modules
@@ -365,6 +369,38 @@ def test_simulate_runs_every_preset_with_scipy_unimportable():
     )
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+
+
+def test_loo_prints_the_same_bytes_with_scipy_unimportable(raw_file, binary_file):
+    """Every format, model and measure of loo, in a process where importing
+    scipy fails, against the same commands where scipy has loaded."""
+    runs = [["--input", path, "--format", fmt, "--model", model, *measure]
+            for path, measure in ((raw_file, []), (binary_file, ["--measure", "odds_ratio"]),
+                                  (binary_file, ["--measure", "risk_ratio"]))
+            for fmt in ("text", "json") for model in ("fixed", "random")]
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "if sys.argv[1] == 'without':\n"
+        "    sys.modules['scipy'] = None\n"
+        "else:\n"
+        "    import scipy.special\n"
+        "from replimeta.cli import main\n"
+        "outs = []\n"
+        f"for run in {runs!r}:\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(['loo', *run]) == 0, run\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps([outs, 'scipy.special' in sys.modules]))\n"
+    )
+    printed = {}
+    for side in ("without", "with"):
+        done = subprocess.run([sys.executable, "-c", code, side], env=_src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+        printed[side] = json.loads(done.stdout)
+    assert printed["without"][1] is False and printed["with"][1] is True
+    assert all(printed["without"][0]) and printed["without"][0] == printed["with"][0]
 
 
 def test_package_names_resolve_on_first_access_to_their_modules_objects():
@@ -420,7 +456,8 @@ def test_main_leaves_the_environment_alone(blas_unset, raw_file, capsys):
 
 def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
     # scipy.special and what it pulls in take longer to import than the rest
-    # of the package, so --version and an input error must not pay for them.
+    # of the package, so --version, an input error and loo (whose critical
+    # value is statkernels._ndtri) must not pay for them.
     bad = tmp_path / "bad.csv"
     bad.write_text("label,estimate,se\na,0.1,0\nb,0.2,0.1\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -439,6 +476,9 @@ def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
         "assert replimeta.cli.main(['analyze', '--input', sys.argv[1]]) == 1\n"
         "loaded['invalid analyze'] = 'scipy' in sys.modules\n"
         "with redirect_stdout(io.StringIO()):\n"
+        "    assert replimeta.cli.main(['loo', '--input', sys.argv[2]]) == 0\n"
+        "loaded['valid loo'] = 'scipy' in sys.modules\n"
+        "with redirect_stdout(io.StringIO()):\n"
         "    assert replimeta.cli.main(['analyze', '--input', sys.argv[2]]) == 0\n"
         "loaded['valid analyze'] = 'scipy.special' in sys.modules\n"
         "print(json.dumps(loaded))\n"
@@ -453,6 +493,7 @@ def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
         "import replimeta.cli": False,
         "--version": False,
         "invalid analyze": False,
+        "valid loo": False,
         "valid analyze": True,
     }
 

@@ -21,7 +21,7 @@ from scipy import special
 
 from replimeta import meta
 from replimeta.meta import StudySummary, _pool_rows, fixed_effect_meta, random_effects_meta
-from replimeta import replicability, simulation
+from replimeta import replicability, simulation, statkernels
 from replimeta.replicability import _fe_z_extremes, delta_bound, partial_conjunction_p
 from replimeta.report import (
     AnalysisRequest,
@@ -466,31 +466,36 @@ def test_the_table_nodes_against_mpmath():
 
 
 def test_the_quantile_against_scipys_ndtri():
-    """``simulation._ndtri`` (AS241) within 10 ulps of ndtri on [1e-300, 1 - 1e-16],
-    and ndtri's values at and beyond the ends.
+    """``statkernels._ndtri``, the port of Cephes' ndtri, returns scipy's bits.
 
-    Both are a few ulps from the exact quantile: against mpmath at 40
-    digits, over 3,000 p, AS241 was within 6.8 ulps and ndtri within 2.1,
-    so 10 ulps covers their difference, which reached 8 ulps (1.0e-15
-    relative) at p = 2.2e-174 over 250,000 p. The harness reads
-    them only through ``_LEVEL_MARGIN``'s 1e-6 on p.
+    On a grid of p in [1e-300, 1 - 1e-16]; on the 1 - alpha/2 that ``_z_crit``
+    passes, alpha log-uniform in [1e-300, 0.5]; at both branch points,
+    exp(-2) and 1 - exp(-2), and the z = 8 switch at p = exp(-32), each with
+    its neighbouring doubles; and at the ends and beyond them.
     """
     rng = np.random.default_rng(28)
+    alpha = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 20_000)
+    edges = [statkernels._EXP_MINUS_2, 1.0 - statkernels._EXP_MINUS_2, math.exp(-32.0)]
     p = np.concatenate([
         10.0 ** rng.uniform(-300.0, math.log10(0.5), 20_000),
         1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 5_000),
         [1e-300, 0.5, 1.0 - 1e-16],
+        1.0 - alpha / 2.0,
+        [side for edge in edges for side in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))],
+        [5e-324, 1.0 - 2.0**-53, 0.0, 1.0, math.nan, -0.1, 1.0 + 1e-9],
     ])
-    want = special.ndtri(p)
-    got = np.array([simulation._ndtri(v) for v in p.tolist()])
-    assert np.all(np.abs(got - want) <= 10.0 * np.spacing(np.abs(want)))
-    assert abs(simulation._ndtri(5e-324) - special.ndtri(5e-324)) <= np.spacing(38.5)
-    assert abs(simulation._ndtri(1.0 - 2.0**-53) - special.ndtri(1.0 - 2.0**-53)) <= np.spacing(8.5)
-    assert simulation._ndtri(0.0) == -math.inf and simulation._ndtri(1.0) == math.inf
-    assert all(math.isnan(simulation._ndtri(v)) for v in (-0.1, 1.0 + 1e-9, math.nan))
-    # t (1 + _LEVEL_MARGIN) > 1 just below LOG_CEIL: the upper quantile is NaN, as ndtri's was.
+    got = np.array([statkernels._ndtri(v) for v in p.tolist()])
+    assert np.array_equal(got, special.ndtri(p), equal_nan=True)
+    assert statkernels._ndtri(0.0) == -math.inf and statkernels._ndtri(1.0) == math.inf
+    # t (1 + _LEVEL_MARGIN) > 1 just below LOG_CEIL: the upper quantile is NaN, as ndtri's is.
     low, high = simulation._level_quantiles(1.0 - 1e-7)
-    assert low == simulation._ndtri((1.0 - 1e-7) * (1.0 - simulation._LEVEL_MARGIN)) and math.isnan(high)
+    assert low == statkernels._ndtri((1.0 - 1e-7) * (1.0 - simulation._LEVEL_MARGIN)) and math.isnan(high)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_z_crit_is_scipys_ndtri_of_one_minus_half_alpha(alpha):
+    assert meta._z_crit(alpha) == float(special.ndtri(1.0 - alpha / 2.0))
 
 
 # Far below DIGITS: a Poisson sum stops once its terms fall below this share of it.

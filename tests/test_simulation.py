@@ -8,6 +8,7 @@ library it is meant to measure.
 import functools
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -1026,6 +1027,50 @@ class TestGuards:
         assert simulation._work_size(theta_hat, ("meta_fe", "H2n")) == size + h_share
         assert simulation._work_size(theta_hat, ("inconsistency_detected",)) == size + h_share
         assert simulation._work_size(theta_hat, ("H2n_fe", "H1n")) == size + max(h_share, fe_share)
+
+    def test_the_level_keyed_caches_stay_bounded_over_a_level_sweep(self, tmp_path):
+        # Each new (t, alpha) adds entries to five caches; a sweep in one
+        # process keeps at most _LEVEL_CACHE_SIZE of each, and a level whose
+        # entries were evicted decides as it does in a fresh process.
+        caches = (meta._z_crit, simulation._level_quantiles, simulation._threshold_window,
+                  simulation._critical_bracket, simulation._decisive_z)
+        rng = np.random.default_rng(30)
+        se = rng.uniform(0.2, 1.0, 6)
+        theta_hat = rng.normal(1.0, 1.0, (64, 6)) * se
+        alphas = 10.0 ** rng.uniform(-6.0, math.log10(0.5), 1000)
+        ts = rng.uniform(0.02, 0.5, 1000)
+        assert len(set(alphas.tolist())) == len(set(ts.tolist())) == 1000
+        tests = ("meta_fe", "H2n")
+
+        def decide(t, alpha):
+            meta._z_crit(alpha)
+            out = _evaluate_tests(theta_hat, se, tests, t, alpha)
+            return [out[test_id].tolist() for test_id in tests]
+
+        swept = [decide(t, alpha) for t, alpha in zip(ts.tolist(), alphas.tolist())]
+        assert all(cache.cache_info().currsize <= meta._LEVEL_CACHE_SIZE for cache in caches)
+        assert all(cache.cache_info().maxsize == meta._LEVEL_CACHE_SIZE for cache in caches)
+        # The first 50 levels, whose entries the sweep evicted, again here and
+        # in a fresh process, where 50 levels evict nothing.
+        again = [decide(t, alpha) for t, alpha in zip(ts[:50].tolist(), alphas[:50].tolist())]
+        inputs = tmp_path / "inputs.npz"
+        np.savez(inputs, theta_hat=theta_hat, se=se, alphas=alphas[:50], ts=ts[:50])
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from replimeta.simulation import _evaluate_tests\n"
+            "d = np.load(sys.argv[1])\n"
+            f"tests = {tests!r}\n"
+            "outs = [_evaluate_tests(d['theta_hat'], d['se'], tests, t, a) for t, a in zip(d['ts'].tolist(), "
+            "d['alphas'].tolist())]\n"
+            "print(json.dumps([[out[test_id].tolist() for test_id in tests] for out in outs]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code, str(inputs)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert swept[:50] == again == json.loads(done.stdout)
 
 
 @pytest.mark.parametrize(
