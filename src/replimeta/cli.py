@@ -379,8 +379,9 @@ def run() -> NoReturn:
     ``main()`` imports numpy. A value already in the environment wins.
 
     The collector is frozen once ``main()`` has returned, so that the
-    interpreter's shutdown collections skip the objects that numpy and
-    scipy.special created, about a seventh of a short command's time.
+    interpreter's shutdown collections skip the objects that numpy created:
+    about a tenth of a short command's time (14 of 135 ms, as medians of 21
+    alternated ``analyze --format json`` runs on 8 studies, on a 2-vCPU Xeon).
     Output, flushing, ``atexit`` handlers and the exit status stay as they
     are. In-process callers of ``main()`` neither freeze nor change the
     environment.

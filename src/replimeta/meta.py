@@ -14,13 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# scipy.special is imported inside each function that calls it, on first use:
-# it takes longer to load than the rest of the package, and a process that
-# exits before any kernel runs (--help, --version, an input error) never needs
-# it. Only the Q-test p-value calls it here; the critical value is
-# ``statkernels._ndtri``, so ``leave_one_out`` never loads scipy.
+# scipy.special takes longer to load than the rest of the package, and this
+# module does not import it: the critical value is ``statkernels._ndtri`` and
+# the Q-test p-value ``statkernels._igamc``, scipy's bits for both. Only
+# _igamc's Temme branch (Q near its degrees of freedom, on 42 or more
+# studies) loads scipy, on first use.
 
-from .statkernels import _ndtri, one_sided_p
+from .statkernels import _igamc, _ndtri, one_sided_p
 
 __all__ = [
     "MetaAnalysisResult",
@@ -119,9 +119,8 @@ def q_test_p_value(q: float, n_studies: int) -> float:
     """Upper-tail chi-square p-value of Cochran's Q on n-1 degrees of freedom."""
     if n_studies < 2:
         raise ValueError("Q test requires at least two studies")
-    from scipy import special
-
-    return float(special.chdtrc(n_studies - 1, q))
+    # scipy's chdtrc(df, q), which is igamc(df / 2, q / 2).
+    return _igamc((n_studies - 1) / 2.0, q / 2.0)
 
 
 # leave_one_out pools at most this many estimates (an 8 MB matrix) per call,

@@ -20,18 +20,19 @@ within a rounding distance of the level; its decision rule is ``simulation``'s.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 from typing import Literal, Sequence
 
 import numpy as np
 
-# scipy.special is imported on first use, inside each kernel that calls it (see meta).
+# scipy.special is imported by ``_product_tail`` alone, on first use, past
+# ``_SCALAR_TAIL_LENGTH`` ks (see meta).
 
 from . import meta
 from .meta import StudySummary
-from .statkernels import LOG_CEIL, LOG_FLOOR, normal_cdf, one_sided_p
+from .statkernels import LOG_CEIL, LOG_FLOOR, _igamc, normal_cdf, one_sided_p
 
 __all__ = [
     "Consistency",
@@ -112,42 +113,98 @@ class _TailArrays:
 
     ``_product_tail`` reads ks, the binomial weights and k log t; the
     harness's log-space tail also reads the weights' logs
-    (``_log_pmf_weights``) and the log factorials, built on first use, so
-    that the scalar API's walk over many lengths does not pay for them.
+    (``_log_pmf_weights``) and the log factorials, a view of the shared
+    ``_lgamma_table``. A weight is ``math.exp`` of its log, and exactly 0 where
+    the log is at most ``_EXP_UNDERFLOW``.
     """
 
     def __init__(self, length: int, t: float) -> None:
-        log_weights = _log_pmf_weights(length, t)
         self.ks = np.arange(1, length + 1, dtype=float)
-        self.weights = np.array([math.exp(v) for v in log_weights])
-        self.log_weights = np.array(log_weights)
+        self.log_weights = _log_pmf_weights(length, t)
+        self.weights = np.zeros(length)
+        live = np.flatnonzero(self.log_weights > _EXP_UNDERFLOW)
+        self.weights[live] = [math.exp(v) for v in self.log_weights[live].tolist()]
         self.k_log_t = self.ks * math.log(t)
+        self.log_factorials = _lgamma_table(length)
 
-    @cached_property
-    def log_factorials(self) -> np.ndarray:
-        """lgamma(k), the log of (k - 1)!, k = 1..length."""
-        return np.array([math.lgamma(k) for k in range(1, self.ks.size + 1)])
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the arrays this entry owns (not the shared log factorials)."""
+        return self.ks.nbytes + self.weights.nbytes + self.log_weights.nbytes + self.k_log_t.nbytes
 
 
-def _log_pmf_weights(length: int, t: float) -> list[float]:
+# math.exp of an argument at or below this is 0: exp(-745.14) is below half
+# the smallest subnormal double.
+_EXP_UNDERFLOW = -746.0
+# math.lgamma(i), i = 1, 2, ...: shared by every _TailArrays, and at least
+# doubled when it grows, so the older tables that entries still view hold no
+# more than the newest.
+_LGAMMA = np.empty(0)
+
+
+def _lgamma_table(size: int) -> np.ndarray:
+    """lgamma(i), the log of (i - 1)!, for i = 1..size."""
+    global _LGAMMA
+    if _LGAMMA.size < size:
+        grown = max(size, 2 * _LGAMMA.size)
+        _LGAMMA = np.append(_LGAMMA, [math.lgamma(i) for i in range(_LGAMMA.size + 1, grown + 1)])
+    return _LGAMMA[:size]
+
+
+def _log_pmf_weights(length: int, t: float) -> np.ndarray:
     """log P(exactly k of ``length`` independent uniforms fall at or below t), k = 1..length.
 
     Each binomial mass is taken in log space, so that it does not underflow
     to zero for lengths in the thousands; it is -inf where the mass is 0 (t = 1).
+    The terms are those of
+    lgamma(length + 1) - lgamma(k + 1) - lgamma(length - k + 1) + k log t + (length - k) log(1 - t),
+    combined from the left, element by element, so each equals that scalar formula's double.
     """
     if t == 1.0:
-        return [0.0 if k == length else -math.inf for k in range(1, length + 1)]
-    log_trials, log_t, log_rest = math.lgamma(length + 1), math.log(t), math.log1p(-t)
-    return [
-        log_trials - math.lgamma(k + 1) - math.lgamma(length - k + 1) + k * log_t + (length - k) * log_rest
-        for k in range(1, length + 1)
-    ]
+        out = np.full(length, -math.inf)
+        out[length - 1 :] = 0.0
+        return out
+    ks = np.arange(1, length + 1, dtype=float)
+    lgamma = _lgamma_table(length + 1)  # lgamma(i + 1) at index i
+    return (
+        lgamma[length] - lgamma[1:] - lgamma[:length][::-1]
+        + ks * math.log(t) + (length - ks) * math.log1p(-t)
+    )
 
 
-@lru_cache(maxsize=None)
-def _tail_arrays(length: int, t: float) -> _TailArrays:
-    """The ``_TailArrays`` of (length, t), cached."""
-    return _TailArrays(length, t)
+# The bytes of ``_TailArrays`` that ``_tail_arrays`` keeps, counting each
+# entry's own arrays plus _TAIL_ENTRY_BYTES for its objects. A walk over every
+# length 1..1000 at one t takes 17 MB of it, so the second side of a walk at
+# 1000 studies reads the first side's arrays; a sweep over many t values
+# evicts the least recently used first.
+_TAIL_CACHE_BYTES = 24 << 20
+_TAIL_ENTRY_BYTES = 1024
+
+
+class _TailCache:
+    """``_TailArrays`` by (length, t), least recently used out first once they
+    hold more than ``capacity`` bytes (the newest entry always stays)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.held = 0
+        self._entries: OrderedDict[tuple[int, float], _TailArrays] = OrderedDict()
+
+    def __call__(self, length: int, t: float) -> _TailArrays:
+        key = (length, t)
+        arrays = self._entries.get(key)
+        if arrays is not None:
+            self._entries.move_to_end(key)
+            return arrays
+        arrays = self._entries[key] = _TailArrays(length, t)
+        self.held += arrays.nbytes + _TAIL_ENTRY_BYTES
+        while self.held > self.capacity and len(self._entries) > 1:
+            _, old = self._entries.popitem(last=False)
+            self.held -= old.nbytes + _TAIL_ENTRY_BYTES
+        return arrays
+
+
+_tail_arrays = _TailCache(_TAIL_CACHE_BYTES)
 
 
 def _truncated_terms(p: np.ndarray, t: float) -> np.ndarray:
@@ -165,21 +222,34 @@ def _truncated_terms(p: np.ndarray, t: float) -> np.ndarray:
     return terms
 
 
+# _product_tail takes its gamma tails from the scalar ``_igamc`` up to this
+# many ks, so that analyze and bounds on up to 20 studies load no scipy;
+# past it, scipy's gammaincc, the same bits at about a fiftieth of the cost
+# per element (4 us against 0.08 us), is imported: a walk over n studies
+# takes n^2 / 2 of them.
+_SCALAR_TAIL_LENGTH = 20
+_igamc_elements = np.frompyfunc(_igamc, 2, 1)
+
+
 def _product_tail(c_stat: np.ndarray, length: int, t: float) -> np.ndarray:
     """Null p-value of each statistic c, -2 times a sum of ``length`` ``_truncated_terms``.
 
     A statistic of 0 (nothing truncated, an empty product of 1) gets the
     weakest possible p-value, exactly 1.
     """
-    from scipy import special
-
     arrays = _tail_arrays(length, t)
     # Conditional on k truncated p-values, -log(product / t^k) is Gamma(k, 1);
     # the upper tail is evaluated directly to avoid cancellation. The weighted
     # sum uses np.sum, whose reduction tree depends only on the row length, so
     # batched and single-row calls agree bitwise.
     args = np.maximum(c_stat[:, None] / 2.0 + arrays.k_log_t[None, :], 0.0)
-    mixture = np.sum(special.gammaincc(arrays.ks[None, :], args) * arrays.weights[None, :], axis=1)
+    if length <= _SCALAR_TAIL_LENGTH:
+        upper = _igamc_elements(arrays.ks[None, :], args).astype(float)
+    else:
+        from scipy import special
+
+        upper = special.gammaincc(arrays.ks[None, :], args)
+    mixture = np.sum(upper * arrays.weights[None, :], axis=1)
     out = np.clip(mixture, 0.0, 1.0)
     out[c_stat <= 0.0] = 1.0
     return out

@@ -21,14 +21,15 @@ statistics come from a tabulated log normal tail (``_directional_rejections``),
 the pooled tests' from ``_pooled_rejections``. The exact row kernels,
 ``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes``, are ``replicability``'s.
 
-The harness imports no scipy. Its normal quantiles are the package's one
+The harness imports no scipy itself. Its normal quantiles are the package's one
 quantile, ``statkernels._ndtri`` (scipy's ndtri, bit for bit), its table's
 nodes come from ``normal_cdf`` (``_log_normal_cdf``), and its critical values
 and the exact band of the H-tests read a log-space truncated-product tail
 (``_log_product_tail``). The caches keyed by a level or a threshold keep at
 most ``meta._LEVEL_CACHE_SIZE`` entries each.
 Only a band row whose tail lies within ``_EXACT_BAND`` of the level, or
-whose statistic is NaN, runs scipy's ``_product_tail`` (``_curve_rejections``).
+whose statistic is NaN, runs the scalar API's ``_product_tail``
+(``_curve_rejections``), which loads scipy only past 20 studies.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ _LEVEL_MARGIN = 1e-6
 
 # eta, a relative margin on the level for the decisions made on the
 # log-space tail K of ``_log_product_tail``: a row is decided on K only
-# where K lies beyond level (1 -+ _EXACT_BAND), and the rest run scipy's
+# where K lies beyond level (1 -+ _EXACT_BAND), and the rest run
 # ``_product_tail``. Against mpmath at 40 digits, K was within 1.9e-13,
 # relative, over lengths 1-64 and 200, t from 1e-3 to 1 and tails down to
 # 1e-300, and ``_product_tail`` within 1.5e-13 where its tail exceeds
@@ -415,11 +416,12 @@ def _tail_band(level: float) -> tuple[float, float] | None:
 
 def _curve_rejections(curve: _PCCurve, u: int, t: float, level: float) -> np.ndarray:
     """``curve(u) <= level`` per row, u at most the curve's length: the scalar
-    API's decision, mostly without scipy.
+    API's decision.
 
     Each row's statistic goes through ``_log_product_tail``, and only the
     rows that its band (``_tail_band``) leaves open, with a NaN statistic
-    among them, run ``_product_tail``, which imports scipy.
+    among them, run ``_product_tail``. Below ``_SMALLEST_BAND_LEVEL`` every
+    row does.
     """
     band = _tail_band(level)
     if band is None:

@@ -308,6 +308,12 @@ def test_importing_the_cli_loads_no_xml_or_urllib():
     assert done.stdout.strip() == "[]"
 
 
+def _studies_csv(n):
+    """A raw study file of n studies, mostly positive, with one in three negative."""
+    rows = [f"S{i},{0.05 * (i % 7) - (0.4 if i % 3 == 0 else 0.0):.2f},{0.1 + 0.01 * (i % 5):.2f}" for i in range(n)]
+    return "label,estimate,se\n" + "\n".join(rows) + "\n"
+
+
 def _imported_modules(*argv):
     """The exit status of a fresh ``python -X importtime ARGV`` and the modules it imported."""
     done = subprocess.run(
@@ -323,25 +329,29 @@ def _imported_modules(*argv):
     (["-m", "replimeta", "--version"], 0, ("numpy", "scipy"), ()),
     (["-m", "replimeta", "--help"], 0, ("numpy", "scipy"), ()),
     (["-m", "replimeta", "analyze", "--format", "csv"], 1, ("numpy", "scipy"), ()),
-    (["-m", "replimeta", "analyze", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
-    (["-m", "replimeta", "bounds", "--input", "{input}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
+    (["-m", "replimeta", "analyze", "--input", "{input}"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
+    (["-m", "replimeta", "bounds", "--input", "{input}"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
+    (["-m", "replimeta", "analyze", "--input", "{many}"], 0, ("replimeta.simulation",), ("numpy", "scipy")),
     (["-m", "replimeta", "loo", "--input", "{input}"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
     (["-m", "replimeta", "loo", "--input", "{counts}", "--format", "json", "--model", "random", "--measure",
       "odds_ratio"], 0, ("replimeta.simulation", "scipy"), ("numpy",)),
     (["-m", "replimeta", "simulate", "--scenario", "two-same-sign"], 0, ("scipy",),
      ("numpy", "replimeta.simulation")),
     (["-m", "replimeta", "simulate", "--config", "{config}"], 0, ("scipy",), ("numpy", "replimeta.simulation")),
-], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "loo", "loo-counts-json",
-        "simulate-scenario", "simulate-config"])
+], ids=["import", "import-cli", "version", "help", "usage-error", "analyze", "bounds", "analyze-21-studies", "loo",
+        "loo-counts-json", "simulate-scenario", "simulate-config"])
 def test_numpy_loads_only_with_a_command_that_computes(raw_file, binary_file, tmp_path, argv, code, absent, present):
     # numpy and compiling the package's modules are most of what a process
     # pays before main() runs; the analyst's commands never need the Monte
-    # Carlo harness, and neither the harness nor loo needs scipy.
+    # Carlo harness, and neither the harness, loo, nor analyze and bounds on
+    # up to 20 studies need scipy. On 21, r(1)'s 21 gamma tails load it.
     config = tmp_path / "all-tests.cfg"
     config.write_text("theta = 0.8 0.5 0 -0.4\nnc = 30 30 30 30\nnt = 30 30 30 30\nreplications = 2000\n"
                       "tests = meta_fe meta_re H1n H2n H3n H2n_fe inconsistency_detected\n")
+    many = tmp_path / "21-studies.csv"
+    many.write_text(_studies_csv(21))
     exit_code, modules = _imported_modules(
-        *(arg.format(input=raw_file, counts=binary_file, config=config) for arg in argv)
+        *(arg.format(input=raw_file, counts=binary_file, config=config, many=many) for arg in argv)
     )
     assert exit_code == code
     assert not modules & set(absent), sorted(modules & set(absent))
@@ -403,6 +413,48 @@ def test_loo_prints_the_same_bytes_with_scipy_unimportable(raw_file, binary_file
     assert all(printed["without"][0]) and printed["without"][0] == printed["with"][0]
 
 
+def test_analyze_and_bounds_print_the_same_bytes_with_scipy_unimportable(raw_file, binary_file, tmp_path):
+    """analyze in every format, model and measure, and bounds in every format
+    and measure, on up to 20 studies, in a process where importing scipy
+    fails, against the same commands where scipy has loaded. The two-study
+    file's Q-test reaches the shape 1/2 (``statkernels._lgam1p``'s series)."""
+    two = tmp_path / "two.csv"
+    two.write_text("label,estimate,se\nA,0.1,0.1\nB,0.3,0.1\n")
+    twenty = tmp_path / "twenty.csv"
+    twenty.write_text(_studies_csv(20))
+    inputs = [(raw_file, "raw"), (str(two), "raw"), (str(twenty), "raw"), (binary_file, "odds_ratio"),
+              (binary_file, "risk_ratio")]
+    runs = [["analyze", "--input", path, "--measure", measure, "--format", fmt, "--model", model]
+            for path, measure in inputs for fmt in ("text", "json", "svg") for model in ("fixed", "random", "auto")]
+    runs += [["bounds", "--input", path, "--measure", measure, "--format", fmt]
+             for path, measure in inputs for fmt in ("text", "json")]
+    runs += [["analyze", "--input", str(twenty), "--u", "3", "--delta-bounds", "--truncation", "1"],
+             ["bounds", "--input", str(twenty), "--truncation", "0.5", "--alpha", "0.01"]]
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "if sys.argv[1] == 'without':\n"
+        "    sys.modules['scipy'] = None\n"
+        "else:\n"
+        "    import scipy.special\n"
+        "from replimeta.cli import main\n"
+        "outs = []\n"
+        f"for run in {runs!r}:\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(run) == 0, run\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps([outs, 'scipy.special' in sys.modules]))\n"
+    )
+    printed = {}
+    for side in ("without", "with"):
+        done = subprocess.run([sys.executable, "-c", code, side], env=_src_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+        printed[side] = json.loads(done.stdout)
+    assert printed["without"][1] is False and printed["with"][1] is True
+    assert all(printed["without"][0]) and printed["without"][0] == printed["with"][0]
+
+
 def test_package_names_resolve_on_first_access_to_their_modules_objects():
     import replimeta
 
@@ -456,8 +508,9 @@ def test_main_leaves_the_environment_alone(blas_unset, raw_file, capsys):
 
 def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
     # scipy.special and what it pulls in take longer to import than the rest
-    # of the package, so --version, an input error and loo (whose critical
-    # value is statkernels._ndtri) must not pay for them.
+    # of the package, so --version, an input error, loo (whose critical value
+    # is statkernels._ndtri) and analyze on 5 studies (whose gamma tails are
+    # statkernels._igamc) must not pay for them.
     bad = tmp_path / "bad.csv"
     bad.write_text("label,estimate,se\na,0.1,0\nb,0.2,0.1\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -494,7 +547,7 @@ def test_scipy_loads_only_when_a_kernel_runs(tmp_path, raw_file):
         "--version": False,
         "invalid analyze": False,
         "valid loo": False,
-        "valid analyze": True,
+        "valid analyze": False,
     }
 
 

@@ -498,6 +498,104 @@ def test_z_crit_is_scipys_ndtri_of_one_minus_half_alpha(alpha):
     assert meta._z_crit(alpha) == float(special.ndtri(1.0 - alpha / 2.0))
 
 
+def float_bits(values):
+    """The bit patterns of a float array, sign of zero included, every NaN as one pattern."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), -1, values.view(np.int64))
+
+
+def igamc_switch_points(a):
+    """The x at which ``_igamc`` changes branch for shape a, each with its neighbouring doubles."""
+    edges = [0.5, 1.1, a, a / 1.1, math.exp(-0.4 / a), 0.6 * a, 1.4 * a]
+    return [side for edge in edges for side in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+
+
+def test_the_upper_gamma_tail_against_scipys_gammaincc(monkeypatch):
+    """``statkernels._igamc``, the port of Cephes' igamc, returns scipy's bits.
+
+    On shapes 0.5-20 in steps of 0.5 and random shapes in (0, 20], with x
+    log-uniform in [1e-6, 800] and at every branch switch with its
+    neighbours; at large shapes outside Temme's region, where ``_lgam``'s
+    Stirling branches and ``_log1pmx`` run, and inside it, where scipy
+    answers; and at the ends: 0, infinities, NaN and negatives. Every branch
+    is reached.
+    """
+    reached = dict.fromkeys(
+        ["_igamc_series", "_igam_series", "_igamc_continued_fraction", "_lgam1p_taylor", "_log1pmx"], 0
+    )
+    for name in reached:
+        def counted(*args, _inner=getattr(statkernels, name), _name=name):
+            reached[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(statkernels, name, counted)
+    rng = np.random.default_rng(31)
+    shapes = np.concatenate([np.arange(1, 41) / 2.0, rng.uniform(0.0, 20.0, 40), [1e-300, 1e-8, 2.0**-30]])
+    x = 10.0 ** rng.uniform(-6.0, math.log10(800.0), 2_000)
+    a_grid, x_grid = (v.ravel() for v in np.meshgrid(shapes, x))
+    switches = [(a, v) for a in shapes.tolist() for v in igamc_switch_points(a)]
+    big = [25.0, 150.0, math.nextafter(200.0, 0.0), 200.0, math.nextafter(200.0, math.inf), 250.0, 1500.0, 5e5,
+           1e9, 1e300]
+    large = [(a, a * f) for a in big for f in (1e-3, 0.1, 0.5, 0.65, 0.69, 0.75, 1.0, 1.3, 1.35, 1.4, 1.5, 3.0, 10.0)]
+    ends = [0.0, -0.0, -1.0, 5e-324, 0.5, 1.1, 3.0, math.inf, -math.inf, math.nan]
+    pairs = list(zip(a_grid.tolist(), x_grid.tolist())) + switches + large + [(a, v) for a in ends for v in ends]
+    a_all, x_all = (np.array(v) for v in zip(*pairs))
+    got = np.array([statkernels._igamc(a, v) for a, v in pairs])
+    assert np.array_equal(float_bits(got), float_bits(special.gammaincc(a_all, x_all)))
+    assert all(reached.values()), reached
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(min_value=0.0, max_value=40.0), st.floats(min_value=0.0, max_value=1000.0))
+def test_igamc_is_scipys_gammaincc(a, x):
+    assert float_bits(statkernels._igamc(a, x)) == float_bits(special.gammaincc(a, x))
+
+
+def test_the_q_test_p_value_is_scipys_chdtrc():
+    """``q_test_p_value(q, n)``, igamc((n - 1) / 2, q / 2), against ``special.chdtrc(n - 1, q)``
+    bit for bit: df 1-80 with q log-uniform in [1e-4, 2000], q near df (Temme's
+    region past df = 40), and 0, -1, infinity and NaN."""
+    rng = np.random.default_rng(32)
+    df = np.arange(1, 81)
+    q = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(2000.0), 1_500), [0.0, -1.0, math.inf, math.nan]])
+    df_grid, q_grid = (v.ravel() for v in np.meshgrid(df, q))
+    df_grid, q_grid = np.append(df_grid, df), np.append(q_grid, df * 1.01)
+    got = np.array([meta.q_test_p_value(v, d + 1) for d, v in zip(df_grid.tolist(), q_grid.tolist())])
+    assert np.array_equal(float_bits(got), float_bits(special.chdtrc(df_grid, q_grid)))
+
+
+def test_the_zeta_table_is_scipys_zeta():
+    """``lgam1p``'s zeta(n, 1), n = 2..41, as literals: the installed scipy's values."""
+    assert statkernels._ZETA == tuple(float(special.zeta(n, 1.0)) for n in range(2, 42))
+
+
+@pytest.mark.parametrize("t", [0.025, 0.05, 0.5, 1.0])
+def test_the_product_tail_without_scipy_is_scipys(monkeypatch, t):
+    """``_product_tail`` on lengths 1-20, through the scalar ``_igamc``, equals
+    its scipy path bit for bit: on the statistics of random p-value rows,
+    with extreme rows, NaN statistics and c = 0 among them."""
+    rng = np.random.default_rng(33)
+    scalar = {}
+    for length in range(1, 21):
+        p = rng.uniform(0.0, 1.0, (60, length)) ** rng.uniform(1.0, 40.0, (60, 1))
+        p[:5] = 10.0 ** rng.uniform(-300.0, -1.0, (5, length))
+        c = replicability._PCCurve.from_p_values(p, t).statistic(1)
+        c = np.concatenate([c, [0.0, math.nan, 1e-300, 1e4, math.inf]])
+        scalar[length] = (c, replicability._product_tail(c, length, t))
+    monkeypatch.setattr(replicability, "_SCALAR_TAIL_LENGTH", 0)
+    for length, (c, got) in scalar.items():
+        assert np.array_equal(float_bits(got), float_bits(replicability._product_tail(c, length, t))), length
+
+
+def test_the_product_tail_takes_scipys_path_past_20_ks(monkeypatch):
+    """Past 20 ks ``_product_tail`` calls scipy's gammaincc, and up to 20 it does not."""
+    calls = []
+    monkeypatch.setattr(special, "gammaincc", lambda *args: calls.append(args) or np.ones_like(args[1]))
+    replicability._product_tail(np.full(5, 3.0), 20, 0.05)
+    assert not calls
+    replicability._product_tail(np.full(5, 3.0), 21, 0.05)
+    assert [args[1].shape for args in calls] == [(5, 21)]
+
+
 # Far below DIGITS: a Poisson sum stops once its terms fall below this share of it.
 NEGLIGIBLE = mpmath.mpf("1e-50")
 

@@ -7,13 +7,17 @@ statistic.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from replimeta import meta
+from replimeta import meta, replicability
 from replimeta.meta import StudySummary
 from replimeta.replicability import (
     ReplicabilityReport,
@@ -480,3 +484,103 @@ def test_invalid_arguments_are_named_errors(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def scalar_log_pmf_weights(length, t):
+    """The binomial log masses of ``_TailArrays``, one Python float expression per k."""
+    if t == 1.0:
+        return [0.0 if k == length else -math.inf for k in range(1, length + 1)]
+    log_trials, log_t, log_rest = math.lgamma(length + 1), math.log(t), math.log1p(-t)
+    return [
+        log_trials - math.lgamma(k + 1) - math.lgamma(length - k + 1) + k * log_t + (length - k) * log_rest
+        for k in range(1, length + 1)
+    ]
+
+
+@pytest.mark.parametrize("t", [0.025, 0.05, 0.5, 0.9, 1.0])
+def test_tail_weights_equal_the_scalar_formula_bit_for_bit(t):
+    """The numpy weights, log weights and log factorials of ``_TailArrays``
+    equal the scalar formula and ``math.exp``/``math.lgamma`` of it, sign bits
+    included, for every length 1..1000."""
+    for length in range(1, 1001):
+        log_weights = scalar_log_pmf_weights(length, t)
+        arrays = replicability._TailArrays(length, t)
+        assert arrays.log_weights.tobytes() == np.array(log_weights).tobytes(), length
+        assert arrays.weights.tobytes() == np.array([math.exp(v) for v in log_weights]).tobytes(), length
+        factorials = np.array([math.lgamma(k) for k in range(1, length + 1)])
+        assert arrays.log_factorials.tobytes() == factorials.tobytes(), length
+
+
+def test_the_tail_cache_holds_at_most_its_capacity_over_a_t_sweep():
+    """Five walks over every length 1..1000, at five t, hold no more than
+    ``_TAIL_CACHE_BYTES`` by the cache's count, and no more than 1 MiB over it
+    as tracemalloc counts them (unbounded, they held about 84 MB); the
+    entries of the oldest t are the ones evicted."""
+    replicability._lgamma_table(2048)  # the shared table is not the cache's
+    cache = replicability._TailCache(replicability._TAIL_CACHE_BYTES)
+    sweep = (0.025, 0.05, 0.5, 0.9, 1.0)
+    tracemalloc.start()
+    try:
+        for t in sweep:
+            for length in range(1, 1001):
+                cache(length, t)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.held <= replicability._TAIL_CACHE_BYTES and held <= replicability._TAIL_CACHE_BYTES + (1 << 20)
+    assert (1000, sweep[0]) not in cache._entries and (1000, sweep[-1]) in cache._entries
+
+
+def test_an_evicted_t_gives_the_bytes_of_a_fresh_process(monkeypatch):
+    """r(1..n) and the tail arrays at t = 0.05 after a sweep over other t has
+    evicted them equal those of a process that computed them first."""
+    code = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from replimeta import replicability\n"
+        "def digest():\n"
+        "    rng = np.random.default_rng(5)\n"
+        "    curve = replicability._PCCurve.from_p_values(rng.uniform(0.0, 0.2, 30) ** 3, 0.05)\n"
+        "    parts = [curve(u).tobytes() for u in range(1, 31)]\n"
+        "    for length in (1, 7, 20, 30):\n"
+        "        arrays = replicability._tail_arrays(length, 0.05)\n"
+        "        parts += [arrays.weights.tobytes(), arrays.log_weights.tobytes(), arrays.k_log_t.tobytes()]\n"
+        "    return hashlib.sha256(b''.join(parts)).hexdigest()\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code + "print(digest())"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    cache = replicability._TailCache(1 << 20)
+    monkeypatch.setattr(replicability, "_tail_arrays", cache)
+    namespace = {}
+    exec(code, namespace)
+    first = namespace["digest"]()
+    for t in np.linspace(0.1, 0.9, 40).tolist():
+        for length in range(1, 31):
+            cache(length, t)
+    assert (30, 0.05) not in cache._entries
+    assert first == namespace["digest"]() == done.stdout.strip()
+
+
+def test_the_second_side_of_a_walk_at_1000_studies_reuses_the_first_sides_arrays(monkeypatch):
+    """r(u) on every u of the left side, then of the right, at n = 1000:
+    each length's arrays are built once, although the right side starts over
+    from the longest."""
+    built = []
+
+    class Counted(replicability._TailArrays):
+        def __init__(self, length, t):
+            built.append(length)
+            super().__init__(length, t)
+
+    monkeypatch.setattr(replicability, "_TailArrays", Counted)
+    monkeypatch.setattr(replicability, "_tail_arrays", replicability._TailCache(replicability._TAIL_CACHE_BYTES))
+    rng = np.random.default_rng(11)
+    left = rng.uniform(0.0, 1.0, 1000)
+    profile = replicability._TwoSidedProfile(left, 1.0 - left, 0.05)
+    for curve in (profile.left, profile.right):
+        for u in range(1, 1001):
+            curve(u)
+    assert sorted(built) == list(range(1, 1001))
