@@ -11,10 +11,14 @@ variant that pools subsets by inverse variance, shifted tests that bound the
 effect magnitude, and a conditional p-value transform that guards against
 publication bias.
 
-The row kernels ``_PCCurve`` and ``_fe_z_extremes`` also settle the Monte
-Carlo harness's close calls, which read the truncated-product tail in log
-space from the arrays of ``_tail_arrays`` and reach ``_product_tail`` only
-within a rounding distance of the level; its decision rule is ``simulation``'s.
+Every list of studies gets its one-sided p-values from one row function,
+``_one_sided_rows``, which equals ``one_sided_p`` per study bit for bit.
+
+The row kernels ``_PCCurve``, ``_fe_z_extremes`` and ``_normal_cdf_rows``
+also settle the Monte Carlo harness's close calls, which read the
+truncated-product tail in log space from the arrays of ``_tail_arrays`` and
+reach ``_product_tail`` only within a rounding distance of the level; its
+decision rule is ``simulation``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import meta
 from .meta import StudySummary
-from .statkernels import LOG_CEIL, LOG_FLOOR, _igamc, normal_cdf, one_sided_p
+from .statkernels import LOG_CEIL, LOG_FLOOR, _igamc, _normal_tail, normal_cdf
 
 __all__ = [
     "Consistency",
@@ -205,6 +209,34 @@ class _TailCache:
 
 
 _tail_arrays = _TailCache(_TAIL_CACHE_BYTES)
+
+
+_normal_tail_elements = np.frompyfunc(_normal_tail, 1, 1)
+
+
+def _normal_cdf_rows(z: np.ndarray) -> np.ndarray:
+    """``normal_cdf`` of each entry of a float array, bit for bit; a NaN entry gives NaN."""
+    return _normal_tail_elements(z).astype(float)
+
+
+# Python floats overflow to inf without a warning.
+@np.errstate(over="ignore")
+def _one_sided_rows(
+    theta: np.ndarray,
+    se: np.ndarray,
+    shift: float | np.ndarray = 0.0,
+    sides: Sequence[str] = ("left", "right"),
+) -> tuple[np.ndarray, ...]:
+    """``one_sided_p(theta, se, shift)`` per entry, bit for bit: one array per side in ``sides``.
+
+    z = (theta - shift) / se is formed once, with the scalar's subtraction
+    and division, and each side is one ``_normal_cdf_rows`` call: on z for
+    "left", on -z for "right". The se must be positive, as ``StudySummary``
+    makes it.
+    """
+    z = np.subtract(theta, shift, dtype=float)
+    z /= se
+    return tuple(_normal_cdf_rows(np.negative(z) if side == "right" else z) for side in sides)
 
 
 def _truncated_terms(p: np.ndarray, t: float) -> np.ndarray:
@@ -531,7 +563,10 @@ def delta_bound(
     right-sided partial-conjunction test is run at level alpha/2; for
     ``lower_negative`` it is moved to -delta with the left-sided test. Returns
     the boundary delta found by bisection, or None when the unshifted test is
-    not significant and a bound is not meaningful; t defaults to alpha.
+    not significant and a bound is not meaningful; t defaults to alpha. Each
+    step takes the tested side's shifted p-values from one ``_one_sided_rows``
+    call, ``one_sided_p`` of every study bit for bit, and passes them to
+    ``partial_conjunction_p``.
     """
     studies = list(studies)
     n = len(studies)
@@ -544,19 +579,18 @@ def delta_bound(
     meta._check_alpha(alpha)
     t = _check_t(alpha if t is None else t)
     level = alpha / 2.0
+    theta, se = meta._study_rows(studies)
+    sign, tested = (1.0, "right") if side == "upper_positive" else (-1.0, "left")
 
     def shifted_p(delta: float) -> float:
-        if side == "upper_positive":
-            ps = [one_sided_p(s.theta_hat, s.se, shift=delta).right for s in studies]
-        else:
-            ps = [one_sided_p(s.theta_hat, s.se, shift=-delta).left for s in studies]
+        (ps,) = _one_sided_rows(theta, se, sign * delta, (tested,))
         return partial_conjunction_p(ps, u, t)
 
     if shifted_p(0.0) > level:
         return None
     # At hi every study's shifted z on the tested side is at most -10, so each
     # one-sided p-value rounds to 1.0 and the shifted test cannot reject there.
-    hi = max(abs(s.theta_hat) for s in studies) + 10.0 * max(s.se for s in studies)
+    hi = float(np.max(np.abs(theta))) + 10.0 * float(np.max(se))
     lo = 0.0
     # The shifted p-value is monotone nondecreasing in delta, so plain
     # bisection localizes the rejection boundary, to _DELTA_TOL or, beyond

@@ -20,6 +20,7 @@ from .meta import (
     StudySummary,
     _check_alpha,
     _overflow_index,
+    _study_rows,
     binary_to_log_effect,
     fixed_effect_meta,
     random_effects_meta,
@@ -28,9 +29,9 @@ from .replicability import (
     ReplicabilityReport,
     _TwoSidedProfile,
     _check_t,
+    _one_sided_rows,
     conditional_p_transform,
 )
-from .statkernels import one_sided_p
 
 __all__ = [
     "AnalysisRequest",
@@ -158,13 +159,13 @@ def parse_studies(source: str | TextIO, measure: str = "raw") -> list[StudySumma
 def directional_pvalues(request: AnalysisRequest) -> tuple[list[float], list[float]]:
     """Left and right one-sided p-value lists for the request's studies.
 
-    With a conditional threshold the two lists are filtered and rescaled
+    Both come from one ``_one_sided_rows`` call, one row-wise normal tail per
+    side, and equal ``one_sided_p`` of each study bit for bit. With a
+    conditional threshold the two lists are filtered and rescaled
     independently, so they may end up shorter than the study list and of
     different lengths from each other.
     """
-    pairs = [one_sided_p(s.theta_hat, s.se) for s in request.studies]
-    left = [pair.left for pair in pairs]
-    right = [pair.right for pair in pairs]
+    left, right = (side.tolist() for side in _one_sided_rows(*_study_rows(request.studies)))
     if request.conditional_threshold is not None:
         left = conditional_p_transform(left, request.conditional_threshold)
         right = conditional_p_transform(right, request.conditional_threshold)

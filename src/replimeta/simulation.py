@@ -19,7 +19,9 @@ Decision rule: each test compares a statistic with its critical value
 for the rows near it, so every decision is the scalar API's. The H-tests'
 statistics come from a tabulated log normal tail (``_directional_rejections``),
 the pooled tests' from ``_pooled_rejections``. The exact row kernels,
-``_PCCurve``, ``_product_tail`` and ``_fe_z_extremes``, are ``replicability``'s.
+``_PCCurve``, ``_product_tail``, ``_fe_z_extremes`` and the row-wise normal
+tail ``_normal_cdf_rows``, are ``replicability``'s; the scalar API reads the
+same normal tail for its lists of studies.
 
 The harness imports no scipy itself. Its normal quantiles are the package's one
 quantile, ``statkernels._ndtri`` (scipy's ndtri, bit for bit), its table's
@@ -50,6 +52,7 @@ from .replicability import (
     _check_t,
     _fe_work_size,
     _fe_z_extremes,
+    _normal_cdf_rows,
     _product_tail,
     _tail_arrays,
     _TailArrays,
@@ -103,9 +106,17 @@ def _check_finite(name: str, *values: float | None) -> None:
         raise ValueError(f"{name} must be finite, got {', '.join(map(repr, values))}")
 
 
+def _check_int(name: str, value: int) -> int:
+    """The value, once it is an int and not a bool; a float or True would pass
+    the range checks and be read as another count or Philox key."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_seed(seed: int) -> int:
     """The seed, once it is a valid Philox key."""
-    if not 0 <= seed < 2**128:
+    if not 0 <= _check_int("seed", seed) < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     return seed
 
@@ -120,7 +131,7 @@ def _check_scenario(scenario: Scenario) -> None:
             raise ValueError(
                 f"group sizes must be positive finite (control, treatment) pairs, got {pair}"
             )
-    if scenario.replications < 1:
+    if _check_int("replications", scenario.replications) < 1:
         raise ValueError("replications must be at least 1")
     _check_seed(scenario.seed)
 
@@ -320,11 +331,6 @@ _SMALLEST_BAND_LEVEL = 1e-290
 def _level_quantiles(p: float) -> tuple[float, float]:
     """ndtri(p (1 - _LEVEL_MARGIN)) and ndtri(p (1 + _LEVEL_MARGIN))."""
     return _ndtri(p * (1.0 - _LEVEL_MARGIN)), _ndtri(p * (1.0 + _LEVEL_MARGIN))
-
-
-def _normal_cdf_rows(z: np.ndarray) -> np.ndarray:
-    """``normal_cdf`` of each entry of a float array, bit for bit; a NaN entry gives NaN."""
-    return np.frompyfunc(_normal_tail, 1, 1)(z).astype(float)
 
 
 def _bracket_rejections(
@@ -1030,11 +1036,17 @@ def simulate_random(
 def inconsistency_probability(mu: float, tau: float, n: int) -> float:
     """Probability that effects drawn from Normal(mu, tau^2) have mixed signs.
 
-    Closed form: 1 - Phi(mu/tau)^n - (1 - Phi(mu/tau))^n.
+    Closed form: 1 - Phi(mu/tau)^n - (1 - Phi(mu/tau))^n. An infinite mu or
+    tau gives the limit, 0 or 1 - 2^(1 - n); both infinite have none.
     """
+    for name, value in (("mu", mu), ("tau", tau)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if n < 2:
+    if math.isinf(mu) and math.isinf(tau):
+        raise ValueError("mu and tau must not both be infinite: mu/tau has no limit")
+    if _check_int("n", n) < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     phi = normal_cdf(mu / tau)
     return 1.0 - phi**n - (1.0 - phi) ** n

@@ -10,13 +10,15 @@ unnoticed between runs of the benchmark's own smoke test.
 import functools
 import importlib
 import inspect
+import io
 import json
 import math
 
 import pytest
 
 import replimeta
-from replimeta import cli, simulation
+from replimeta import cli, replicability, simulation
+from replimeta.report import parse_studies
 from replimeta.simulation import (
     BENCHMARK_GROUP_SIZES,
     FixedEffectsScenario,
@@ -140,3 +142,18 @@ def test_every_counted_call_runs_in_the_benchmark_analyze_command(monkeypatch, t
     for name in ("one_sided_p", "partial_conjunction_p", "delta_bound",
                  "partial_conjunction_p inside delta_bound"):
         assert calls[name] > 0, name
+
+
+@pytest.mark.parametrize("side", ["upper_positive", "lower_negative"])
+def test_delta_bound_runs_one_partial_conjunction_test_per_bisection_step(monkeypatch, side):
+    """``replicability.delta_pc_calls`` counts one call per shifted test: 24 per
+    side on the study set above at u = 3, as when each step built its p-values
+    study by study."""
+    calls = []
+    original = replicability.partial_conjunction_p
+    monkeypatch.setattr(
+        replicability, "partial_conjunction_p", lambda *args: calls.append(args) or original(*args)
+    )
+    studies = parse_studies(io.StringIO(BOTH_DIRECTIONS))
+    assert replicability.delta_bound(studies, 3, side=side) is not None
+    assert len(calls) == 24

@@ -18,7 +18,6 @@ from replimeta import report
 from replimeta.cli import main
 from replimeta.replicability import delta_bound
 from replimeta.simulation import preset_names
-from replimeta.statkernels import one_sided_p
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -94,15 +93,16 @@ class TestAnalyzeCommand:
     def test_directional_p_values_computed_once_per_study(
         self, raw_file, monkeypatch, capsys, extra
     ):
-        calls = []
+        transformed = []
+        rows = report._one_sided_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return one_sided_p(*args, **kwargs)
+        def counting(theta, *args):
+            transformed.extend(theta.tolist())
+            return rows(theta, *args)
 
-        monkeypatch.setattr(report, "one_sided_p", counting)
+        monkeypatch.setattr(report, "_one_sided_rows", counting)
         assert main(["analyze", "--input", raw_file] + extra) == 0
-        assert len(calls) == RAW_CSV.count("\n") - 1
+        assert len(transformed) == RAW_CSV.count("\n") - 1
 
     def test_svg_output_file(self, raw_file, tmp_path, capsys):
         out = tmp_path / "plot.svg"

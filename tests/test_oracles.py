@@ -8,6 +8,7 @@ change has to flip it.
 
 import io
 import math
+import random
 import sys
 from functools import lru_cache
 from itertools import combinations
@@ -755,6 +756,114 @@ def test_delta_bound_is_the_root_of_the_shifted_r_value(pairs, side, alpha, t):
             assert shifted_r(studies, u, t_used, side, delta + replicability._DELTA_TOL) > level
         grid = [shifted_r(studies, u, t_used, side, d) for d in np.linspace(0.0, top, 41)]
         assert grid == sorted(grid)
+
+
+def reference_delta_bound(studies, u, alpha, side, t=None):
+    """``delta_bound``'s bisection with its p-values built study by study from
+    ``one_sided_p``; returns the bound and the number of shifted tests run."""
+    level, t = alpha / 2.0, alpha if t is None else t
+    tests = 0
+
+    def rejects(delta):
+        nonlocal tests
+        tests += 1
+        return shifted_r(studies, u, t, side, delta) <= level
+
+    if not rejects(0.0):
+        return None, tests
+    hi = max(abs(s.theta_hat) for s in studies) + 10.0 * max(s.se for s in studies)
+    lo = 0.0
+    while hi - lo > replicability._DELTA_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if rejects(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, tests
+
+
+def analyze_large_studies(n):
+    """The studies of the benchmark's analyze-large file of n studies (50, 200
+    or 1000) at seed 0: every fifth true effect negative, se in [0.08, 0.4]."""
+    rng = random.Random("analyze-large/0")
+    for size in (50, 200, 1000):
+        studies = []
+        for i in range(size):
+            se = rng.uniform(0.08, 0.4)
+            theta = -rng.uniform(0.7, 1.0) if i % 5 == 4 else abs(rng.gauss(0.3, 0.15))
+            studies.append(StudySummary(f"s{i + 1:04d}", theta + rng.gauss(0.0, se), se))
+        if size == n:
+            return studies
+    raise ValueError(f"no analyze-large file of {n} studies")
+
+
+def random_study_set(n):
+    """n studies with estimates of both signs, some past the tested level and some not."""
+    rng = np.random.default_rng(n)
+    return [
+        StudySummary(f"s{i}", float(rng.normal(0.5, 2.0)), float(rng.uniform(0.05, 0.8)))
+        for i in range(n)
+    ]
+
+
+# (id, studies, the u to test): every u of the random sets, a spread of u on
+# the benchmark's long files.
+DELTA_SETS = [
+    *(
+        (f"random-{n}", random_study_set(n), range(1, n + 1))
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 50)
+    ),
+    *(
+        (f"analyze-large-{n}", analyze_large_studies(n), (1, 2, 3, 10, n // 5, n // 2, n))
+        for n in (200, 1000)
+    ),
+]
+
+
+@pytest.mark.parametrize("side", ["upper_positive", "lower_negative"])
+@pytest.mark.parametrize(
+    "studies, us", [(s, us) for _, s, us in DELTA_SETS], ids=[name for name, _, _ in DELTA_SETS]
+)
+def test_delta_bound_is_the_study_by_study_bisection(monkeypatch, studies, us, side):
+    """The same bound, bit for bit, and one ``partial_conjunction_p`` call per
+    shifted test, as the benchmark's ``delta_pc_calls`` counts them."""
+    calls = []
+    original = replicability.partial_conjunction_p
+    monkeypatch.setattr(
+        replicability, "partial_conjunction_p", lambda *args: calls.append(args) or original(*args)
+    )
+    for u in us:
+        calls.clear()
+        expected, tests = reference_delta_bound(studies, u, 0.05, side)
+        assert delta_bound(studies, u, 0.05, side) == expected, u
+        assert len(calls) == tests, u
+
+
+# theta, se and shift over the whole finite double range, so that z takes
+# signed zeros, tails past |z| = 38, where one side underflows, and quotients
+# that overflow to +-inf.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROW_ENTRIES = st.lists(
+    st.tuples(FINITE, st.floats(min_value=5e-324, allow_infinity=False), FINITE), min_size=1, max_size=16
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ROW_ENTRIES)
+@example(rows=[(0.0, 1.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 2.0, -0.0), (-0.0, 3.0, -0.0), (1.0, 1.0, 1.0)])
+@example(rows=[(38.5, 1.0, 0.0), (-40.0, 1.0, 0.0), (0.0, 1.0, 39.0), (1e3, 0.5, -1e3)])
+@example(rows=[(1e308, 1e-10, 0.0), (-1e308, 1e-10, 0.0), (1e308, 1.0, -1e308), (-1.0, 5e-324, 1e308)])
+def test_the_row_function_is_one_sided_p_per_entry(rows):
+    """Both sides, and each side alone at a scalar shift, as ``delta_bound``
+    calls it, equal ``one_sided_p`` of every entry bit for bit."""
+    theta, se, shift = (np.array(column) for column in zip(*rows))
+    pairs = [one_sided_p(*row) for row in rows]
+    left, right = replicability._one_sided_rows(theta, se, shift)
+    assert float_bits(left).tolist() == float_bits([pair.left for pair in pairs]).tolist()
+    assert float_bits(right).tolist() == float_bits([pair.right for pair in pairs]).tolist()
+    for side in ("left", "right"):
+        (alone,) = replicability._one_sided_rows(theta, se, rows[0][2], (side,))
+        scalar = [getattr(one_sided_p(th, s, rows[0][2]), side) for th, s, _ in rows]
+        assert float_bits(alone).tolist() == float_bits(scalar).tolist()
 
 
 # The one-sided size of the per-study p-values of a 2x2 table at level

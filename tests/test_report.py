@@ -176,15 +176,17 @@ class TestAnalyze:
 
 class TestRequestProfile:
     def test_analyze_then_summary_transforms_each_study_once(self, monkeypatch):
-        calls = []
-        one_sided_p = report_module.one_sided_p
+        transformed = []
+        rows = report_module._one_sided_rows
         monkeypatch.setattr(
-            report_module, "one_sided_p", lambda *args: calls.append(args) or one_sided_p(*args)
+            report_module,
+            "_one_sided_rows",
+            lambda theta, *args: transformed.extend(theta.tolist()) or rows(theta, *args),
         )
         request = AnalysisRequest(studies=CONFLICTING)
         _, report, _ = analyze(request)
         summary = partial_conjunction_summary(request, 2)
-        assert len(calls) == len(CONFLICTING)
+        assert transformed == [s.theta_hat for s in CONFLICTING]
         assert summary["r"] == report.r_value
 
 

@@ -129,6 +129,29 @@ class TestScenarios:
         with pytest.raises(ValueError, match=message):
             calibrate_tau(0.5, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_a_seed_that_is_not_an_int_is_rejected_naming_seed(self, seed):
+        # Philox(key=1.5) would draw seed 1's stream, and True would run as 1.
+        message = rf"^seed must be an integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            FixedEffectsScenario(theta=(0.0,), group_sizes=((10, 10),), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            RandomEffectsScenario(mu=0, tau=1, n=1, group_sizes=((10, 10),), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            calibrate_tau(0.5, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            preset("two-same-sign", replications=10, seed=seed)
+
+    @pytest.mark.parametrize("replications", [2.5, 10.0, True])
+    def test_replications_that_are_not_an_int_are_rejected_naming_replications(self, replications):
+        message = rf"^replications must be an integer, got {replications!r}$"
+        with pytest.raises(ValueError, match=message):
+            FixedEffectsScenario(theta=(0.0,), group_sizes=((10, 10),), replications=replications)
+        with pytest.raises(ValueError, match=message):
+            RandomEffectsScenario(
+                mu=0, tau=1, n=1, group_sizes=((10, 10),), replications=replications
+            )
+
     def test_largest_seed_accepted(self):
         scenario = FixedEffectsScenario(
             theta=(0.0,), group_sizes=((10, 10),), replications=5, seed=2**128 - 1
@@ -372,8 +395,27 @@ class TestInconsistencyProbability:
         assert abs(exact - empirical) <= 3 * mc_se
 
     def test_nan_mean_rejected(self):
-        with pytest.raises(ValueError, match="z must not be NaN"):
+        with pytest.raises(ValueError, match="^mu must not be NaN$"):
             inconsistency_probability(math.nan, 1.0, 3)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="^tau must not be NaN$"):
+            inconsistency_probability(0.0, math.nan, 3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_a_study_count_that_is_not_an_int_is_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            inconsistency_probability(0.3, 0.5, n)
+
+    @pytest.mark.parametrize("mu, tau, expected", [
+        (math.inf, 1.0, 0.0), (-math.inf, 1.0, 0.0), (1.0, math.inf, 1.0 - 2.0**-3),
+    ])
+    def test_infinite_arguments_give_their_limits(self, mu, tau, expected):
+        assert inconsistency_probability(mu, tau, 4) == expected
+
+    def test_both_infinite_is_rejected(self):
+        with pytest.raises(ValueError, match="^mu and tau must not both be infinite"):
+            inconsistency_probability(math.inf, math.inf, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
